@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import measures, trigpoly
 from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
 from .trigpoly import TrigPoly, add, convolve as poly_convolve, fejer, grid_min, multiply, scale
@@ -126,12 +128,13 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     """Worst-case deviations of a block from its four guarantees."""
     e = params.ell * params.q**params.k
     half = params.order // 2
-    plus_band = [abs(sigma.fourier(m) - 1.0) for m in range(params.q**params.k, e + 1)]
-    minus_band = [abs(sigma.fourier(m) + 1.0) for m in range(half, half + e + 1)]
+    spectrum = sigma.spectrum
+    plus_band = np.abs(spectrum[params.q**params.k : e + 1] - 1.0)
+    minus_band = np.abs(spectrum[half : half + e + 1] + 1.0)
     return {
         "mass_excess": sigma.mass() - params.mass_bound,
-        "plus_band_residual": max(plus_band),
-        "minus_band_residual": max(minus_band),
+        "plus_band_residual": float(plus_band.max()),
+        "minus_band_residual": float(minus_band.max()),
         "min_weight": float(sigma.weights.min()),
     }
 
@@ -296,4 +299,5 @@ def zero_set(mu: AtomicMeasure, bound: int, tol: float = 1e-9) -> set:
     """Frequencies 1 <= r <= bound where the transform of mu vanishes."""
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
-    return {r for r in range(1, bound + 1) if abs(mu.fourier(r)) < tol}
+    freqs = np.arange(1, bound + 1)
+    return {int(r) for r in freqs[np.abs(mu.spectrum[freqs % mu.order]) < tol]}

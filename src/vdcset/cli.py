@@ -274,28 +274,26 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
     rng = np.random.default_rng(args.seed)
     failures = 0
     tested = 0
+
+    def fails(m, mapping, subset) -> bool:
+        n, overlap = combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
+        density = len(subset) / m
+        return n > -(-2 * m // len(subset)) or 2 * overlap < density * density - 1e-15
+
     for m in range(1, args.m_max + 1):
         for shift in range(m):
             mapping = tuple((x + shift) % m for x in range(m))
             for mask in range(1, 1 << m):
                 subset = frozenset(i for i in range(m) if mask >> i & 1)
-                system = combinatorics.FiniteSystem(m, mapping, subset)
-                n, overlap = combinatorics.strong_poincare(system)
-                density = len(subset) / m
                 tested += 1
-                if n > -(-2 * m // len(subset)) or 2 * overlap < density * density - 1e-15:
-                    failures += 1
+                failures += fails(m, mapping, subset)
     for _ in range(args.random_trials):
         m = int(rng.integers(2, args.random_size + 1))
         mapping = tuple(int(v) for v in rng.permutation(m))
         count = int(rng.integers(1, m + 1))
         subset = frozenset(int(v) for v in rng.choice(m, size=count, replace=False))
-        system = combinatorics.FiniteSystem(m, mapping, subset)
-        n, overlap = combinatorics.strong_poincare(system)
-        density = len(subset) / m
         tested += 1
-        if n > -(-2 * m // len(subset)) or 2 * overlap < density * density - 1e-15:
-            failures += 1
+        failures += fails(m, mapping, subset)
     report.add("poincare_failures", failures == 0, failures, detail=f"{tested} systems")
 
 

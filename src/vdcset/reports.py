@@ -42,7 +42,8 @@ class RunReport:
         return check
 
     def attach_file(self, label: str, path: str) -> None:
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
         self.artifacts[label] = {"path": path, "sha256": digest}
 
     def to_dict(self) -> dict:

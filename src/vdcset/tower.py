@@ -86,10 +86,6 @@ def eps_prime_for(eps: float) -> float:
     return candidate
 
 
-def _shifted_transform(beta: AtomicMeasure, m: int, eps_prime: float) -> complex:
-    return beta.fourier(m) - eps_prime
-
-
 def check_beta(stage: TowerStage, beta: AtomicMeasure, tol: float = 1e-9) -> None:
     if abs(beta.mass() - 1.0) > tol:
         raise ValueError(f"beta mass {beta.mass()} is not 1 within {tol}")
@@ -109,7 +105,7 @@ def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     below eps_prime because max_freq > n*(n+1)/eps_prime."""
     coeffs = {}
     for m in range(-stage.n, stage.n + 1):
-        coeffs[m] = _shifted_transform(beta, m, stage.eps_prime) * abs(m) / stage.max_freq
+        coeffs[m] = (beta.fourier(m) - stage.eps_prime) * abs(m) / stage.max_freq
     return TrigPoly(coeffs, real=True)
 
 
@@ -125,7 +121,7 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) ->
     big_m = stage.max_freq
     coeffs = {}
     for m in range(-big_m + 1, big_m):
-        shifted = _shifted_transform(beta, m, stage.eps_prime)
+        shifted = beta.fourier(m) - stage.eps_prime
         val = (1.0 - abs(m) / big_m) * shifted
         if abs(m) <= stage.n:
             val += shifted * abs(m) / big_m

@@ -7,7 +7,8 @@ as Fourier transform values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
 (coefficient arithmetic) and 1e-9 (evaluation); positivity of a polynomial
-is certified on a uniform grid, which is a heuristic, not a proof.
+is certified on a uniform grid, which is a heuristic, not a proof.  Grid
+values come from one inverse FFT of the coefficients folded mod the grid.
 """
 
 from dataclasses import dataclass
@@ -109,19 +110,14 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
 
     Frequencies are folded mod ``grid`` first, which is exact at these
     points (exp(2*pi*i*m*g/grid) depends on m only through m mod grid);
-    the remaining sum is direct, no FFT.
+    the folded sum is one inverse FFT, grid * ifft(folded).
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
     folded = np.zeros(grid, dtype=complex)
     for m, c in f.coeffs.items():
         folded[m % grid] += c
-    out = np.zeros(grid, dtype=complex)
-    idx = np.arange(grid, dtype=np.int64)
-    roots = np.exp(2j * np.pi * idx / grid)
-    for k in np.nonzero(folded)[0]:
-        out += folded[k] * roots[(int(k) * idx) % grid]
-    return out
+    return np.fft.ifft(folded) * grid
 
 
 def grid_min(f: TrigPoly, grid: int) -> float:

@@ -71,9 +71,8 @@ def test_convolution_identity_translation_uniform():
 
 def test_convolution_against_direct_oracle_and_theorem():
     rng = np.random.default_rng(19)
-    for _ in range(10):
-        n1 = int(rng.integers(2, 9))
-        n2 = int(rng.integers(2, 9))
+
+    def check(n1, n2):
         m1 = ms.AtomicMeasure(n1, rng.random(n1))
         m2 = ms.AtomicMeasure(n2, rng.random(n2))
         out = ms.convolve(m1, m2)
@@ -87,6 +86,11 @@ def test_convolution_against_direct_oracle_and_theorem():
         for k in rng.integers(0, 3 * common, size=100):
             k = int(k)
             assert out.fourier(k) == pytest.approx(m1.fourier(k) * m2.fourier(k), abs=1e-9)
+
+    for _ in range(10):
+        check(int(rng.integers(2, 9)), int(rng.integers(2, 9)))
+    # both lifts to order 72 carry more than 16 atoms
+    check(24, 36)
 
 
 def test_lcm_overflow_guard():

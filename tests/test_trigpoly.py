@@ -84,8 +84,10 @@ def test_sample_values_match_single_point_eval():
     rng = np.random.default_rng(11)
     f = tp.TrigPoly({int(m): complex(rng.normal(), rng.normal()) for m in rng.integers(-20, 21, 7)})
     grid = 53
+    # frequencies with |m| >= grid alias onto m mod grid, colliding with 0 and with each other
+    f = tp.add(f, tp.TrigPoly({53: 0.5, -53: -0.25j, 71: 1.5, -120: 2.0 - 1.0j, 159: 0.75, 92: -1.0}))
     vals = tp.sample_values(f, grid)
-    for g in (0, 1, 17, 52):
+    for g in range(grid):
         assert vals[g] == pytest.approx(tp.evaluate(f, g / grid), abs=1e-10)
 
 
