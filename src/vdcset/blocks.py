@@ -9,6 +9,7 @@ probability measure whose transform vanishes on every base-Q digit
 pattern, the witness driving both certifiers.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -240,7 +241,9 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
 
     Returns (mu, sigma): sigma is the convolution of the blocks for
     k = 0..P-1 (order Q^P) and mu = (sigma + dirac_0) / (sigma_mass + 1).
-    The atom of mu at 0 is at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
+    Verified before returning: sigma_hat(y) = prod_k block_k_hat(y mod Q^(k+1))
+    at every frequency, and the atom of mu at 0 is at least
+    1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
     params.validate()
     if params.order > atom_budget():
@@ -250,9 +253,15 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
             f"{max_feasible_depth(params.q)}",
             max_feasible_p=max_feasible_depth(params.q),
         )
-    sigma = build_block(BlockParams(params.ell, params.q, 0), tol=tol)
-    for k in range(1, params.p):
-        sigma = convolve(sigma, build_block(BlockParams(params.ell, params.q, k), tol=tol))
+    factors = [build_block(BlockParams(params.ell, params.q, k), tol=tol) for k in range(params.p)]
+    sigma = functools.reduce(convolve, factors)
+    freqs = np.arange(params.order)
+    predicted = np.prod([f.spectrum[freqs % f.order] for f in factors], axis=0)
+    product = float(np.abs(sigma.spectrum - predicted).max())
+    if product > tol:
+        raise BlockBulletError(
+            f"witness spectrum misses the block product identity by {product} > {tol}"
+        )
     total = sigma.mass()
     norm = 1.0 / (total + 1.0)
     mu = scale_add(norm, sigma, norm, dirac(params.order, 0))

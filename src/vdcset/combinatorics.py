@@ -166,10 +166,16 @@ def _agreement_candidates(grid: np.ndarray, q: int):
                     yield x, x_prime, s
 
 
-def _check_bullets(x: tuple, x_prime: tuple, s: int, q: int) -> None:
-    assert x[:s] == x_prime[:s]
-    assert x[s] == 0 and x_prime[s] == q // 2
-    assert all(circular_distance(a, b, q) <= 2 for a, b in zip(x[s + 1 :], x_prime[s + 1 :]))
+def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
+    """The agreement-pair bullets: x and x' agree below s, x_s = 0,
+    x'_s = Q/2, and every higher coordinate pair is within circular
+    distance 2."""
+    return (
+        x[:s] == x_prime[:s]
+        and x[s] == 0
+        and x_prime[s] == q // 2
+        and all(circular_distance(a, b, q) <= 2 for a, b in zip(x[s + 1 :], x_prime[s + 1 :]))
+    )
 
 
 def vectors_to_grid(vectors) -> tuple:
@@ -200,7 +206,8 @@ def find_agreement_pair(vectors, ell: int):
     if q % 2:
         raise ValueError("modulus Q must be even")
     for x, x_prime, s in _agreement_candidates(grid, q):
-        _check_bullets(x, x_prime, s, q)
+        if not bullets_hold(x, x_prime, s, q):
+            raise RuntimeError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
         return AgreementPair(DigitVector(q, x), DigitVector(q, x_prime), s)
     count = int(grid.sum())
     if count * ell > q**p and p > q * math.log(ell):
@@ -225,11 +232,13 @@ def digits_to_int(digits, q: int) -> int:
     return total
 
 
-def _pattern_window_ok(y: int, j: int, q: int, p: int, s: int) -> bool:
+def pattern_position(y: int, j: int, q: int, p: int):
+    """Index of the one base-Q digit of y in [Q/2, Q/2 + 8j) when every
+    other digit lies in [1, 8j); None when y is not such a digit pattern."""
     digits = int_to_digits(y, q, p)
-    if not q // 2 <= digits[s] < q // 2 + 8 * j:
-        return False
-    return all(1 <= d < 8 * j for i, d in enumerate(digits) if i != s)
+    marked = [i for i, d in enumerate(digits) if q // 2 <= d < q // 2 + 8 * j]
+    rest_low = all(1 <= d < 8 * j for i, d in enumerate(digits) if i not in marked)
+    return marked[0] if len(marked) == 1 and rest_low and y < q**p else None
 
 
 def digit_difference(elements, j: int, q: int, p: int):
@@ -270,6 +279,6 @@ def digit_difference(elements, j: int, q: int, p: int):
         for x, x_prime, s in _agreement_candidates(overlap, q):
             shifted_prime = tuple((c + 4 * n) % q for c in x_prime)
             y = abs(digits_to_int(shifted_prime, q) - digits_to_int(x, q))
-            if y and _pattern_window_ok(y, j, q, p, s):
+            if pattern_position(y, j, q, p) == s:
                 return y
     return None

@@ -113,8 +113,9 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) ->
     """The stage polynomial b: correction + eps_prime + Fejer-smoothed
     (beta - eps_prime*dirac_0).
 
-    Guarantees: coeff(0) = 1; coeff(m) = beta_hat(m) - eps_prime for
-    0 < |m| <= n; coeff(m) = 0 for |m| >= max_freq; positive on the circle.
+    Guarantees: coeff(0) = beta's mass, 1 within tol (check_beta);
+    coeff(m) = beta_hat(m) - eps_prime for 0 < |m| <= n; coeff(m) = 0 for
+    |m| >= max_freq; positive on the circle.
     """
     stage.validate()
     check_beta(stage, beta, tol=tol)
@@ -129,7 +130,6 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) ->
             val += stage.eps_prime
         coeffs[m] = val
     block = TrigPoly(coeffs, real=True)
-    assert abs(block.coeff(0) - 1.0) <= 1e-12
     low = grid_min(block, positivity_grid(block.degree))
     if low <= 0.0:
         raise ValueError(f"stage polynomial is not positive: grid minimum {low}")

@@ -116,6 +116,18 @@ def test_witness_product_spectrum():
         assert abs(sigma.fourier(y) - predicted) < 1e-9
 
 
+def test_witness_rejects_broken_product_identity(monkeypatch):
+    real = blocks.convolve
+
+    def shifted(a, b):  # a rotated convolution keeps mass but breaks the spectrum
+        out = real(a, b)
+        return ms.AtomicMeasure(out.order, np.roll(out.weights, 1))
+
+    monkeypatch.setattr(blocks, "convolve", shifted)
+    with pytest.raises(blocks.BlockBulletError, match="product identity"):
+        blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
+
+
 def test_digit_pattern_members_small():
     assert blocks.digit_pattern_members(1, 64, 1) == list(range(32, 40))
     members = blocks.digit_pattern_members(1, 64, 2)

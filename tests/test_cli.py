@@ -255,3 +255,109 @@ def test_atom_budget_env_override(tmp_path, monkeypatch):
                 "--json-out", str(out)]) == 1
     report = load_report(out)
     assert "atom budget" in report["flags"]["refused"]
+
+
+def test_build_block_atom_budget_is_reported(tmp_path, monkeypatch):
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "100")
+    out = tmp_path / "r.json"
+    assert run(["build-block", "--ell", "2", "--q", "64", "--k", "1", "--json-out", str(out)]) == 1
+    report = load_report(out)
+    check_report_schema(report)
+    assert "atom budget" in report["flags"]["error"]
+    assert report["checks"][-1]["name"] == "completed"
+
+
+def test_build_witness_builds_each_block_once(monkeypatch):
+    from vdcset import blocks
+
+    built = []
+    real = blocks.build_block
+
+    def counted(params, **kwargs):
+        built.append(params.k)
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(blocks, "build_block", counted)
+    assert run(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"]) == 0
+    assert built == [0, 1]
+
+
+def test_tower_beta_mass_within_tolerance(tmp_path):
+    # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage must build
+    weight = (1.0 + 5e-10) / 3
+    stages = {
+        "eps_prime": 0.3,
+        "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7,
+                    "beta_weights": [weight] * 3}],
+    }
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps(stages), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 0
+    checks = {c["name"]: c for c in load_report(out)["checks"]}
+    assert checks["stage1_mean"]["value"] == pytest.approx(5e-10, abs=1e-12)
+
+
+LEDGER_NAMES = [
+    "ledger: ell >= 1", "ledger: k >= 0", "ledger: Q even", "ledger: Q > 4*ell",
+    "ledger: Q/2 - 2*ell > ell", "ledger: ell*Q^k < Q^(k+1)/2 - ell*Q^k",
+    "ledger: -Q^(k+1)/2 + ell*Q^k < -Q^k", "ledger: 2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k",
+]
+TOWER_NAMES = [
+    f"stage{j}_{name}"
+    for j in (1, 2)
+    for name in ("vanishing_tail", "frozen_window", "mean", "marked_frequency")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        pytest.param(["verify-kernels"], [
+            "grid_sufficient", "fejer_product_identity", "fejer_lower_bound",
+            "fejer_upper_bound", "multiply_pointwise", "domination_kernel_coeffs",
+            "domination_fixpoint", "domination_lower_bound", "convex_profile_positivity",
+            "sampling_identity",
+        ], id="verify-kernels"),
+        pytest.param(
+            ["build-block", "--ell", "2", "--q", "64", "--k", "0"],
+            LEDGER_NAMES + ["mass_excess", "plus_band_residual", "minus_band_residual", "min_weight"],
+            id="build-block",
+        ),
+        pytest.param(
+            ["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"],
+            ["parameter_ledger", "digit_pattern_count", "pattern_zeros_residual", "mass",
+             "atom_lower_bound"],
+            id="build-witness",
+        ),
+        pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64"],
+                     ["canonical_depth_feasible"], id="build-witness-canonical"),
+        pytest.param(["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
+                     ["alpha_within_budget"], id="certify-recurrence"),
+        pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
+                     ["witness_min_weight", "witness_mass", "witness_residual"], id="certify-vdc"),
+        pytest.param(["lemma-prt"], ["poincare_failures"], id="lemma-prt"),
+        pytest.param(["lemma-digits", "--q", "64", "--p", "2"], ["all_found", "all_verified"],
+                     id="lemma-digits"),
+        pytest.param(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140"],
+                     ["bullets_verified", "found_under_hypothesis"], id="lemma-pair"),
+        pytest.param(["tower", "--stages-file", "stages.json"], TOWER_NAMES, id="tower"),
+    ],
+)
+def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv, names):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "R.txt").write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
+    (tmp_path / "stages.json").write_text(json.dumps({
+        "eps_prime": 0.3,
+        "stages": [
+            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7},
+            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 113},
+        ],
+    }), encoding="utf-8")
+    run(argv + ["--json-out", "r.json"])
+    assert [c["name"] for c in load_report(tmp_path / "r.json")["checks"]] == names
+    printed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith(("PASS ", "FAIL "))]
+    assert len(printed) == len(names)
+    for line, name in zip(printed, names):
+        assert line[5:].startswith(name)

@@ -108,6 +108,22 @@ def test_agreement_pair_dense_random_guarantee_regime():
         assert all(cb.circular_distance(a, b, 4) <= 2 for a, b in zip(x[s + 1 :], xp[s + 1 :]))
 
 
+def test_bullets_hold_one_violation_per_bullet():
+    q = 8
+    assert cb.bullets_hold((1, 0, 3), (1, 4, 5), 1, q)
+    assert cb.bullets_hold((1, 0, 7), (1, 4, 1), 1, q)  # distance 2 across the wrap
+    assert not cb.bullets_hold((2, 0, 3), (1, 4, 5), 1, q)  # disagree below s
+    assert not cb.bullets_hold((1, 1, 3), (1, 4, 5), 1, q)  # x_s != 0
+    assert not cb.bullets_hold((1, 0, 3), (1, 3, 5), 1, q)  # x'_s != Q/2
+    assert not cb.bullets_hold((1, 0, 3), (1, 4, 6), 1, q)  # higher digits 3 apart
+
+
+def test_agreement_pair_raises_on_broken_bullets(monkeypatch):
+    monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter([((0, 1), (0, 1), 0)]))
+    with pytest.raises(RuntimeError, match="breaks a bullet"):
+        cb.find_agreement_pair([cb.DigitVector(4, (0, 1))], 2)
+
+
 def test_neighbourhood_chain_is_nested():
     rng = np.random.default_rng(2)
     grid = rng.random((6, 6, 6)) < 0.3
@@ -165,6 +181,16 @@ def test_digit_difference_validation():
         cb.digit_difference({0}, 4, 32, 2)  # window exceeds Q
     with pytest.raises(ValueError, match="inside"):
         cb.digit_difference({64**2}, 1, 64, 2)
+
+
+def test_pattern_position_matches_pattern_members():
+    from vdcset import blocks
+
+    members = set(blocks.digit_pattern_members(1, 64, 2))
+    assert {y for y in range(64**2) if cb.pattern_position(y, 1, 64, 2) is not None} == members
+    assert cb.pattern_position(32 * 64 + 3, 1, 64, 2) == 1
+    assert cb.pattern_position(3 * 64 + 39, 1, 64, 2) == 0
+    assert cb.pattern_position(64**2 + 64 + 33, 1, 64, 2) is None  # more than P digits
 
 
 def test_grid_size_guard():
