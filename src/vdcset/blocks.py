@@ -140,7 +140,7 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     }
 
 
-def build_block(params: BlockParams, *, check: bool = True, tol: float = 1e-9) -> AtomicMeasure:
+def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
     sampled polynomial s, with the four transform guarantees verified."""
     params.validate()
@@ -152,24 +152,21 @@ def build_block(params: BlockParams, *, check: bool = True, tol: float = 1e-9) -
     _, _, s = block_polynomials(params)
     pair = scale_add(0.5, dirac(n_total, 1), 0.5, dirac(n_total, n_total - 1))
     sigma = scale_add(1.0, pair, 1.0, from_samples(s, n_total))
-    if check:
-        res = block_residuals(sigma, params)
-        failures = [
-            name
-            for name, bad in [
-                ("mass_excess", res["mass_excess"] > tol),
-                ("plus_band_residual", res["plus_band_residual"] > tol),
-                ("minus_band_residual", res["minus_band_residual"] > tol),
-                ("min_weight", res["min_weight"] < -measures.WEIGHT_TOL),
-            ]
-            if bad
-        ]
-        if failures:
-            raise BlockBulletError(
-                f"block (ell={params.ell}, Q={params.q}, k={params.k}) failed "
-                f"{failures}: residuals {res} (a 'sufficiently large Q' condition is marginal)"
-            )
+    res = block_residuals(sigma, params)
+    _require(f"block (ell={params.ell}, Q={params.q}, k={params.k})", res, [
+        ("mass_excess", res["mass_excess"] > tol),
+        ("plus_band_residual", res["plus_band_residual"] > tol),
+        ("minus_band_residual", res["minus_band_residual"] > tol),
+        ("min_weight", res["min_weight"] < -measures.WEIGHT_TOL),
+    ], hint=" (a 'sufficiently large Q' condition is marginal)")
     return sigma
+
+
+def _require(what: str, res: dict, misses, hint: str = "") -> None:
+    """Raise BlockBulletError naming every (guarantee, missed) pair that missed."""
+    failed = [name for name, missed in misses if missed]
+    if failed:
+        raise BlockBulletError(f"{what} failed {failed}: residuals {res}{hint}")
 
 
 @dataclass(frozen=True)
@@ -242,8 +239,9 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
     Returns (mu, sigma): sigma is the convolution of the blocks for
     k = 0..P-1 (order Q^P) and mu = (sigma + dirac_0) / (sigma_mass + 1).
     Verified before returning: sigma_hat(y) = prod_k block_k_hat(y mod Q^(k+1))
-    at every frequency, and the atom of mu at 0 is at least
-    1/(1 + (1 + 320*(8j)^3/Q^2)^P).
+    at every frequency, and every guarantee in witness_residuals: mu_hat
+    vanishes on the digit patterns, mu has unit mass, and its atom at 0 is
+    at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
     params.validate()
     if params.order > atom_budget():
@@ -258,19 +256,36 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
     freqs = np.arange(params.order)
     predicted = np.prod([f.spectrum[freqs % f.order] for f in factors], axis=0)
     product = float(np.abs(sigma.spectrum - predicted).max())
-    if product > tol:
-        raise BlockBulletError(
-            f"witness spectrum misses the block product identity by {product} > {tol}"
-        )
+    _require("witness spectrum", {"product_identity": product},
+             [("block product identity", product > tol)])
     total = sigma.mass()
     norm = 1.0 / (total + 1.0)
     mu = scale_add(norm, sigma, norm, dirac(params.order, 0))
-    atom = float(mu.weights[0])
-    if atom < params.atom_lower_bound() - tol:
-        raise BlockBulletError(
-            f"witness atom {atom} fell below the guaranteed {params.atom_lower_bound()}"
-        )
+    res = witness_residuals(mu, params)
+    _require(f"witness (j={params.j}, Q={params.q}, P={params.p})", res, [
+        ("pattern_count", res["pattern_count"] != res["expected_pattern_count"]),
+        ("pattern_zeros_residual", res["pattern_zeros_residual"] >= tol),
+        ("mass", abs(res["mass"] - 1.0) >= tol),
+        ("atom", res["atom"] < res["atom_lower_bound"] - tol),
+    ])
     return mu, sigma
+
+
+def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
+    """A witness against its guarantees: the digit patterns counted against
+    P*8j*(8j-1)^(P-1), the worst |mu_hat| on them, the mass, and the atom
+    at 0 beside its guaranteed lower bound."""
+    members = np.array(digit_pattern_members(params.j, params.q, params.p))
+    zeros = mu.spectrum[members % mu.order]
+    return {
+        "pattern_count": len(members),
+        "expected_pattern_count": params.p * params.ell * (params.ell - 1) ** (params.p - 1),
+        # hypot rounds exactly as abs(complex) does, unlike np.abs on complex arrays
+        "pattern_zeros_residual": float(np.hypot(zeros.real, zeros.imag).max()),
+        "mass": mu.mass(),
+        "atom": float(mu.weights[0]),
+        "atom_lower_bound": params.atom_lower_bound(),
+    }
 
 
 def digit_pattern_members(j: int, q: int, p: int) -> list:

@@ -14,7 +14,7 @@ the solver.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,8 +58,12 @@ class VdcFailureWitness:
     order: int
     measure: AtomicMeasure
     atom: float
-    residual: float
     not_vdc: bool
+
+    @property
+    def residual(self) -> float:
+        """Worst |measure_hat(r)| over r_set, straight from the weights."""
+        return float(max((abs(self.measure.fourier(r)) for r in self.r_set), default=0.0))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -209,7 +213,6 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     costs[0] = 1.0
     result = solve_lp(costs, matrix, rhs)
     measure = AtomicMeasure(order, result.x)
-    residual = max((abs(measure.fourier(r)) for r in r_set), default=0.0)
     atom = float(measure.weights[0])
     if warm_start is not None:
         if warm_start.order != order:
@@ -225,7 +228,6 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
         order=order,
         measure=measure,
         atom=atom,
-        residual=float(residual),
         not_vdc=False,
     )
 
@@ -237,9 +239,7 @@ def reverify_witness(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> d
     return {
         "min_weight": float(w.min()),
         "mass_error": abs(witness.measure.mass() - 1.0),
-        "residual": max(
-            (abs(witness.measure.fourier(r)) for r in witness.r_set), default=0.0
-        ),
+        "residual": witness.residual,
         "tolerance": tol,
     }
 
@@ -253,14 +253,8 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
         raise RuntimeError(f"LP witness failed re-verification: {checks}")
     if checks["residual"] >= RESIDUAL_TOL:
         raise RuntimeError(f"LP witness residual too large: {checks}")
-    return VdcFailureWitness(
-        r_set=base.r_set,
-        epsilon=float(epsilon),
-        order=order,
-        measure=base.measure,
-        atom=base.atom,
-        residual=float(checks["residual"]),
-        not_vdc=base.atom > epsilon + RESIDUAL_TOL,
+    return replace(
+        base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL
     )
 
 
@@ -274,14 +268,10 @@ def lift_witness(witness: VdcFailureWitness, factor: int) -> VdcFailureWitness:
     w = np.zeros(order)
     w[np.arange(witness.order)] = witness.measure.weights
     measure = AtomicMeasure(order, w)
-    r_set = tuple(factor * r for r in witness.r_set)
-    residual = max((abs(measure.fourier(r)) for r in r_set), default=0.0)
-    return VdcFailureWitness(
-        r_set=r_set,
-        epsilon=witness.epsilon,
+    return replace(
+        witness,
+        r_set=tuple(factor * r for r in witness.r_set),
         order=order,
         measure=measure,
         atom=float(measure.weights[0]),
-        residual=float(residual),
-        not_vdc=witness.not_vdc,
     )

@@ -143,9 +143,9 @@ def _floor(value, tol) -> bool:
 
 
 def _add_residuals(report: RunReport, residuals: dict, rows) -> None:
-    """One check per (check name, residual key, tolerance, comparison) row."""
-    for name, key, tol, compare in rows:
-        report.add(name, compare(residuals[key], tol), residuals[key], tol)
+    """One check per (check name, residual key, tolerance, comparison[, detail]) row."""
+    for name, key, tol, compare, *detail in rows:
+        report.add(name, compare(residuals[key], tol), residuals[key], tol, *detail)
 
 
 EMIT_ATOM_LIMIT = 1 << 16
@@ -164,8 +164,7 @@ def _emit_measure(report: RunReport, label: str, measure, path: str) -> None:
 
 def cmd_build_block(args, report: RunReport) -> None:
     params = blocks.BlockParams(args.ell, args.q, args.k)
-    ledger = params.ledger()
-    for name, ok in ledger:
+    for name, ok in params.ledger():
         report.add(f"ledger: {name}", ok)
     if params.violations():
         report.flags["invalid_params"] = "; ".join(params.violations())
@@ -173,7 +172,7 @@ def cmd_build_block(args, report: RunReport) -> None:
     _, _, sample_poly = blocks.block_polynomials(params)
     report.flags["sample_poly_degree"] = sample_poly.degree
     report.flags["degree_below_order"] = sample_poly.degree < params.order
-    sigma = blocks.build_block(params, check=False)
+    sigma = blocks.build_block(params, tol=args.tol)
     _add_residuals(report, blocks.block_residuals(sigma, params), [
         ("mass_excess", "mass_excess", args.tol, operator.le),
         ("plus_band_residual", "plus_band_residual", args.tol, operator.lt),
@@ -213,22 +212,18 @@ def cmd_build_witness(args, report: RunReport) -> None:
         report.flags["refused"] = str(exc)
         report.add("atom_budget", False, detail=str(exc))
         return
-    members = blocks.digit_pattern_members(args.j, args.q, p)
-    expected = p * 8 * args.j * (8 * args.j - 1) ** (p - 1)
-    report.add("digit_pattern_count", len(members) == expected, len(members))
-    worst_zero = max(abs(mu.fourier(y)) for y in members)
-    report.add("pattern_zeros_residual", worst_zero < args.tol, worst_zero, args.tol)
-    atom = float(mu.weights[0])
-    report.add("mass", abs(mu.mass() - 1.0) < args.tol, mu.mass(), args.tol)
-    report.add(
-        "atom_lower_bound",
-        atom >= params.atom_lower_bound() - args.tol,
-        atom,
-        args.tol,
-        detail=f"guaranteed {params.atom_lower_bound():.6g}",
-    )
-    report.flags["atom"] = atom
-    report.flags["atom_exceeds_eps"] = atom > args.eps
+    res = blocks.witness_residuals(mu, params)
+    bound = res["atom_lower_bound"]
+    _add_residuals(report, res, [
+        ("digit_pattern_count", "pattern_count", None,
+         lambda count, _: count == res["expected_pattern_count"]),
+        ("pattern_zeros_residual", "pattern_zeros_residual", args.tol, operator.lt),
+        ("mass", "mass", args.tol, lambda mass, tol: abs(mass - 1.0) < tol),
+        ("atom_lower_bound", "atom", args.tol, lambda atom, tol: atom >= bound - tol,
+         f"guaranteed {bound:.6g}"),
+    ])
+    report.flags["atom"] = res["atom"]
+    report.flags["atom_exceeds_eps"] = res["atom"] > args.eps
     report.flags["eps_claim_applies"] = not params.relaxed
     if args.emit:
         _emit_measure(report, "witness_measure", mu, args.emit)
@@ -293,12 +288,11 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
     for _ in range(args.trials):
         size = int(np.ceil(args.density * space))
         members = rng.choice(space, size=size, replace=False)
-        elements = set(int(v) for v in members)
-        y = combinatorics.digit_difference(elements, args.j, args.q, args.p)
+        y = combinatorics.digit_difference(members, args.j, args.q, args.p)
         if y is None:
             continue
         found += 1
-        in_difference_set = any(e + y in elements for e in elements)
+        in_difference_set = bool(np.isin(members + y, members).any())
         windows = combinatorics.pattern_position(y, args.j, args.q, args.p) is not None
         verified += in_difference_set and windows
     report.add("all_found", found == args.trials, found, detail=f"{args.trials} trials")
@@ -344,21 +338,24 @@ def cmd_tower(args, report: RunReport) -> None:
     report.flags["eps_prime"] = eps_prime
     stages = []
     betas = []
-    for entry in config.get("stages", []):
-        stage = tower.TowerStage(
-            r_set=tuple(entry["r_set"]),
-            n=int(entry["n"]),
-            eps_prime=eps_prime,
-            max_freq=int(entry["max_freq"]),
-            dilation=int(entry["dilation"]),
-        )
+    for index, entry in enumerate(config.get("stages", []), 1):
+        try:
+            stage = tower.TowerStage(
+                r_set=tuple(entry["r_set"]),
+                n=int(entry["n"]),
+                eps_prime=eps_prime,
+                max_freq=int(entry["max_freq"]),
+                dilation=int(entry["dilation"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"stage {index} lacks the key {exc}") from None
         stages.append(stage)
         if "beta_weights" in entry:
             beta = measures.AtomicMeasure(
                 len(entry["beta_weights"]), np.array(entry["beta_weights"], dtype=float)
             )
         else:
-            beta = _beta_for_stage(stage, entry.get("beta_order"))
+            beta = _beta_for_stage(stage, entry.get("beta_order"), index)
         betas.append(beta)
     if not stages:
         report.flags["empty"] = True
@@ -371,7 +368,7 @@ def cmd_tower(args, report: RunReport) -> None:
         _add_residuals(report, res, rows)
 
 
-def _beta_for_stage(stage, beta_order=None) -> measures.AtomicMeasure:
+def _beta_for_stage(stage, beta_order, index: int) -> measures.AtomicMeasure:
     """A probability measure killing the stage's recurrence set with atom
     above eps_prime, from the LP certifier (smallest workable order)."""
     top = max(stage.r_set) if stage.r_set else 1
@@ -383,8 +380,8 @@ def _beta_for_stage(stage, beta_order=None) -> measures.AtomicMeasure:
             continue
         if witness.atom > stage.eps_prime:
             return witness.measure
-    raise RuntimeError(
-        f"no LP witness with atom above {stage.eps_prime} found for {stage.r_set}"
+    raise ValueError(
+        f"stage {index}: no LP witness with atom above {stage.eps_prime} found for {stage.r_set}"
     )
 
 

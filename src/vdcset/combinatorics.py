@@ -257,7 +257,7 @@ def digit_difference(elements, j: int, q: int, p: int):
     if q**p > GRID_CELL_LIMIT:
         raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
     flat = np.zeros(q**p, dtype=bool)
-    idx = np.fromiter((int(e) for e in elements), dtype=np.int64)
+    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
     if idx.size == 0:
         return None
     if idx.min() < 0 or idx.max() >= q**p:

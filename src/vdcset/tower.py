@@ -82,7 +82,8 @@ def eps_prime_for(eps: float) -> float:
     if not 0.0 < eps < 1.0 / 3.0:
         raise ValueError(f"eps must lie in (0, 1/3), got {eps}")
     candidate = eps / (1.0 - eps) + 1e-9
-    assert candidate / (1.0 + candidate) > eps and candidate < 0.5
+    if candidate >= 0.5 or candidate / (1.0 + candidate) <= eps:
+        raise ValueError(f"eps {eps} needs eps_prime {candidate}, not below the bound 1/2")
     return candidate
 
 
@@ -120,15 +121,12 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) ->
     stage.validate()
     check_beta(stage, beta, tol=tol)
     big_m = stage.max_freq
-    coeffs = {}
-    for m in range(-big_m + 1, big_m):
-        shifted = beta.fourier(m) - stage.eps_prime
-        val = (1.0 - abs(m) / big_m) * shifted
-        if abs(m) <= stage.n:
-            val += shifted * abs(m) / big_m
-        if m == 0:
-            val += stage.eps_prime
-        coeffs[m] = val
+    correction = tower_correction(stage, beta)
+    coeffs = {
+        m: (1.0 - abs(m) / big_m) * (beta.fourier(m) - stage.eps_prime) + correction.coeff(m)
+        for m in range(-big_m + 1, big_m)
+    }
+    coeffs[0] += stage.eps_prime
     block = TrigPoly(coeffs, real=True)
     low = grid_min(block, positivity_grid(block.degree))
     if low <= 0.0:
@@ -167,18 +165,16 @@ def build_tower(stages, betas, *, tol: float = 1e-9) -> list:
     return products
 
 
-def claim_residuals(stages, products, *, next_dilation: int | None = None) -> list:
+def claim_residuals(stages, products) -> list:
     """Per-stage worst deviations from the four frozen-spectrum guarantees.
 
-    For the last stage the vanishing threshold uses ``next_dilation`` when
-    given, else the smallest admissible next dilation.
+    For the last stage the vanishing threshold is the smallest admissible
+    next dilation.
     """
     out = []
     for i, (stage, c) in enumerate(zip(stages, products)):
         if i + 1 < len(stages):
             threshold = stages[i + 1].dilation
-        elif next_dilation is not None:
-            threshold = next_dilation
         else:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
         tail = max(

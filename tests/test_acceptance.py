@@ -144,7 +144,7 @@ def test_criterion_05_block_measures():
         for q in (64, 128):
             for k in (0, 1):
                 params = blocks.BlockParams(ell, q, k)
-                sigma = blocks.build_block(params, check=False)
+                sigma = blocks.build_block(params)
                 res = blocks.block_residuals(sigma, params)
                 worst["mass"] = max(worst["mass"], res["mass_excess"])
                 worst["plus"] = max(worst["plus"], res["plus_band_residual"])

@@ -128,6 +128,28 @@ def test_witness_rejects_broken_product_identity(monkeypatch):
         blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
 
 
+def test_witness_rejects_broken_pattern_zero(monkeypatch):
+    real = blocks.build_block
+
+    def tilted(params, **kwargs):  # extra mass at 1/N on block 0 moves the pattern values
+        block = real(params, **kwargs)
+        return ms.scale_add(1.0, block, 1e-3, ms.dirac(block.order, 1)) if params.k == 0 else block
+
+    monkeypatch.setattr(blocks, "build_block", tilted)
+    with pytest.raises(blocks.BlockBulletError, match="pattern_zeros_residual"):
+        blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
+
+
+def test_witness_residuals_match_per_frequency_transform():
+    params = blocks.WitnessParams(1, 0.01, 64, 2)
+    mu, _ = blocks.build_witness(params)
+    res = blocks.witness_residuals(mu, params)
+    members = blocks.digit_pattern_members(1, 64, 2)
+    assert res["pattern_count"] == res["expected_pattern_count"] == len(members) == 112
+    assert res["pattern_zeros_residual"] == max(abs(mu.fourier(y)) for y in members)
+    assert res["atom"] == mu.weights[0] >= res["atom_lower_bound"]
+
+
 def test_digit_pattern_members_small():
     assert blocks.digit_pattern_members(1, 64, 1) == list(range(32, 40))
     members = blocks.digit_pattern_members(1, 64, 2)

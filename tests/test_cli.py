@@ -213,6 +213,27 @@ def test_tower_growth_violation(tmp_path):
     assert "must exceed" in report["flags"]["error"]
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        pytest.param({"r_set": list(range(1, 9)), "n": 8, "max_freq": 300, "dilation": 300,
+                      "beta_order": 9}, "stage 1: no LP witness", id="no-lp-witness"),
+        pytest.param({"r_set": [1], "max_freq": 7, "dilation": 7}, "stage 1 lacks the key 'n'",
+                     id="missing-key"),
+    ],
+)
+def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps({"eps_prime": 0.3, "stages": [entry]}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 1
+    report = load_report(out)
+    check_report_schema(report)
+    assert message in report["flags"]["error"]
+    assert report["checks"][-1]["name"] == "completed"
+    assert f"FAIL completed [{message}" in capsys.readouterr().out
+
+
 def test_tower_empty_stages(tmp_path):
     path = tmp_path / "stages.json"
     path.write_text('{"eps_prime": 0.3, "stages": []}', encoding="utf-8")

@@ -174,6 +174,15 @@ def test_digit_difference_found_y_is_pattern_member():
     assert y in members
 
 
+def test_digit_difference_accepts_array_list_and_set():
+    rng = np.random.default_rng(5)
+    members = rng.choice(64**2, size=int(0.97 * 64**2), replace=False)
+    forms = (members, list(members), set(members.tolist()))
+    found = [cb.digit_difference(form, 1, 64, 2) for form in forms]
+    assert found[0] is not None
+    assert found == [found[0]] * 3
+
+
 def test_digit_difference_validation():
     with pytest.raises(ValueError, match="Q even"):
         cb.digit_difference({0}, 1, 63, 2)

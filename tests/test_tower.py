@@ -119,3 +119,6 @@ def test_eps_prime_for():
     assert val < 0.5
     with pytest.raises(ValueError):
         tower.eps_prime_for(0.4)
+    # eps just below 1/3 needs an eps_prime a hair above 1/2
+    with pytest.raises(ValueError, match="bound 1/2"):
+        tower.eps_prime_for(0.3333333333)
