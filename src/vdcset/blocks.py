@@ -83,6 +83,11 @@ class BlockParams:
         return self.q ** (self.k + 1)
 
     @property
+    def sample_degree(self) -> int:
+        """Degree N/2 + 2*ell*Q^k - 1 of the block polynomial s (p vanishes at +-ell*Q^k)."""
+        return self.order // 2 + 2 * self.ell * self.q**self.k - 1
+
+    @property
     def mass_bound(self) -> float:
         return 1.0 + self.c * self.ell**3 / self.q**2
 
@@ -99,23 +104,12 @@ def block_polynomials(params: BlockParams):
     n_total = params.order
     edge = params.ell * params.q**params.k
 
-    p_coeffs = {}
-    for m in range(-edge, edge + 1):
-        p_coeffs[m] = 1.0 - math.cos(2.0 * math.pi * (edge - abs(m)) / n_total)
-    p = TrigPoly(p_coeffs, real=True)
+    m = np.arange(-edge, edge + 1)
+    p = TrigPoly.from_arrays(m, 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total), real=True)
 
     half = n_total // 2
-    r = TrigPoly(
-        {
-            edge: 1.0,
-            -edge: 1.0,
-            half - edge: -0.5,
-            -(half - edge): -0.5,
-            half + edge: -0.5,
-            -(half + edge): -0.5,
-        },
-        real=True,
-    )
+    spikes = np.array([edge, half - edge, half + edge])
+    r = TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
 
     smoothed = scale(poly_convolve(p, fejer(params.q**params.k)), 16.0 * params.ell)
     s = add(smoothed, multiply(r, p))
@@ -280,8 +274,7 @@ def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
     return {
         "pattern_count": len(members),
         "expected_pattern_count": params.p * params.ell * (params.ell - 1) ** (params.p - 1),
-        # hypot rounds exactly as abs(complex) does, unlike np.abs on complex arrays
-        "pattern_zeros_residual": float(np.hypot(zeros.real, zeros.imag).max()),
+        "pattern_zeros_residual": float(trigpoly.modulus(zeros).max()),
         "mass": mu.mass(),
         "atom": float(mu.weights[0]),
         "atom_lower_bound": params.atom_lower_bound(),

@@ -35,24 +35,7 @@ def read_set_file(path: str) -> list:
     return values
 
 
-def _random_real_poly(rng, degree: int, scale: float = 1.0) -> trigpoly.TrigPoly:
-    coeffs = {0: complex(rng.normal() * scale)}
-    for m in range(1, degree + 1):
-        c = complex(rng.normal(), rng.normal()) * scale
-        coeffs[m] = c
-        coeffs[-m] = c.conjugate()
-    return trigpoly.TrigPoly(coeffs, real=True)
-
-
-def _random_convex_profile(rng, max_cutoff: int = 16) -> trigpoly.ConvexProfile:
-    cutoff = int(rng.integers(1, max_cutoff + 1))
-    drops = np.sort(rng.random(cutoff))[::-1]
-    values = np.concatenate([np.cumsum(drops[::-1])[::-1], [0.0]])
-    return trigpoly.ConvexProfile(tuple(values))
-
-
 def cmd_verify_kernels(args, report: RunReport) -> None:
-    rng = np.random.default_rng(args.seed)
     grid, nmax, tol = args.grid, args.nmax, args.tol
     sufficient = grid > KERNEL_GRID_FACTOR * nmax * nmax
     report.add(
@@ -63,78 +46,18 @@ def cmd_verify_kernels(args, report: RunReport) -> None:
     )
     if not sufficient:
         return
-
-    worst_identity = 0.0
-    worst_low, worst_high = float("inf"), float("-inf")
-    for n in range(1, nmax + 1):
-        fn = trigpoly.sample_values(trigpoly.fejer(n), grid).real
-        worst_low = min(worst_low, float(fn.min()))
-        worst_high = max(worst_high, float((fn - n).max()))
-        for m in range(1, nmax + 1):
-            fm = trigpoly.sample_values(trigpoly.fejer(m), grid).real
-            fnm = trigpoly.sample_values(trigpoly.fejer(n * m), grid).real
-            lhs = fn * fm[(n * np.arange(grid)) % grid]
-            worst_identity = max(worst_identity, float(np.abs(lhs - fnm).max()))
-    report.add("fejer_product_identity", worst_identity < tol, worst_identity, tol)
-    report.add("fejer_lower_bound", worst_low >= -1e-12, worst_low, 1e-12)
-    report.add("fejer_upper_bound", worst_high <= 1e-12, worst_high, 1e-12)
-
-    worst_mult = 0.0
-    for _ in range(20):
-        f = _random_real_poly(rng, int(rng.integers(0, 6)))
-        g = _random_real_poly(rng, int(rng.integers(0, 6)))
-        prod = trigpoly.multiply(f, g)
-        for t in rng.random(5):
-            lhs = trigpoly.evaluate(prod, t)
-            rhs = trigpoly.evaluate(f, t) * trigpoly.evaluate(g, t)
-            worst_mult = max(worst_mult, abs(lhs - rhs))
-    report.add("multiply_pointwise", worst_mult < tol, worst_mult, tol)
-
-    worst_kernel_coeff = 0.0
-    worst_domination = float("inf")
-    worst_fixpoint = 0.0
-    for _ in range(20):
-        big_r = int(rng.integers(1, 5))
-        big_l = int(rng.integers(1, 5))
-        kernel = trigpoly.domination_kernel(big_r, big_l)
-        rl = big_r * big_l
-        worst_kernel_coeff = max(
-            worst_kernel_coeff,
-            max(abs(kernel.coeff(m) - 1.0) for m in range(-rl, rl + 1)),
-        )
-        g = _random_real_poly(rng, rl // 2)  # |g|^2 then has degree <= RL
-        f = trigpoly.multiply(g, trigpoly.conjugate_reflect(g))
-        fixpoint = trigpoly.convolve(f, kernel)
-        worst_fixpoint = max(
-            worst_fixpoint,
-            max(abs(fixpoint.coeff(m) - f.coeff(m)) for m in f.coeffs) if f.coeffs else 0.0,
-        )
-        dominated = trigpoly.add(
-            trigpoly.scale(trigpoly.convolve(f, trigpoly.fejer(big_l)), 4.0 * big_r),
-            trigpoly.scale(f, -1.0),
-        )
-        worst_domination = min(
-            worst_domination, trigpoly.grid_min(dominated, max(grid, 1024))
-        )
-    report.add("domination_kernel_coeffs", worst_kernel_coeff < 1e-12, worst_kernel_coeff, 1e-12)
-    report.add("domination_fixpoint", worst_fixpoint < 1e-12, worst_fixpoint, 1e-12)
-    report.add("domination_lower_bound", worst_domination >= -tol, worst_domination, tol)
-
-    worst_profile = float("inf")
-    for _ in range(20):
-        poly = trigpoly.convex_poly(_random_convex_profile(rng))
-        worst_profile = min(
-            worst_profile, trigpoly.grid_min(poly, trigpoly.positivity_grid(poly.degree))
-        )
-    report.add("convex_profile_positivity", worst_profile >= -tol, worst_profile, tol)
-
-    worst_sampling = 0.0
-    for _ in range(20):
-        deg = int(rng.integers(0, 8))
-        poly = _random_real_poly(rng, deg)
-        mean = trigpoly.sample_mean(poly, deg + 1 + int(rng.integers(1, 4)))
-        worst_sampling = max(worst_sampling, abs(mean - poly.coeff(0)))
-    report.add("sampling_identity", worst_sampling < tol, worst_sampling, tol)
+    res = trigpoly.kernel_residuals(grid, nmax, np.random.default_rng(args.seed))
+    _add_residuals(report, res, [
+        ("fejer_product_identity", "fejer_product_identity", tol, operator.lt),
+        ("fejer_lower_bound", "fejer_lower_bound", 1e-12, _floor),
+        ("fejer_upper_bound", "fejer_upper_bound", 1e-12, operator.le),
+        ("multiply_pointwise", "multiply_pointwise", tol, operator.lt),
+        ("domination_kernel_coeffs", "domination_kernel_coeffs", 1e-12, operator.lt),
+        ("domination_fixpoint", "domination_fixpoint", 1e-12, operator.lt),
+        ("domination_lower_bound", "domination_lower_bound", tol, _floor),
+        ("convex_profile_positivity", "convex_profile_positivity", tol, _floor),
+        ("sampling_identity", "sampling_identity", tol, operator.lt),
+    ])
 
 
 def _floor(value, tol) -> bool:
@@ -169,9 +92,8 @@ def cmd_build_block(args, report: RunReport) -> None:
     if params.violations():
         report.flags["invalid_params"] = "; ".join(params.violations())
         return
-    _, _, sample_poly = blocks.block_polynomials(params)
-    report.flags["sample_poly_degree"] = sample_poly.degree
-    report.flags["degree_below_order"] = sample_poly.degree < params.order
+    report.flags["sample_poly_degree"] = params.sample_degree
+    report.flags["degree_below_order"] = params.sample_degree < params.order
     sigma = blocks.build_block(params, tol=args.tol)
     _add_residuals(report, blocks.block_residuals(sigma, params), [
         ("mass_excess", "mass_excess", args.tol, operator.le),

@@ -18,8 +18,10 @@ fourth guarantee hold at j = 1 as well.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .measures import AtomicMeasure
-from .trigpoly import TrigPoly, constant, dilate, grid_min, multiply, positivity_grid
+from .trigpoly import TrigPoly, add, constant, dilate, grid_min, modulus, multiply, positivity_grid
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,9 @@ def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     """The small ripple polynomial with coefficients
     (beta_hat(m) - eps_prime)*|m|/max_freq on |m| <= n; its sup norm stays
     below eps_prime because max_freq > n*(n+1)/eps_prime."""
-    coeffs = {}
-    for m in range(-stage.n, stage.n + 1):
-        coeffs[m] = (beta.fourier(m) - stage.eps_prime) * abs(m) / stage.max_freq
-    return TrigPoly(coeffs, real=True)
+    m = np.arange(-stage.n, stage.n + 1)
+    ripple = (beta.spectrum[m % beta.order] - stage.eps_prime) * np.abs(m) / stage.max_freq
+    return TrigPoly.from_arrays(m, ripple, real=True)
 
 
 def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) -> TrigPoly:
@@ -121,13 +122,10 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) ->
     stage.validate()
     check_beta(stage, beta, tol=tol)
     big_m = stage.max_freq
-    correction = tower_correction(stage, beta)
-    coeffs = {
-        m: (1.0 - abs(m) / big_m) * (beta.fourier(m) - stage.eps_prime) + correction.coeff(m)
-        for m in range(-big_m + 1, big_m)
-    }
-    coeffs[0] += stage.eps_prime
-    block = TrigPoly(coeffs, real=True)
+    m = np.arange(-big_m + 1, big_m)
+    smoothed = (1.0 - np.abs(m) / big_m) * (beta.spectrum[m % beta.order] - stage.eps_prime)
+    smoothed[big_m - 1] += stage.eps_prime  # the m = 0 entry
+    block = add(TrigPoly.from_arrays(m, smoothed, real=True), tower_correction(stage, beta))
     low = grid_min(block, positivity_grid(block.degree))
     if low <= 0.0:
         raise ValueError(f"stage polynomial is not positive: grid minimum {low}")
@@ -177,24 +175,17 @@ def claim_residuals(stages, products) -> list:
             threshold = stages[i + 1].dilation
         else:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
-        tail = max(
-            (abs(c.coeff(m)) for m in c.coeffs if abs(m) >= threshold), default=0.0
-        )
+        inside = np.abs(c.freqs) < threshold
+        tail = float(modulus(c.values[~inside]).max(initial=0.0))
         if i + 1 < len(products):
             nxt = products[i + 1]
-            freqs = {m for m in c.coeffs if abs(m) < threshold}
-            freqs |= {m for m in nxt.coeffs if abs(m) < threshold}
-            frozen = max((abs(c.coeff(m) - nxt.coeff(m)) for m in freqs), default=0.0)
+            window = np.union1d(c.freqs[inside], nxt.freqs[np.abs(nxt.freqs) < threshold])
+            frozen = float(modulus(c.coeff(window) - nxt.coeff(window)).max(initial=0.0))
         else:
             frozen = 0.0
         mean_dev = abs(c.coeff(0) - 1.0)
-        marked = max(
-            (
-                abs(c.coeff(2 * stage.dilation * m) + stage.eps_prime)
-                for m in stage.r_set
-            ),
-            default=0.0,
-        )
+        marked_freqs = 2 * stage.dilation * np.array(stage.r_set, dtype=np.int64)
+        marked = float(modulus(c.coeff(marked_freqs) + stage.eps_prime).max(initial=0.0))
         out.append(
             {
                 "stage": i + 1,

@@ -1,8 +1,12 @@
 """Trigonometric polynomials with integer frequencies.
 
-A polynomial is a finitely supported map ``m -> coefficient`` representing
-``t -> sum_m c_m exp(2*pi*i*m*t)`` on the unit circle.  Coefficients double
-as Fourier transform values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
+A polynomial represents ``t -> sum_m c_m exp(2*pi*i*m*t)`` on the unit
+circle.  It is stored as two read-only arrays: the frequencies ``freqs``
+(int64, strictly ascending) and their non-zero complex coefficients
+``values``.  One reducer brings every result to that form (sort, sum
+repeated frequencies, drop exact zeros), and every operation is a numpy
+expression on the two arrays.  Coefficients double as Fourier transform
+values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
 
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
@@ -11,6 +15,7 @@ is certified on a uniform grid, which is a heuristic, not a proof.  Grid
 values come from one inverse FFT of the coefficients folded mod the grid.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,47 +28,78 @@ class ProfileError(ValueError):
     """A convex-profile invariant failed; the message names the index."""
 
 
-@dataclass(frozen=True, eq=False)
+def _fits_int64(degree: int) -> None:  # numpy wraps int64 overflow silently
+    if degree >= 2**63:
+        raise ValueError(f"frequency {degree} is beyond the int64 frequency range")
+
+
+def modulus(z: np.ndarray) -> np.ndarray:
+    """Elementwise |z| rounded as abs(complex) is (np.abs may differ in the last bit)."""
+    return np.hypot(z.real, z.imag)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TrigPoly:
-    """Sparse trigonometric polynomial.
+    """Sparse trigonometric polynomial, from a {frequency: coefficient} map
+    or (``from_arrays``) the two arrays.  ``real`` flags polynomials with
+    coeff(-m) == conj(coeff(m)), i.e. real-valued on the circle."""
 
-    ``coeffs`` maps integer frequency to complex coefficient; exact zeros
-    are dropped at construction.  ``real`` flags polynomials satisfying
-    coeff(-m) == conj(coeff(m)), i.e. real-valued on the circle.
-    """
-
-    coeffs: dict
+    freqs: np.ndarray
+    values: np.ndarray
     real: bool = False
 
-    def __post_init__(self):
-        clean = {}
-        for m, c in self.coeffs.items():
-            c = complex(c)
-            if c != 0:
-                clean[int(m)] = c
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, coeffs: dict, real: bool = False):
+        self._reduce(list(coeffs), list(coeffs.values()), real)
+
+    @staticmethod
+    def from_arrays(freqs, values, real: bool = False) -> "TrigPoly":
+        poly = object.__new__(TrigPoly)
+        poly._reduce(freqs, values, real)
+        return poly
+
+    def _reduce(self, freqs, values, real) -> None:
+        """The one normal form: frequencies strictly ascending (repeats
+        summed in input order, starting from 0), exact zeros dropped."""
+        freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
+        if not (freqs[1:] > freqs[:-1]).all():
+            order = np.argsort(freqs, kind="stable")
+            freqs, values = freqs[order], values[order]
+            first = np.concatenate(([True], freqs[1:] != freqs[:-1]))
+            if not first.all():
+                summed = np.zeros(np.count_nonzero(first), dtype=complex)
+                np.add.at(summed, np.cumsum(first) - 1, values)
+                freqs, values = freqs[first], summed
+        keep = values != 0
+        for name, array in (("freqs", freqs[keep]), ("values", values[keep])):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "real", real)
+
+    @property
+    def coeffs(self) -> dict:
+        """The polynomial as a {frequency: coefficient} dict, ascending."""
+        return dict(zip(self.freqs.tolist(), self.values.tolist()))
 
     @property
     def degree(self) -> int:
-        return max((abs(m) for m in self.coeffs), default=0)
+        return int(np.abs(self.freqs).max(initial=0))
 
-    @property
-    def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
-
-    def coeff(self, m: int) -> complex:
-        return self.coeffs.get(int(m), 0j)
+    def coeff(self, m):
+        """Coefficient at frequency m (0 if absent); elementwise for an array of m."""
+        m = np.asarray(m, dtype=np.int64)
+        out = np.zeros(m.shape, dtype=complex)
+        if self.freqs.size:
+            i = np.minimum(np.searchsorted(self.freqs, m), self.freqs.size - 1)
+            hit = self.freqs[i] == m
+            out[hit] = self.values[i[hit]]
+        return complex(out) if out.ndim == 0 else out
 
     def to_json(self) -> str:
-        rows = ", ".join(
-            f"[{m}, {c.real:.17g}, {c.imag:.17g}]" for m, c in sorted(self.coeffs.items())
-        )
+        rows = ", ".join(f"[{m}, {c.real:.17g}, {c.imag:.17g}]" for m, c in self.coeffs.items())
         return f'{{"real": {"true" if self.real else "false"}, "coeffs": [{rows}]}}'
 
     @staticmethod
     def from_json(text: str) -> "TrigPoly":
-        import json
-
         obj = json.loads(text)
         coeffs = {int(m): complex(re, im) for m, re, im in obj["coeffs"]}
         return TrigPoly(coeffs, real=bool(obj["real"]))
@@ -87,7 +123,7 @@ def dirichlet(n: int) -> TrigPoly:
     """Kernel with coefficient 1 on every frequency |k| <= n."""
     if n < 1:
         raise ValueError(f"dirichlet kernel needs n >= 1, got {n}")
-    return TrigPoly({k: 1.0 for k in range(-n, n + 1)}, real=True)
+    return TrigPoly.from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1), real=True)
 
 
 def fejer(n: int) -> TrigPoly:
@@ -97,12 +133,13 @@ def fejer(n: int) -> TrigPoly:
     """
     if n < 1:
         raise ValueError(f"fejer kernel needs n >= 1, got {n}")
-    return TrigPoly({k: 1.0 - abs(k) / n for k in range(-n + 1, n)}, real=True)
+    k = np.arange(-n + 1, n)
+    return TrigPoly.from_arrays(k, 1.0 - np.abs(k) / n, real=True)
 
 
 def evaluate(f: TrigPoly, t: float) -> complex:
     """Direct summation of sum_m c_m exp(2*pi*i*m*t)."""
-    return sum(c * np.exp(2j * np.pi * m * t) for m, c in f.coeffs.items()) + 0j
+    return complex((f.values * np.exp(2j * np.pi * f.freqs * t)).sum())
 
 
 def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
@@ -115,8 +152,7 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
     if grid < 1:
         raise ValueError("grid must be >= 1")
     folded = np.zeros(grid, dtype=complex)
-    for m, c in f.coeffs.items():
-        folded[m % grid] += c
+    np.add.at(folded, f.freqs % grid, f.values)
     return np.fft.ifft(folded) * grid
 
 
@@ -131,36 +167,32 @@ def positivity_grid(degree: int) -> int:
 
 
 def add(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    out = dict(f.coeffs)
-    for m, c in g.coeffs.items():
-        out[m] = out.get(m, 0j) + c
-    return TrigPoly(out, real=f.real and g.real)
+    freqs, values = np.concatenate([f.freqs, g.freqs]), np.concatenate([f.values, g.values])
+    return TrigPoly.from_arrays(freqs, values, f.real and g.real)
 
 
 def scale(f: TrigPoly, a) -> TrigPoly:
     a = complex(a)
-    return TrigPoly({m: a * c for m, c in f.coeffs.items()}, real=f.real and a.imag == 0.0)
+    return TrigPoly.from_arrays(f.freqs, a * f.values, real=f.real and a.imag == 0.0)
 
 
 def conjugate_reflect(f: TrigPoly) -> TrigPoly:
     """The polynomial t -> conj(f(t)); coefficients conj(c_{-m}) at m."""
-    return TrigPoly({-m: c.conjugate() for m, c in f.coeffs.items()}, real=f.real)
+    return TrigPoly.from_arrays(-f.freqs[::-1], np.conj(f.values[::-1]), real=f.real)
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product; coefficients convolve over frequencies."""
-    out = {}
-    for m1, c1 in f.coeffs.items():
-        for m2, c2 in g.coeffs.items():
-            k = m1 + m2
-            out[k] = out.get(k, 0j) + c1 * c2
-    return TrigPoly(out, real=f.real and g.real)
+    _fits_int64(f.degree + g.degree)
+    freqs = np.add.outer(f.freqs, g.freqs).ravel()
+    values = np.multiply.outer(f.values, g.values).ravel()
+    return TrigPoly.from_arrays(freqs, values, f.real and g.real)
 
 
 def convolve(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Function convolution over the circle; coefficients multiply."""
-    out = {m: c * g.coeffs[m] for m, c in f.coeffs.items() if m in g.coeffs}
-    return TrigPoly(out, real=f.real and g.real)
+    common, i, j = np.intersect1d(f.freqs, g.freqs, assume_unique=True, return_indices=True)
+    return TrigPoly.from_arrays(common, f.values[i] * g.values[j], f.real and g.real)
 
 
 def dilate(f: TrigPoly, a: int) -> TrigPoly:
@@ -170,7 +202,8 @@ def dilate(f: TrigPoly, a: int) -> TrigPoly:
     """
     if a < 1:
         raise ValueError(f"dilation factor must be >= 1, got {a}")
-    return TrigPoly({a * m: c for m, c in f.coeffs.items()}, real=f.real)
+    _fits_int64(a * f.degree)
+    return TrigPoly.from_arrays(a * f.freqs, f.values, real=f.real)
 
 
 @dataclass(frozen=True)
@@ -215,13 +248,9 @@ def convex_poly(profile: ConvexProfile) -> TrigPoly:
     Such a polynomial is non-negative on the circle; construction places
     the coefficients and certifies min >= -1e-9 on a uniform grid.
     """
-    coeffs = {}
-    for m, v in enumerate(profile.values):
-        if v != 0.0:
-            coeffs[m] = v
-            if m:
-                coeffs[-m] = v
-    poly = TrigPoly(coeffs, real=True)
+    values = np.asarray(profile.values)
+    freqs = np.arange(-profile.cutoff, profile.cutoff + 1)
+    poly = TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
     low = grid_min(poly, positivity_grid(poly.degree))
     if low < -EVAL_TOL:
         raise ProfileError(f"convex profile produced grid minimum {low} < -{EVAL_TOL}")
@@ -245,3 +274,68 @@ def sample_mean(f: TrigPoly, n: int) -> complex:
     if f.degree >= n:
         raise ValueError(f"sampling order {n} must exceed degree {f.degree}")
     return complex(sample_values(f, n).mean())
+
+
+def _random_real_poly(rng, degree: int) -> TrigPoly:
+    """Real polynomial of the given degree with standard normal coefficients."""
+    z = rng.normal(size=2 * degree + 1)
+    c = z[1::2] + 1j * z[2::2]
+    values = np.concatenate((np.conj(c[::-1]), z[:1], c))
+    return TrigPoly.from_arrays(np.arange(-degree, degree + 1), values, real=True)
+
+
+def kernel_residuals(grid: int, nmax: int, rng) -> dict:
+    """Worst deviations from the kernel identities.  On the grid (size above
+    2*nmax^2), for n, m <= nmax: F_n(t)*F_m(n*t) = F_nm(t) and 0 <= F_n <= n.
+    Over 20 random trials each: multiply against pointwise products; the
+    domination kernel's unit coefficients on |m| <= RL, its fixpoint
+    f conv K = f for f = |g|^2 and the grid minimum of 4R*(f conv F_L) - f;
+    convex-profile grid minima; the sampling identity mean = coeff(0)."""
+    orders = range(1, nmax + 1)
+    fej = {k: sample_values(fejer(k), grid).real for k in {n * m for n in orders for m in orders}}
+
+    def pointwise():
+        f = _random_real_poly(rng, int(rng.integers(0, 6)))
+        g = _random_real_poly(rng, int(rng.integers(0, 6)))
+        prod = multiply(f, g)
+        return max(abs(evaluate(prod, t) - evaluate(f, t) * evaluate(g, t)) for t in rng.random(5))
+
+    def domination():
+        big_r, big_l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        rl = big_r * big_l
+        kernel = domination_kernel(big_r, big_l)
+        g = _random_real_poly(rng, rl // 2)  # |g|^2 then has degree <= RL
+        f = multiply(g, conjugate_reflect(g))
+        dominated = add(scale(convolve(f, fejer(big_l)), 4.0 * big_r), scale(f, -1.0))
+        return (float(modulus(kernel.coeff(np.arange(-rl, rl + 1)) - 1.0).max()),
+                float(modulus(convolve(f, kernel).coeff(f.freqs) - f.values).max(initial=0.0)),
+                grid_min(dominated, max(grid, 1024)))
+
+    def convex():  # partial sums of sorted drops make a convex profile
+        drops = np.sort(rng.random(int(rng.integers(1, 17))))
+        poly = convex_poly(ConvexProfile(tuple(np.cumsum(drops)[::-1]) + (0.0,)))
+        return grid_min(poly, positivity_grid(poly.degree))
+
+    def sampling():
+        degree = int(rng.integers(0, 8))
+        poly = _random_real_poly(rng, degree)
+        return abs(sample_mean(poly, degree + 1 + int(rng.integers(1, 4))) - poly.coeff(0))
+
+    products = [pointwise() for _ in range(20)]  # the draws keep this order
+    units, fixpoints, dominated = zip(*[domination() for _ in range(20)])
+    profiles = [convex() for _ in range(20)]
+    means = [sampling() for _ in range(20)]
+    return {
+        "fejer_product_identity": max(
+            float(np.abs(fej[n] * fej[m][n * np.arange(grid) % grid] - fej[n * m]).max())
+            for n in orders for m in orders
+        ),
+        "fejer_lower_bound": min(float(fej[n].min()) for n in orders),
+        "fejer_upper_bound": max(float((fej[n] - n).max()) for n in orders),
+        "multiply_pointwise": max(products),
+        "domination_kernel_coeffs": max(units),
+        "domination_fixpoint": max(fixpoints),
+        "domination_lower_bound": min(dominated),
+        "convex_profile_positivity": min(profiles),
+        "sampling_identity": max(means),
+    }

@@ -37,6 +37,20 @@ def test_block_polynomial_coefficients():
     assert tp.grid_min(s, 4096) >= -1e-9
 
 
+def test_sample_degree_closed_form():
+    # p vanishes at +-ell*Q^k, so s = 16*ell*(p conv F) + r*p has degree N/2 + 2*ell*Q^k - 1
+    swept = 0
+    for ell in range(1, 9):
+        for q in range(2, 130, 2):
+            for k in range(3):
+                params = blocks.BlockParams(ell, q, k)
+                if params.violations() or params.order > 1 << 14:
+                    continue
+                assert blocks.block_polynomials(params)[2].degree == params.sample_degree, params
+                swept += 1
+    assert swept > 800
+
+
 def test_block_mass_formula():
     # the sampled mass excess equals 16*ell*(1 - cos(2 pi ell / Q)) exactly
     for ell, q in ((2, 64), (3, 128)):

@@ -303,6 +303,22 @@ def test_build_witness_builds_each_block_once(monkeypatch):
     assert built == [0, 1]
 
 
+def test_build_block_computes_block_polynomials_once(monkeypatch, capsys):
+    from vdcset import blocks
+
+    calls = []
+    real = blocks.block_polynomials
+
+    def counted(params):
+        calls.append(params)
+        return real(params)
+
+    monkeypatch.setattr(blocks, "block_polynomials", counted)
+    assert run(["build-block", "--ell", "2", "--q", "32", "--k", "1"]) == 0
+    assert calls == [blocks.BlockParams(2, 32, 1)]
+    assert "FLAG sample_poly_degree = 639" in capsys.readouterr().out
+
+
 def test_tower_beta_mass_within_tolerance(tmp_path):
     # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage must build
     weight = (1.0 + 5e-10) / 3

@@ -106,6 +106,19 @@ def test_claim_residuals_report():
         assert row["marked_frequency"] <= 1e-9
 
 
+def test_claim_residuals_catch_each_broken_guarantee():
+    stages = toy_stages()
+    c1, c2 = tower.build_tower(stages, [half_beta(), half_beta()])
+    c1 = tp.add(c1, tp.character(-113, 2e-3))  # |m| at stage 1's vanishing threshold
+    # 5 is in neither product and inside the frozen window; 226 = 2*113*1 is marked
+    c2 = tp.add(c2, tp.TrigPoly({5: 1e-3, 226: 4e-3}))
+    rows = tower.claim_residuals(stages, [c1, c2])
+    assert rows[0]["vanishing_tail"] == pytest.approx(2e-3, abs=1e-15)
+    assert rows[0]["frozen_window"] == pytest.approx(1e-3, abs=1e-15)
+    assert rows[1]["marked_frequency"] == pytest.approx(4e-3, abs=1e-9)
+    assert rows[1]["vanishing_tail"] <= 1e-9 and rows[0]["marked_frequency"] <= 1e-9
+
+
 def test_lp_betas_plug_in():
     stage = toy_stages()[0]
     witness = certify.max_atom_lp((1,), 2)

@@ -198,3 +198,150 @@ def test_json_round_trip():
     assert back.coeffs == poly.coeffs
     # sorted ascending by frequency
     assert text.index("[-2,") < text.index("[0,") < text.index("[2,")
+
+
+def test_storage_is_two_sorted_read_only_arrays():
+    f = tp.TrigPoly({5: 1.0, -2: 2.0j, 0: 0.0, 3: -1.0}, real=False)
+    assert f.freqs.dtype == np.int64 and f.values.dtype == complex
+    assert f.freqs.tolist() == [-2, 3, 5]
+    assert f.values.tolist() == [2.0j, -1.0, 1.0]
+    with pytest.raises(ValueError):
+        f.values[0] = 7.0
+    with pytest.raises(ValueError):
+        f.freqs[0] = 7
+    with pytest.raises(AttributeError):
+        f.real = True
+    freqs, values = np.array([4, 1, 4]), np.array([1.0, 2.0, 3.0])
+    g = tp.TrigPoly.from_arrays(freqs, values, real=True)
+    freqs[0], values[1] = 9, 5.0  # the polynomial owns copies
+    assert g.coeffs == {1: 2.0 + 0j, 4: 4.0 + 0j}
+    assert g.real is True
+
+
+# Reference implementations: the {frequency: coefficient} dict arithmetic
+# that the array storage replaced.
+
+
+def dict_add(f, g):
+    out = dict(f.coeffs)
+    for m, c in g.coeffs.items():
+        out[m] = out.get(m, 0j) + c
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def dict_multiply(f, g):
+    out = {}
+    for m1, c1 in f.coeffs.items():
+        for m2, c2 in g.coeffs.items():
+            k = m1 + m2
+            out[k] = out.get(k, 0j) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+def random_sparse_poly(rng, size, spread, integer):
+    """Random frequencies in [-spread, spread]; small integer coefficients
+    keep every sum and product exact, so results match bit for bit."""
+    freqs = rng.integers(-spread, spread + 1, size).tolist()
+    if integer:
+        values = rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size)
+    else:
+        values = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return tp.TrigPoly(dict(zip(freqs, values.tolist())))
+
+
+def test_add_and_multiply_match_dict_oracle_exactly():
+    rng = np.random.default_rng(31)
+    cancelled = 0
+    for _ in range(200):
+        f = random_sparse_poly(rng, int(rng.integers(0, 9)), 4, integer=True)
+        g = random_sparse_poly(rng, int(rng.integers(0, 9)), 4, integer=True)
+        for got, want in ((tp.add(f, g), dict_add(f, g)), (tp.multiply(f, g), dict_multiply(f, g))):
+            assert got.coeffs == want
+            assert (np.diff(got.freqs) > 0).all() and (got.values != 0).all()
+        cancelled += len(set(f.coeffs) | set(g.coeffs)) - len(dict_add(f, g))
+    assert cancelled > 0  # some sums cancelled to exactly 0 and were dropped
+
+
+def test_exact_cancellation_drops_the_term():
+    f = tp.TrigPoly({0: 1.0, 1: 1.0})
+    g = tp.TrigPoly({0: 1.0, 1: -1.0})
+    assert tp.multiply(f, g).coeffs == {0: 1.0 + 0j, 2: -1.0 + 0j}
+    assert tp.add(f, tp.scale(f, -1.0)).coeffs == {}
+    assert tp.multiply(tp.zero(), f).coeffs == {}
+
+
+def test_add_and_multiply_match_dict_oracle_on_random_floats():
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        f = random_sparse_poly(rng, int(rng.integers(1, 12)), 6, integer=False)
+        g = random_sparse_poly(rng, int(rng.integers(1, 12)), 6, integer=False)
+        for got, want in ((tp.add(f, g), dict_add(f, g)), (tp.multiply(f, g), dict_multiply(f, g))):
+            assert got.coeffs.keys() == want.keys()
+            for m, c in want.items():
+                assert abs(got.coeff(m) - c) <= 1e-12
+
+
+def test_conjugate_reflect_ordering():
+    f = tp.TrigPoly({3: 1.0 + 2.0j, -5: 0.5j, 0: 2.0, 1: -1.0 - 1.0j})
+    h = tp.conjugate_reflect(f)
+    assert h.freqs.tolist() == [-3, -1, 0, 5]
+    assert h.coeffs == {-m: c.conjugate() for m, c in f.coeffs.items()}
+    assert tp.conjugate_reflect(h).coeffs == f.coeffs
+
+
+def test_convolve_partial_overlap_and_absent_coefficients():
+    f = tp.TrigPoly({m: complex(m, 1) for m in range(-2, 4)})
+    g = tp.TrigPoly({m: complex(2, -m) for m in range(1, 7)})
+    h = tp.convolve(f, g)
+    assert h.coeffs == {m: f.coeffs[m] * g.coeffs[m] for m in (1, 2, 3)}
+    assert tp.convolve(f, tp.character(9)).coeffs == {}
+    assert h.coeff(0) == 0j and h.coeff(7) == 0j and h.coeff(-100) == 0j
+    assert tp.zero().coeff(0) == 0j
+    probe = np.array([-3, 0, 1, 2, 3, 4, 50])
+    assert h.coeff(probe).tolist() == [h.coeffs.get(int(m), 0j) for m in probe]
+    assert tp.zero().coeff(probe).tolist() == [0j] * len(probe)
+
+
+def test_frequencies_beyond_int32():
+    big = 2**31 + 5
+    assert tp.multiply(tp.character(big), tp.character(big + 2)).coeffs == {2 * big + 2: 1.0 + 0j}
+    f = tp.dilate(tp.fejer(3), 2**33 + 1)
+    assert f.degree == 2 * (2**33 + 1)
+    assert f.coeff(2**33 + 1) == pytest.approx(2.0 / 3.0)
+    with pytest.raises(ValueError, match="int64"):
+        tp.dilate(f, 2**30)  # degree 2^64 + 2^31 would wrap
+    with pytest.raises(ValueError, match="int64"):
+        tp.multiply(tp.character(2**62), tp.character(2**62))
+    g = tp.add(f, tp.TrigPoly({-(2**40): 0.5j, 2**35: 1.0}))
+    vals = tp.sample_values(g, 31)
+    for k in (0, 7, 30):
+        # exact phases: reduce m*k mod 31 in integers before leaving them
+        exact = sum(c * np.exp(2j * np.pi * (m * k % 31) / 31) for m, c in g.coeffs.items())
+        assert vals[k] == pytest.approx(exact, abs=1e-12)
+
+
+def test_json_matches_dict_storage_byte_for_byte():
+    # to_json and the to_json(from_json(...)) round trip as written by the
+    # dict-backed TrigPoly (json.loads reads "-0" as the integer 0, so the
+    # round trip drops the sign of zero parts)
+    f = tp.TrigPoly({2**33 + 1: 0.1 - 2.5j, -3: 1 / 3, 0: complex(-0.0, 1.0),
+                     7: complex(1e-300, -0.0), -(2**40): 2.0, 5: 0.0})
+    cases = [
+        (f,
+         '{"real": false, "coeffs": [[-1099511627776, 2, 0], [-3, 0.33333333333333331, 0], '
+         '[0, -0, 1], [7, 1e-300, -0], [8589934593, 0.10000000000000001, -2.5]]}',
+         '{"real": false, "coeffs": [[-1099511627776, 2, 0], [-3, 0.33333333333333331, 0], '
+         '[0, 0, 1], [7, 1e-300, 0], [8589934593, 0.10000000000000001, -2.5]]}'),
+        (tp.conjugate_reflect(f),
+         '{"real": false, "coeffs": [[-8589934593, 0.10000000000000001, 2.5], '
+         '[-7, 1e-300, 0], [0, -0, -1], [3, 0.33333333333333331, -0], [1099511627776, 2, -0]]}',
+         '{"real": false, "coeffs": [[-8589934593, 0.10000000000000001, 2.5], '
+         '[-7, 1e-300, 0], [0, 0, -1], [3, 0.33333333333333331, 0], [1099511627776, 2, 0]]}'),
+    ]
+    dilated = ('{"real": true, "coeffs": [[-4294967302, 0.33333333333333337, 0], '
+               '[-2147483651, 0.66666666666666674, 0], [0, 1, 0], '
+               '[2147483651, 0.66666666666666674, 0], [4294967302, 0.33333333333333337, 0]]}')
+    cases.append((tp.dilate(tp.fejer(3), 2**31 + 3), dilated, dilated))
+    for poly, text, round_trip in cases:
+        assert poly.to_json() == text
+        assert tp.TrigPoly.from_json(text).to_json() == round_trip
