@@ -8,8 +8,10 @@ epsilon-recurrent when that maximum is at most epsilon*n.
 Failure of the vdC property: a from-scratch simplex maximises the atom
 at 0 over probability measures on the order-N roots of unity whose
 transform vanishes on R; an atom above epsilon is a concrete witness
-that R is not epsilon-vdC.  Both certificates are re-verified outside
-the solvers that produced them.
+that R is not epsilon-vdC.  The LP dual, a trigonometric polynomial at
+least [j = 0] at every root, bounds that atom from above; its bound
+matching the atom proves the atom optimal.  Both certificates are
+re-verified outside the solvers that produced them.
 """
 
 from vdcset import blocks, certify
@@ -37,6 +39,11 @@ for order in (4, 8, 16):
 witness = certify.certify_not_vdc([2], 0.3, 4)
 print(f"R = {{2}}, order 4: atom {witness.atom:.3f}, weights {witness.measure.weights}, "
       f"not-0.3-vdC: {witness.not_vdc}")
+
+for order in (128, 512):
+    checks = certify.reverify_witness(certify.certify_not_vdc(range(1, 9), 0.1, order))
+    print(f"R = {{1..8}}, order {order}: dual bound {checks['dual_bound']:.12f}, "
+          f"duality gap {checks['duality_gap']:.1e}, least dual slack {checks['dual_min_slack']:.1e}")
 
 try:
     certify.max_atom_lp([8], 8)

@@ -9,8 +9,11 @@ bound on the difference graph.
 Failure-of-vdC side: a probability measure on the order-N roots of unity
 whose transform vanishes on R and whose atom at 0 exceeds epsilon is a
 witness that R is not an epsilon-vdC set.  The best such atom is a linear
-program, solved with the dense simplex and re-verified independently of
-the solver.
+program, solved with the dense simplex from the uniform measure and
+re-verified independently of the solver.  Its dual is a real trigonometric
+polynomial f with f(j/N) >= [j = 0] at every root, whose constant term
+bounds the atom from above (the finite form of the Kamae-Mendes France /
+Ruzsa characterisation of vdC sets); matching the atom proves optimality.
 """
 
 import json
@@ -19,10 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import AtomicMeasure
-from .simplex import LpInfeasibleError, solve_lp
+from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
 
 MAX_EXACT_HORIZON = 80
 RESIDUAL_TOL = 1e-9
+
+
+class WitnessVerificationError(RuntimeError):
+    """An LP witness failed its re-verification outside the solver."""
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,8 @@ class VdcFailureWitness:
     measure: AtomicMeasure
     atom: float
     not_vdc: bool
+    # LP dual: constant term, then the (cos, sin) coefficients for each r
+    dual: np.ndarray
 
     @property
     def residual(self) -> float:
@@ -201,24 +210,31 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     """Probability measure on the order-N roots of unity maximising the
     weight at 0 subject to a vanishing transform on r_set.
 
-    Infeasibility (no such probability measure) raises LpInfeasibleError.
-    A warm_start measure, when given, is only used as a soundness
+    The uniform measure is feasible unless some r is a multiple of N, where
+    the transform equals the mass 1: that raises LpInfeasibleError without
+    a solve.  A warm_start measure, when given, is only used as a soundness
     tripwire: the LP optimum may never fall below its feasible atom.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
     r_set = tuple(sorted({int(r) for r in r_set}))
+    multiples = [r for r in r_set if r % order == 0]
+    if multiples:
+        raise LpInfeasibleError(
+            f"r = {multiples[0]} is a multiple of the order {order}: every "
+            f"probability measure has transform 1 there"
+        )
     matrix, rhs = _transform_rows(r_set, order)
     costs = np.zeros(order)
     costs[0] = 1.0
-    result = solve_lp(costs, matrix, rhs)
+    result = solve_lp(costs, matrix, rhs, start=np.full(order, 1.0 / order))
     measure = AtomicMeasure(order, result.x)
     atom = float(measure.weights[0])
     if warm_start is not None:
         if warm_start.order != order:
             raise ValueError("warm start must live on the same order")
         if atom < float(warm_start.weights[0]) - RESIDUAL_TOL:
-            raise RuntimeError(
+            raise WitnessVerificationError(
                 f"LP atom {atom} fell below the feasible warm-start atom "
                 f"{float(warm_start.weights[0])}; diagnostics {result.diagnostics}"
             )
@@ -229,17 +245,33 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
         measure=measure,
         atom=atom,
         not_vdc=False,
+        dual=result.dual,
     )
 
 
 def reverify_witness(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> dict:
     """Trust anchor outside the solver: non-negativity, unit mass, and the
-    vanishing-transform residual recomputed straight from the weights."""
+    vanishing-transform residual recomputed straight from the weights; the
+    dual polynomial f evaluated at the N roots by one FFT, its least slack
+    min_j f(j/N) - [j = 0], its bound f's constant term, and that bound's
+    gap to the atom."""
     w = witness.measure.weights
+    n = witness.order
+    y = witness.dual
+    r = np.array(witness.r_set, dtype=np.int64) % n
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[0] = y[0]
+    np.add.at(coeffs, r, (y[1::2] - 1j * y[2::2]) / 2)
+    np.add.at(coeffs, -r % n, (y[1::2] + 1j * y[2::2]) / 2)
+    slack = n * np.fft.ifft(coeffs).real
+    slack[0] -= 1.0
     return {
         "min_weight": float(w.min()),
         "mass_error": abs(witness.measure.mass() - 1.0),
         "residual": witness.residual,
+        "dual_bound": float(y[0]),
+        "dual_min_slack": float(slack.min()),
+        "duality_gap": float(y[0]) - witness.atom,
         "tolerance": tol,
     }
 
@@ -249,10 +281,10 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     not-epsilon-vdC exactly when the verified atom clears epsilon."""
     base = max_atom_lp(r_set, order)
     checks = reverify_witness(base)
-    if checks["min_weight"] < -1e-12 or checks["mass_error"] > 1e-12:
-        raise RuntimeError(f"LP witness failed re-verification: {checks}")
-    if checks["residual"] >= RESIDUAL_TOL:
-        raise RuntimeError(f"LP witness residual too large: {checks}")
+    if (checks["min_weight"] < -1e-12 or checks["mass_error"] > 1e-12
+            or checks["residual"] >= RESIDUAL_TOL or checks["dual_min_slack"] < -RESIDUAL_TOL
+            or abs(checks["duality_gap"]) > RESIDUAL_TOL):
+        raise WitnessVerificationError(f"LP witness failed re-verification: {checks}")
     return replace(
         base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL
     )

@@ -170,6 +170,9 @@ def cmd_certify_vdc(args, report: RunReport) -> None:
         ("witness_min_weight", "min_weight", 1e-12, _floor),
         ("witness_mass", "mass_error", 1e-12, operator.le),
         ("witness_residual", "residual", args.tol, operator.lt),
+        ("dual_bound", "dual_bound", args.tol, lambda bound, tol: bound >= witness.atom - tol),
+        ("dual_min_slack", "dual_min_slack", args.tol, _floor),
+        ("duality_gap", "duality_gap", args.tol, operator.le),
     ])
     report.flags["atom"] = witness.atom
     report.flags["not_vdc"] = witness.not_vdc
@@ -231,13 +234,7 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
     bad_bullets = 0
     for _ in range(args.trials):
         members = rng.choice(space, size=args.size, replace=False)
-        vectors = [
-            combinatorics.DigitVector(
-                args.q, combinatorics.int_to_digits(int(v), args.q, args.p)
-            )
-            for v in members
-        ]
-        pair = combinatorics.find_agreement_pair(vectors, args.ell)
+        pair = combinatorics.find_agreement_pair(members, args.ell, q=args.q, p=args.p)
         if pair is None:
             not_found += 1
             continue
@@ -392,7 +389,8 @@ def main(argv=None) -> int:
     try:
         COMMANDS[args.command](args, report)
     except (blocks.BlockParamsError, blocks.BlockBulletError, blocks.AtomBudgetError,
-            certify.LpInfeasibleError, ValueError) as exc:
+            certify.LpInfeasibleError, certify.LpDegenerateError,
+            certify.WitnessVerificationError, ValueError) as exc:
         report.flags["error"] = str(exc)
         report.add("completed", False, detail=str(exc))
     except OSError as exc:

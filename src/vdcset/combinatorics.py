@@ -178,31 +178,41 @@ def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
     )
 
 
-def vectors_to_grid(vectors) -> tuple:
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("need at least one vector")
-    q = vectors[0].q
-    p = len(vectors[0].coords)
-    for v in vectors:
-        if v.q != q or len(v.coords) != p:
-            raise ValueError("mixed dimensions: all vectors must share (Q, P)")
+def _index_grid(elements, q: int, p: int) -> np.ndarray:
+    """Grid of the members given as flat indices sum_i coord_i * Q^i."""
     if q**p > GRID_CELL_LIMIT:
         raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
-    grid = np.zeros((q,) * p, dtype=bool)
-    for v in vectors:
-        grid[v.coords] = True
-    return grid, q, p
+    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= q**p):
+        raise ValueError(f"elements must lie inside [0, {q**p})")
+    flat = np.zeros(q**p, dtype=bool)
+    flat[idx] = True
+    return flat.reshape((q,) * p, order="F")
 
 
-def find_agreement_pair(vectors, ell: int):
-    """First (smallest s, lexicographically smallest) agreement pair in B.
+def vectors_to_grid(vectors, q: int | None = None, p: int | None = None) -> tuple:
+    """(grid, Q, P) of DigitVectors, or of flat indices sum_i coord_i * Q^i
+    (the digit order of int_to_digits) when q and p are given."""
+    if q is None:
+        vectors = list(vectors)
+        if not vectors:
+            raise ValueError("need at least one vector")
+        q, p = vectors[0].q, len(vectors[0].coords)
+        if any(v.q != q or len(v.coords) != p for v in vectors):
+            raise ValueError("mixed dimensions: all vectors must share (Q, P)")
+        vectors = [digits_to_int(v.coords, q) for v in vectors]
+    return _index_grid(vectors, q, p), q, p
+
+
+def find_agreement_pair(vectors, ell: int, *, q: int | None = None, p: int | None = None):
+    """First (smallest s, lexicographically smallest) agreement pair in B,
+    given as DigitVectors or, with q and p, as flat indices (see vectors_to_grid).
 
     Returns an AgreementPair or None.  When the density hypothesis
     |B| > Q^P/ell together with P > Q*log(ell) holds, a pair must exist;
     exhausting the search in that regime indicates a bug and raises.
     """
-    grid, q, p = vectors_to_grid(vectors)
+    grid, q, p = vectors_to_grid(vectors, q, p)
     if q % 2:
         raise ValueError("modulus Q must be even")
     for x, x_prime, s in _agreement_candidates(grid, q):
@@ -254,17 +264,10 @@ def digit_difference(elements, j: int, q: int, p: int):
     """
     if q % 2 or q // 2 + 8 * j >= q:
         raise ValueError("digit differences need Q even with Q/2 + 8*j < Q")
-    if q**p > GRID_CELL_LIMIT:
-        raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
-    flat = np.zeros(q**p, dtype=bool)
-    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
-    if idx.size == 0:
-        return None
-    if idx.min() < 0 or idx.max() >= q**p:
-        raise ValueError(f"elements must lie inside [0, {q**p})")
-    flat[idx] = True
-    grid = flat.reshape((q,) * p, order="F")
+    grid = _index_grid(elements, q, p)
     count_e = int(grid.sum())
+    if count_e == 0:
+        return None
     horizon = -(-2 * (q**p) // count_e)
     axes = tuple(range(p))
     overlaps = []

@@ -1,19 +1,29 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Dense simplex for small equality-form linear programs, entered by
+crossover from a feasible point.
 
 Solves  max c.x  subject to  A x = b,  x >= 0.  The row space of A is
 orthonormalised first (SVD), which removes redundant rows exactly and
-detects inconsistent systems; the feasible set is unchanged.  Phase 1
-minimises the sum of artificial variables to find a basic feasible point
-(or prove infeasibility); phase 2 optimises the true objective.  Bland's
-smallest-index rule picks the entering variable and breaks leaving-row
-ties, so the method terminates on degenerate bases.
+detects inconsistent systems; the feasible set is unchanged.
+
+The solve starts from a feasible point: the caller's ``start`` when it
+has one, otherwise the real part of a phase-1 vertex (artificial
+variables, minimised by the simplex iterations below).  A crossover then
+walks that point to a basic feasible solution without lowering c.x: m+1
+support columns always carry a null vector, and stepping along it (signed
+so that c.x does not fall) until one weight reaches 0 drops that column.
+Once the support is at most m independent columns it is extended to a
+full basis, and phase 2 optimises from there.  Bland's smallest-index
+rule picks the entering variable and breaks leaving-row ties, so the
+method terminates on degenerate bases.
 
 The working tableau is refactorised from the cleaned data at every
 iteration (these programs are tiny), so roundoff never accumulates across
 pivots, and the returned vertex solves its closing basis system to
-machine precision.  Callers should still re-verify solutions
-independently; the diagnostics carry the basis condition number for that
-purpose.
+machine precision.  The final basis also yields the dual vector
+y = B^-T c_B, mapped back to the caller's rows: A^T y >= c and b.y equal
+to the optimum certify optimality.  Callers should still re-verify
+solutions independently; the diagnostics carry the basis condition
+number for that purpose.
 """
 
 from dataclasses import dataclass, field
@@ -43,25 +53,31 @@ class LpResult:
     objective: float
     basis: list
     iterations: int
+    dual: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
 
+def _rank_tol(shape) -> float:
+    """Relative singular-value cut below which columns count as dependent."""
+    return max(shape) * np.finfo(float).eps * 10
+
+
 def _orthonormal_rows(matrix, rhs, tol):
-    """Equivalent system with orthonormal rows; raises on inconsistency."""
+    """Equivalent system (transform @ matrix, transform @ rhs) with
+    orthonormal rows; raises on inconsistency."""
     u, singular, vt = np.linalg.svd(matrix, full_matrices=False)
     if singular.size == 0 or singular[0] == 0.0:
         if np.abs(rhs).max(initial=0.0) > tol:
             raise LpInfeasibleError("zero system with non-zero right-hand side")
-        return np.zeros((0, matrix.shape[1])), np.zeros(0)
-    rank = int(np.sum(singular > singular[0] * max(matrix.shape) * np.finfo(float).eps * 10))
+        return np.zeros((0, matrix.shape[1])), np.zeros(0), np.zeros((0, matrix.shape[0]))
+    rank = int(np.sum(singular > singular[0] * _rank_tol(matrix.shape)))
     dropped = u[:, rank:].T @ rhs
     if dropped.size and np.abs(dropped).max() > tol:
         raise LpInfeasibleError(
             f"inconsistent constraints: residual {np.abs(dropped).max()} outside the row space"
         )
-    new_matrix = vt[:rank]
-    new_rhs = (u[:, :rank].T @ rhs) / singular[:rank]
-    return new_matrix, new_rhs
+    transform = u[:, :rank].T / singular[:rank, None]
+    return vt[:rank], transform @ rhs, transform
 
 
 def _factorise(matrix, rhs, basis):
@@ -79,7 +95,6 @@ def _factorise(matrix, rhs, basis):
 def _run_simplex(matrix, rhs, costs, basis, tol):
     """Bland-rule iterations on (matrix, rhs); mutates basis, returns
     (iterations, basic values)."""
-    m, n = matrix.shape
     iterations = 0
     while True:
         if iterations > MAX_ITERATIONS:
@@ -90,91 +105,144 @@ def _run_simplex(matrix, rhs, costs, basis, tol):
             )
         tableau, basic_values = _factorise(matrix, rhs, basis)
         reduced = costs - costs[basis] @ tableau
-        in_basis = set(basis)
-        entering = -1
-        for jcol in range(n):
-            if jcol not in in_basis and reduced[jcol] > tol:
-                entering = jcol
-                break
-        if entering < 0:
+        reduced[basis] = 0.0
+        improving = np.flatnonzero(reduced > tol)
+        if not improving.size:
             return iterations, basic_values
+        entering = int(improving[0])
         column = tableau[:, entering]
-        ratios = [
-            (max(basic_values[i], 0.0) / column[i], basis[i], i)
-            for i in range(m)
-            if column[i] > tol
-        ]
-        if not ratios:
+        rows = np.flatnonzero(column > tol)
+        if not rows.size:
             raise LpUnboundedError(f"objective unbounded along column {entering}")
-        best = min(r for r, _, _ in ratios)
+        ratios = np.maximum(basic_values[rows], 0.0) / column[rows]
         # Bland's leaving rule among numerically tied minimal ratios
-        _, leaving_row = min(
-            (b, i) for r, b, i in ratios if r <= best + RATIO_TIE_TOL
-        )
+        tied = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+        leaving_row = min(tied, key=lambda i: basis[i])
         basis[leaving_row] = entering
         iterations += 1
 
 
-def solve_lp(costs, matrix, rhs, *, tol: float = PIVOT_TOL) -> LpResult:
-    """Maximise costs.x subject to matrix @ x = rhs, x >= 0."""
+def _crossover(matrix, costs, x, tol):
+    """Walk the feasible point x >= 0 to a basis without lowering costs.x.
+
+    Keeps a working set of at most m+1 support columns; while it holds m+1
+    columns, or at the end is rank deficient, its last right singular
+    vector d solves A d = 0 (up to roundoff).  Stepping along d until a
+    weight reaches 0 stays feasible and drops that column; the next
+    support column then joins.  Returns (basis, steps)."""
+    m = matrix.shape[0]
+    x = np.maximum(x, 0.0)
+    queue = np.flatnonzero(x > 0)
+    work, weights, queue = queue[:m + 1], x[queue[:m + 1]], queue[m + 1:]
+    steps = 0
+    while work.size:
+        _, singular, vt = np.linalg.svd(matrix[:, work])
+        if work.size <= m and singular[-1] > singular[0] * _rank_tol((m, work.size)):
+            break
+        d = vt[-1]
+        gain = costs[work] @ d
+        if gain < 0:
+            d, gain = -d, -gain
+        if d.min() >= -tol:
+            # a non-negative null direction: unbounded if it gains, else go back
+            if gain > tol:
+                raise LpUnboundedError(f"objective unbounded along columns {work.tolist()}")
+            d = -d
+        falling = np.flatnonzero(d < 0)
+        ratios = weights[falling] / -d[falling]
+        weights = np.maximum(weights + ratios.min() * d, 0.0)
+        weights[falling[ratios.argmin()]] = 0.0
+        kept = weights > 0
+        room = m + 1 - np.count_nonzero(kept)
+        joining, queue = queue[:room], queue[room:]
+        work = np.concatenate((work[kept], joining))
+        weights = np.concatenate((weights[kept], x[joining]))
+        steps += 1
+    return _extend_basis(matrix, work.tolist()), steps
+
+
+def _extend_basis(matrix, columns):
+    """Complete independent columns to a basis, greedily adding the column
+    with the largest component orthogonal to those chosen so far."""
+    rest = matrix.copy()
+    basis = []
+    for k in range(matrix.shape[0]):
+        if k < len(columns):
+            j = columns[k]
+        else:
+            norms = np.einsum("ij,ij->j", rest, rest)
+            norms[basis] = -1.0
+            j = int(np.argmax(norms))
+        v = rest[:, j] / np.linalg.norm(rest[:, j])
+        rest -= np.outer(v, v @ rest)
+        basis.append(j)
+    return basis
+
+
+def _phase_one(matrix, rhs, tol):
+    """Real part of a phase-1 vertex (artificial identity block), and its
+    pivot count; raises LpInfeasibleError when the artificials stay positive."""
+    m, n = matrix.shape
+    flip = np.where(rhs < 0, -1.0, 1.0)
+    wide = np.hstack([matrix * flip[:, None], np.eye(m)])
+    basis = list(range(n, n + m))
+    phase1_costs = np.concatenate([np.zeros(n), -np.ones(m)])
+    iters, basic_values = _run_simplex(wide, rhs * flip, phase1_costs, basis, tol)
+    x = np.zeros(n + m)
+    x[basis] = np.maximum(basic_values, 0.0)
+    infeasibility = x[n:].sum()
+    if infeasibility > tol:
+        raise LpInfeasibleError(
+            f"phase 1 left total artificial mass {infeasibility} > {tol}"
+        )
+    return x[:n], iters
+
+
+def solve_lp(costs, matrix, rhs, *, start=None, tol: float = PIVOT_TOL) -> LpResult:
+    """Maximise costs.x subject to matrix @ x = rhs, x >= 0.
+
+    ``start``, when given, must be a feasible point (non-negative and
+    solving the system to within tol); the solve then skips phase 1.
+    """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     costs = np.asarray(costs, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != rhs.shape[0] or matrix.shape[1] != costs.shape[0]:
         raise ValueError("inconsistent LP dimensions")
-    matrix, rhs = _orthonormal_rows(matrix, rhs, tol)
-    flip = rhs < 0
-    matrix[flip] *= -1.0
-    rhs = np.where(flip, -rhs, rhs)
+    matrix, rhs, transform = _orthonormal_rows(matrix, rhs, tol)
     m, n = matrix.shape
     if m == 0:
         raise LpDegenerateError("empty constraint system after preprocessing")
 
-    # phase 1 with an artificial identity block
-    wide = np.hstack([matrix, np.eye(m)])
-    basis = list(range(n, n + m))
-    phase1_costs = np.concatenate([np.zeros(n), -np.ones(m)])
-    iters, basic_values = _run_simplex(wide, rhs, phase1_costs, basis, tol)
-    infeasibility = sum(
-        basic_values[i] for i, b in enumerate(basis) if b >= n and basic_values[i] > 0
-    )
-    if infeasibility > tol:
-        raise LpInfeasibleError(
-            f"phase 1 left total artificial mass {infeasibility} > {tol}"
-        )
-
-    # swap surviving zero-valued artificials for real columns; full row rank
-    # guarantees a pivot column exists for every row
-    for i in range(m):
-        if basis[i] < n:
-            continue
-        tableau, _ = _factorise(wide, rhs, basis)
-        pivot_col = -1
-        for jcol in range(n):
-            if jcol not in basis and abs(tableau[i, jcol]) > tol:
-                pivot_col = jcol
-                break
-        if pivot_col < 0:
-            raise LpDegenerateError(
-                f"could not eliminate artificial variable in row {i}"
-            )
-        basis[i] = pivot_col
-
-    more, basic_values = _run_simplex(matrix, rhs, costs, basis, tol)
-    iters += more
+    if start is None:
+        start, phase1 = _phase_one(matrix, rhs, tol)
+    else:
+        start = np.array(start, dtype=float)
+        if start.shape != (n,) or start.min() < -tol:
+            raise ValueError("start must be a non-negative point with one entry per column")
+        gap = float(np.linalg.norm(matrix @ start - rhs))
+        if gap > tol:
+            raise ValueError(f"start is not feasible: equality residual {gap} > {tol}")
+        phase1 = 0
+    basis, steps = _crossover(matrix, costs, start, tol)
+    phase2, basic_values = _run_simplex(matrix, rhs, costs, basis, tol)
 
     x = np.zeros(n)
-    for i, b in enumerate(basis):
-        x[b] = max(basic_values[i], 0.0)
+    x[basis] = np.maximum(basic_values, 0.0)
+    basis_matrix = matrix[:, basis]
+    dual = transform.T @ np.linalg.solve(basis_matrix.T, costs[basis])
     diag = {
         "rows": m,
-        "iterations": iters,
-        "basis_condition": float(np.linalg.cond(matrix[:, basis])) if basis else 1.0,
+        "phase1_pivots": phase1,
+        "crossover_steps": steps,
+        "phase2_pivots": phase2,
+        "basis_condition": float(np.linalg.cond(basis_matrix)),
     }
     return LpResult(
         x=x,
         objective=float(costs @ x),
         basis=list(basis),
-        iterations=iters,
+        iterations=phase1 + phase2,
+        dual=dual,
         diagnostics=diag,
     )

@@ -248,13 +248,18 @@ def convex_poly(profile: ConvexProfile) -> TrigPoly:
     Such a polynomial is non-negative on the circle; construction places
     the coefficients and certifies min >= -1e-9 on a uniform grid.
     """
+    return _convex_poly_with_min(profile)[0]
+
+
+def _convex_poly_with_min(profile: ConvexProfile) -> tuple:
+    """convex_poly and the grid minimum that certifies it."""
     values = np.asarray(profile.values)
     freqs = np.arange(-profile.cutoff, profile.cutoff + 1)
     poly = TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
     low = grid_min(poly, positivity_grid(poly.degree))
     if low < -EVAL_TOL:
         raise ProfileError(f"convex profile produced grid minimum {low} < -{EVAL_TOL}")
-    return poly
+    return poly, low
 
 
 def domination_kernel(big_r: int, big_l: int) -> TrigPoly:
@@ -313,8 +318,7 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
 
     def convex():  # partial sums of sorted drops make a convex profile
         drops = np.sort(rng.random(int(rng.integers(1, 17))))
-        poly = convex_poly(ConvexProfile(tuple(np.cumsum(drops)[::-1]) + (0.0,)))
-        return grid_min(poly, positivity_grid(poly.degree))
+        return _convex_poly_with_min(ConvexProfile(tuple(np.cumsum(drops)[::-1]) + (0.0,)))[1]
 
     def sampling():
         degree = int(rng.integers(0, 8))

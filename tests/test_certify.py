@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,9 +151,82 @@ def test_lp_empty_set_gives_point_mass():
     assert witness.atom == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lp_infeasible_multiple_of_order():
-    with pytest.raises(certify.LpInfeasibleError):
-        certify.max_atom_lp([8], 8)
+def test_lp_infeasible_multiple_of_order(monkeypatch):
+    # the transform at a multiple of N is the mass: infeasible by inspection
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_lp called on an infeasible-by-inspection LP")
+
+    monkeypatch.setattr(certify, "solve_lp", no_solve)
+    for r_set in ([8], [24], [1, 2, 16]):
+        with pytest.raises(certify.LpInfeasibleError, match="multiple of the order 8"):
+            certify.max_atom_lp(r_set, 8)
+
+
+# max_atom_lp(range(1, 9), N), cross-checked with scipy's HiGHS to 3e-15
+LADDER_ATOMS = {
+    96: 0.11043755052021464,
+    128: 0.11080467576061785,
+    256: 0.1110170089643073,
+    512: 0.11109541399772631,
+}
+
+
+@pytest.mark.parametrize("order", sorted(LADDER_ATOMS))
+def test_lp_ladder_matches_pins_with_dual_certificate(order):
+    witness = certify.certify_not_vdc(range(1, 9), 0.1, order)
+    assert witness.atom == pytest.approx(LADDER_ATOMS[order], abs=1e-12)
+    checks = certify.reverify_witness(witness)
+    assert checks["min_weight"] >= -1e-12
+    assert checks["mass_error"] <= 1e-12
+    assert checks["residual"] < 1e-9
+    assert checks["dual_min_slack"] >= -1e-9
+    assert abs(checks["duality_gap"]) <= 1e-9
+
+
+def test_lp_matches_highs_on_random_sets():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        order = int(rng.integers(8, 80))
+        r_set = sorted({int(v) for v in rng.integers(1, 3 * order, size=int(rng.integers(1, 6)))})
+        matrix, rhs = certify._transform_rows(r_set, order)
+        costs = np.zeros(order)
+        costs[0] = -1.0
+        ref = optimize.linprog(costs, A_eq=matrix, b_eq=rhs, bounds=(0, None), method="highs")
+        if any(r % order == 0 for r in r_set):
+            assert ref.status == 2
+            with pytest.raises(certify.LpInfeasibleError):
+                certify.max_atom_lp(r_set, order)
+            continue
+        assert ref.status == 0
+        witness = certify.max_atom_lp(r_set, order)
+        assert witness.atom == pytest.approx(-ref.fun, abs=1e-9)
+        checks = certify.reverify_witness(witness)
+        assert checks["dual_min_slack"] >= -1e-9
+        assert abs(checks["duality_gap"]) <= 1e-9
+
+
+def test_dual_reverification_detects_a_bad_dual():
+    witness = certify.max_atom_lp(range(1, 8), 32)
+    lowered = witness.dual.copy()
+    lowered[0] -= 1e-3  # a smaller bound must break the root inequalities
+    checks = certify.reverify_witness(replace(witness, dual=lowered))
+    assert checks["dual_min_slack"] < -1e-4
+    assert checks["duality_gap"] == pytest.approx(certify.reverify_witness(witness)["duality_gap"] - 1e-3)
+
+
+def test_dual_slack_fft_matches_direct_evaluation():
+    # random duals with sine terms, frequencies past N/2 and past N
+    rng = np.random.default_rng(12)
+    witness = certify.max_atom_lp((3, 20, 37, 45), 32)
+    matrix, _ = certify._transform_rows(witness.r_set, 32)
+    for _ in range(5):
+        y = rng.normal(size=matrix.shape[0])
+        direct = matrix.T @ y
+        direct[0] -= 1.0
+        checks = certify.reverify_witness(replace(witness, dual=y))
+        assert checks["dual_min_slack"] == pytest.approx(direct.min(), abs=1e-12)
+        assert checks["dual_bound"] == y[0]
 
 
 def test_lp_warm_start_tripwire():
@@ -175,6 +249,9 @@ def test_witness_reverification_fields():
     assert checks["min_weight"] >= -1e-12
     assert checks["mass_error"] <= 1e-12
     assert checks["residual"] < 1e-9
+    assert checks["dual_bound"] == pytest.approx(witness.atom, abs=1e-9)
+    assert checks["dual_min_slack"] >= -1e-9
+    assert abs(checks["duality_gap"]) <= 1e-9
     obj = json.loads(witness.to_json())
     assert set(obj) == {"R", "epsilon", "order", "atom", "residual", "weights", "not_vdc"}
 
@@ -193,4 +270,6 @@ def test_lifted_witness_reverifies():
         assert lifted.order == factor * order
         assert lifted.atom == pytest.approx(witness.atom, abs=1e-15)
         assert lifted.residual < 1e-9
+        checks = certify.reverify_witness(lifted)  # f(c*x) certifies the lifted LP
+        assert checks["dual_min_slack"] >= -1e-9 and abs(checks["duality_gap"]) <= 1e-9
         assert lifted.r_set == tuple(factor * r for r in witness.r_set)

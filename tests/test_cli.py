@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vdcset import cli
+from vdcset import certify, cli, simplex
 
 
 def run(argv):
@@ -141,6 +141,28 @@ def test_certify_vdc_cli(tmp_path):
     report = load_report(out)
     assert report["flags"]["atom"] == pytest.approx(0.125, abs=1e-9)
     assert report["flags"]["not_vdc"] is True
+
+
+@pytest.mark.parametrize("failure", ["stall", "reverification"])
+def test_certify_vdc_solver_failure_is_reported(tmp_path, monkeypatch, capsys, failure):
+    if failure == "stall":
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
+    else:
+        def bad_checks(witness, tol=certify.RESIDUAL_TOL):
+            return {"min_weight": 0.0, "mass_error": 0.0, "residual": 0.0,
+                    "dual_bound": 1.0, "dual_min_slack": 0.0, "duality_gap": 0.5}
+
+        monkeypatch.setattr(certify, "reverify_witness", bad_checks)
+    setf = tmp_path / "set.txt"
+    setf.write_text("\n".join(str(r) for r in range(1, 9)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["certify-vdc", "--set-file", str(setf), "--eps", "0.1",
+                "--order", "32", "--json-out", str(out)]) == 1
+    assert "FAIL completed" in capsys.readouterr().out
+    report = load_report(out)
+    check_report_schema(report)
+    assert report["pass"] is False
+    assert [c["name"] for c in report["checks"]] == ["completed"]
 
 
 def test_certify_vdc_missing_file():
@@ -372,7 +394,8 @@ TOWER_NAMES = [
         pytest.param(["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
                      ["alpha_within_budget"], id="certify-recurrence"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
-                     ["witness_min_weight", "witness_mass", "witness_residual"], id="certify-vdc"),
+                     ["witness_min_weight", "witness_mass", "witness_residual", "dual_bound",
+                      "dual_min_slack", "duality_gap"], id="certify-vdc"),
         pytest.param(["lemma-prt"], ["poincare_failures"], id="lemma-prt"),
         pytest.param(["lemma-digits", "--q", "64", "--p", "2"], ["all_found", "all_verified"],
                      id="lemma-digits"),

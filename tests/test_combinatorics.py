@@ -87,6 +87,18 @@ def test_agreement_pair_single_vector_not_found():
     assert cb.find_agreement_pair([cb.DigitVector(4, (1, 2))], 2) is None
 
 
+def test_index_grid_matches_digit_vectors():
+    rng = np.random.default_rng(4)
+    members = rng.choice(6**3, size=50, replace=False)
+    vectors = [cb.DigitVector(6, cb.int_to_digits(int(v), 6, 3)) for v in members]
+    grid, q, p = cb.vectors_to_grid(members, 6, 3)
+    assert (q, p) == (6, 3)
+    assert np.array_equal(grid, cb.vectors_to_grid(vectors)[0])
+    assert all(grid[v.coords] for v in vectors) and grid.sum() == 50
+    with pytest.raises(ValueError, match="inside"):
+        cb.vectors_to_grid(np.array([6**3]), 6, 3)
+
+
 def test_agreement_pair_mixed_dimensions():
     with pytest.raises(ValueError, match="mixed dimensions"):
         cb.find_agreement_pair([cb.DigitVector(4, (1,)), cb.DigitVector(6, (1,))], 2)
@@ -102,6 +114,8 @@ def test_agreement_pair_dense_random_guarantee_regime():
         vectors = [cb.DigitVector(4, cb.int_to_digits(int(v), 4, 4)) for v in members]
         pair = cb.find_agreement_pair(vectors, 2)
         assert pair is not None
+        # flat indices give the same grid, hence the same pair
+        assert cb.find_agreement_pair(members, 2, q=4, p=4) == pair
         x, xp, s = pair.x.coords, pair.x_prime.coords, pair.s
         assert x[:s] == xp[:s]
         assert x[s] == 0 and xp[s] == 2

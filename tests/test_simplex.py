@@ -50,12 +50,56 @@ def test_matches_vertex_enumeration_on_random_programs():
             res = sx.solve_lp(costs, matrix, rhs)
         except sx.LpUnboundedError:
             # unboundedness can't be read off the vertex list; skip
+            with pytest.raises(sx.LpUnboundedError):
+                sx.solve_lp(costs, matrix, rhs, start=x0)
             continue
         assert res.objective == pytest.approx(best, abs=1e-7)
         assert res.x.min() >= -1e-12
         assert np.abs(matrix @ res.x - rhs).max() < 1e-9
+        # the dual certifies the optimum: A^T y >= c and b.y = c.x
+        assert (matrix.T @ res.dual - costs).min() >= -1e-9
+        assert rhs @ res.dual == pytest.approx(res.objective, abs=1e-9)
+        # entered from the known feasible point instead of phase 1
+        warm = sx.solve_lp(costs, matrix, rhs, start=x0)
+        assert warm.objective == pytest.approx(res.objective, abs=1e-9)
+        assert warm.x.min() >= -1e-12
+        assert np.abs(matrix @ warm.x - rhs).max() < 1e-9
+        assert warm.diagnostics["phase1_pivots"] == 0
         solved += 1
     assert solved >= 30
+
+
+def test_start_must_be_feasible():
+    matrix, rhs = [[1.0, 1.0, 1.0]], [1.0]
+    with pytest.raises(ValueError, match="not feasible"):
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[0.5, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[1.5, -0.5, 0.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[1.0, 0.0])
+    res = sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[0.2, 0.3, 0.5])
+    assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12, rtol=0)
+
+
+def test_matches_highs_on_random_programs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m = int(rng.integers(2, 8))
+        n = int(rng.integers(m + 2, 40))
+        matrix = rng.normal(size=(m, n))
+        x0 = rng.random(n)
+        rhs = matrix @ x0
+        costs = rng.normal(size=n)
+        ref = optimize.linprog(-costs, A_eq=matrix, b_eq=rhs, bounds=(0, None), method="highs")
+        for start in (None, x0):
+            if ref.status == 3:
+                with pytest.raises(sx.LpUnboundedError):
+                    sx.solve_lp(costs, matrix, rhs, start=start)
+                continue
+            assert ref.status == 0
+            res = sx.solve_lp(costs, matrix, rhs, start=start)
+            assert res.objective == pytest.approx(-ref.fun, abs=1e-8)
 
 
 def test_infeasible_detection():

@@ -345,3 +345,18 @@ def test_json_matches_dict_storage_byte_for_byte():
     for poly, text, round_trip in cases:
         assert poly.to_json() == text
         assert tp.TrigPoly.from_json(text).to_json() == round_trip
+
+
+def test_kernel_residuals_samples_each_polynomial_once(monkeypatch):
+    calls = []
+    real = tp.sample_values
+
+    def counted(f, grid):
+        calls.append(grid)
+        return real(f, grid)
+
+    monkeypatch.setattr(tp, "sample_values", counted)
+    tp.kernel_residuals(1024, 8, np.random.default_rng(0))
+    # 30 distinct Fejer orders n*m, then 20 trials each of the domination
+    # minimum, the convex profile (its certified minimum reused) and the mean
+    assert len(calls) == 30 + 20 + 20 + 20
