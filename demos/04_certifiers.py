@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Independent certification of the two defining properties.
 
-Recurrence at horizon n: exact branch and bound computes the largest
-subset of {0..n-1} avoiding all differences in R; the set is certified
-epsilon-recurrent when that maximum is at most epsilon*n.
+Recurrence at horizon n: an exact Russian-doll search computes the
+largest subset of {0..n-1} avoiding all differences in R; the set is
+certified epsilon-recurrent when that maximum is at most epsilon*n.  A
+shifted avoiding set still avoids R, so the search finds the maxima of
+the prefixes {0..k-1} in turn, k = 1..n, and each bounds every interval
+of its length that a later search meets.  The witness printed is some
+maximum set, not a fixed one.
 
 Failure of the vdC property: a from-scratch simplex maximises the atom
 at 0 over probability measures on the order-N roots of unity whose

@@ -12,7 +12,7 @@ Library layout:
                     spectra
 - ``combinatorics`` digit-agreement search, digit differences of dense
                     sets, quantitative Poincare recurrence
-- ``certify``       exact avoiding-set branch and bound plus the LP
+- ``certify``       exact avoiding-set Russian-doll search plus the LP
                     max-atom certifier (built on ``simplex``)
 - ``cli``           JSON-report command line driver
 """

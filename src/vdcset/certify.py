@@ -3,13 +3,14 @@
 Recurrence side: a set R is certified epsilon-recurrent at horizon n when
 every subset of {0..n-1} larger than epsilon*n contains a pair differing
 by an element of R; equivalently the maximum R-difference-avoiding subset
-has size alpha <= epsilon*n.  alpha is computed exactly by branch and
-bound on the difference graph.
+has size alpha <= epsilon*n.  alpha is computed exactly by a Russian-doll
+search over the prefixes of the difference graph (Verfaillie, Lemaitre and
+Schiex; Ostergard), whose witness is some maximum set, not a fixed one.
 
 Failure-of-vdC side: a probability measure on the order-N roots of unity
 whose transform vanishes on R and whose atom at 0 exceeds epsilon is a
 witness that R is not an epsilon-vdC set.  The best such atom is a linear
-program, solved with the dense simplex from the uniform measure and
+program, solved with the dense simplex from a uniform measure and
 re-verified independently of the solver.  Its dual is a real trigonometric
 polynomial f with f(j/N) >= [j = 0] at every root, whose constant term
 bounds the atom from above (the finite form of the Kamae-Mendes France /
@@ -88,30 +89,55 @@ class VdcFailureWitness:
         )
 
 
-def _clique_cover_bound(candidates: int, adjacency: list) -> int:
-    """Greedy partition of the candidate vertices into cliques; the number
-    of cliques bounds any independent set inside the candidates."""
+def _clique_cover_bound(candidates: int, adjacency: list, need: int) -> int:
+    """Greedy partition of the candidate vertices into cliques, grown from
+    the highest vertex down; the number of cliques bounds any independent
+    set inside the candidates.  Counting stops once it reaches need."""
     cliques = 0
     remaining = candidates
-    while remaining:
-        v = (remaining & -remaining).bit_length() - 1
-        clique_compat = adjacency[v]
-        remaining &= remaining - 1
+    while remaining and cliques < need:
+        v = remaining.bit_length() - 1
+        remaining ^= 1 << v
         cliques += 1
+        clique_compat = adjacency[v]
         scan = remaining & clique_compat
         while scan:
-            u = (scan & -scan).bit_length() - 1
-            remaining &= ~(1 << u)
+            u = scan.bit_length() - 1
+            remaining ^= 1 << u
             clique_compat &= adjacency[u]
             scan = remaining & clique_compat
     return cliques
 
 
+def _extend(candidates: int, chosen: int, need: int, alpha: list, adjacency: list):
+    """Mask of chosen plus need pairwise non-adjacent candidates, or None.
+    Branches on the highest candidate hi, taken first and then dropped;
+    alpha[hi - lo + 1] bounds what candidates within [lo, hi] can add."""
+    if not need:
+        return chosen
+    while candidates.bit_count() >= need:
+        hi = candidates.bit_length() - 1
+        lo = (candidates & -candidates).bit_length() - 1
+        if alpha[hi - lo + 1] < need or _clique_cover_bound(candidates, adjacency, need) < need:
+            return None
+        bit = 1 << hi
+        candidates ^= bit
+        found = _extend(candidates & ~adjacency[hi], chosen | bit, need - 1, alpha, adjacency)
+        if found is not None:
+            return found
+    return None
+
+
 def max_avoiding_set(r_set, n: int):
     """Exact maximum subset of {0..n-1} whose pairwise differences avoid
-    r_set, via branch and bound on the difference graph.
+    r_set, by a Russian-doll search over prefixes of the difference graph.
 
-    Returns (alpha, witness).  Horizons above 80 are refused to keep the
+    A shifted copy of an avoiding set still avoids r_set, so every interval
+    of length L has the same maximum alpha_L.  alpha_k exceeds alpha_{k-1}
+    (by one) when some avoiding set of that size contains k-1; a depth-first
+    search decides this, pruned by alpha of the interval its candidates span
+    and by a greedy clique cover.  Returns (alpha, witness), witness some
+    maximum set, sorted.  Horizons above 80 are refused to keep the
     exactness promise honest.
     """
     if n < 1:
@@ -121,52 +147,24 @@ def max_avoiding_set(r_set, n: int):
             f"horizon {n} exceeds the exact branch-and-bound cap {MAX_EXACT_HORIZON}"
         )
     diffs = sorted({int(r) for r in r_set if 0 < int(r) < n})
-    full = (1 << n) - 1
     adjacency = [0] * n
-    for v in range(n):
-        mask = 0
-        for r in diffs:
-            if v + r < n:
-                mask |= 1 << (v + r)
-            if v - r >= 0:
-                mask |= 1 << (v - r)
-        adjacency[v] = mask
+    for r in diffs:
+        for v in range(n - r):
+            adjacency[v] |= 1 << (v + r)
+            adjacency[v + r] |= 1 << v
 
-    # visit high-degree vertices first: re-label so that position 0 is densest
-    order = sorted(range(n), key=lambda v: (-adjacency[v].bit_count(), v))
-    relabel = {old: new for new, old in enumerate(order)}
-    adj = [0] * n
-    for old, new in relabel.items():
-        mask = adjacency[old]
-        out = 0
-        while mask:
-            u = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            out |= 1 << relabel[u]
-        adj[new] = out
-
-    best_size = 0
+    alpha = [0] * (n + 1)
     best_mask = 0
+    for k in range(1, n + 1):
+        bit = 1 << (k - 1)
+        found = _extend((bit - 1) & ~adjacency[k - 1], bit, alpha[k - 1], alpha, adjacency)
+        alpha[k] = alpha[k - 1]
+        if found is not None:
+            alpha[k] += 1
+            best_mask = found
 
-    def explore(candidates: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        if size + candidates.bit_count() <= best_size:
-            return
-        if not candidates:
-            if size > best_size:
-                best_size, best_mask = size, chosen
-            return
-        if size + _clique_cover_bound(candidates, adj) <= best_size:
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        bit = 1 << v
-        explore(candidates & ~(bit | adj[v]), chosen | bit, size + 1)
-        explore(candidates & ~bit, chosen, size)
-
-    explore(full, 0, 0)
-
-    witness = sorted(order[v] for v in range(n) if best_mask >> v & 1)
-    return best_size, witness
+    witness = [v for v in range(n) if best_mask >> v & 1]
+    return alpha[n], witness
 
 
 def certify_recurrence(r_set, epsilon: float, n: int) -> RecurrenceCertificate:
@@ -210,10 +208,13 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     """Probability measure on the order-N roots of unity maximising the
     weight at 0 subject to a vanishing transform on r_set.
 
-    The uniform measure is feasible unless some r is a multiple of N, where
-    the transform equals the mass 1: that raises LpInfeasibleError without
-    a solve.  A warm_start measure, when given, is only used as a soundness
-    tripwire: the LP optimum may never fall below its feasible atom.
+    The solve starts from the uniform measure on the smallest subgroup,
+    of order d | N, with no r a multiple of d (its transform is 1 there, 0
+    elsewhere), so the crossover has few atoms to drop.  d = N qualifies
+    unless some r is a multiple of N, where the transform equals the mass
+    1: that raises LpInfeasibleError without a solve.  A warm_start
+    measure, when given, is only used as a soundness tripwire: the LP
+    optimum may never fall below its feasible atom.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -227,7 +228,10 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     matrix, rhs = _transform_rows(r_set, order)
     costs = np.zeros(order)
     costs[0] = 1.0
-    result = solve_lp(costs, matrix, rhs, start=np.full(order, 1.0 / order))
+    d = next(d for d in range(1, order + 1) if order % d == 0 and all(r % d for r in r_set))
+    start = np.zeros(order)
+    start[::order // d] = 1.0 / d
+    result = solve_lp(costs, matrix, rhs, start=start)
     measure = AtomicMeasure(order, result.x)
     atom = float(measure.weights[0])
     if warm_start is not None:

@@ -11,10 +11,10 @@ variables, minimised by the simplex iterations below).  A crossover then
 walks that point to a basic feasible solution without lowering c.x: m+1
 support columns always carry a null vector, and stepping along it (signed
 so that c.x does not fall) until one weight reaches 0 drops that column.
-Once the support is at most m independent columns it is extended to a
-full basis, and phase 2 optimises from there.  Bland's smallest-index
-rule picks the entering variable and breaks leaving-row ties, so the
-method terminates on degenerate bases.
+Once the support is at most m independent columns (at once, for a start
+with that few atoms) it is extended to a full basis, and phase 2
+optimises from there.  Bland's smallest-index rule picks the entering
+variable and breaks leaving-row ties, so it terminates on degenerate bases.
 
 The working tableau is refactorised from the cleaned data at every
 iteration (these programs are tiny), so roundoff never accumulates across

@@ -138,8 +138,10 @@ def fejer(n: int) -> TrigPoly:
 
 
 def evaluate(f: TrigPoly, t: float) -> complex:
-    """Direct summation of sum_m c_m exp(2*pi*i*m*t)."""
-    return complex((f.values * np.exp(2j * np.pi * f.freqs * t)).sum())
+    """Direct summation of sum_m c_m exp(2*pi*i*m*t); m*t mod 1 is exact."""
+    p, q = float(t).as_integer_ratio()
+    phase = (f.freqs.astype(object) * p % q / q).astype(float)
+    return complex((f.values * np.exp(2j * np.pi * phase)).sum())
 
 
 def sample_values(f: TrigPoly, grid: int) -> np.ndarray:

@@ -24,6 +24,62 @@ def brute_force_alpha(r_set, n):
     return int(counts[valid].max())
 
 
+def reference_max_avoiding_set(r_set, n):
+    """The degree-ordered branch and bound the Russian-doll search replaced:
+    densest vertices first, lowest-index branching, best-so-far pruning by
+    popcount and a greedy clique cover (n <= 80)."""
+    diffs = sorted({int(r) for r in r_set if 0 < int(r) < n})
+    adjacency = [0] * n
+    for v in range(n):
+        for r in diffs:
+            if v + r < n:
+                adjacency[v] |= 1 << (v + r)
+            if v - r >= 0:
+                adjacency[v] |= 1 << (v - r)
+    order = sorted(range(n), key=lambda v: (-adjacency[v].bit_count(), v))
+    relabel = {old: new for new, old in enumerate(order)}
+    adj = [sum(1 << relabel[u] for u in range(n) if adjacency[old] >> u & 1) for old in order]
+
+    def cover(candidates):
+        cliques = 0
+        remaining = candidates
+        while remaining:
+            v = (remaining & -remaining).bit_length() - 1
+            compat = adj[v]
+            remaining &= remaining - 1
+            cliques += 1
+            scan = remaining & compat
+            while scan:
+                u = (scan & -scan).bit_length() - 1
+                remaining &= ~(1 << u)
+                compat &= adj[u]
+                scan = remaining & compat
+        return cliques
+
+    best = [0, 0]
+
+    def explore(candidates, chosen, size):
+        if size + candidates.bit_count() <= best[0]:
+            return
+        if not candidates:
+            best[:] = [size, chosen]
+            return
+        if size + cover(candidates) <= best[0]:
+            return
+        v = (candidates & -candidates).bit_length() - 1
+        bit = 1 << v
+        explore(candidates & ~(bit | adj[v]), chosen | bit, size + 1)
+        explore(candidates & ~bit, chosen, size)
+
+    explore((1 << n) - 1, 0, 0)
+    return best[0], sorted(order[v] for v in range(n) if best[1] >> v & 1)
+
+
+def assert_avoiding(witness, r_set, n):
+    assert witness == sorted(set(witness)) and all(0 <= v < n for v in witness)
+    assert not {b - a for a, b in itertools.combinations(witness, 2)} & set(r_set)
+
+
 def test_avoiding_set_known_values():
     alpha, witness = certify.max_avoiding_set(range(1, 8), 8)
     assert alpha == 1 and len(witness) == 1
@@ -67,6 +123,32 @@ def test_avoiding_set_scaling():
         alpha, _ = certify.max_avoiding_set(r_set, n)
         scaled_alpha, _ = certify.max_avoiding_set({factor * r for r in r_set}, factor * n)
         assert scaled_alpha >= factor * alpha - factor
+
+
+def test_avoiding_set_matches_reference_search():
+    # the reference search takes about 4 s of this draw on a 2-vCPU x86 VM
+    rng = np.random.default_rng(0)
+    for _ in range(60):
+        n = int(rng.integers(40, 81))
+        r_set = {int(v) for v in rng.choice(np.arange(1, 85), int(rng.integers(1, 9)), replace=False)}
+        alpha, witness = certify.max_avoiding_set(r_set, n)
+        assert alpha == reference_max_avoiding_set(r_set, n)[0] == len(witness)
+        assert_avoiding(witness, r_set, n)
+
+
+SQUARES = tuple(k * k for k in range(1, 9))
+
+
+@pytest.mark.parametrize(
+    "r_set, n, alpha",
+    [(SQUARES, 40, 12), (SQUARES, 60, 16), (SQUARES, 80, 20)]
+    + [(SQUARES + (t,), 70, a) for t, a in {5: 15, 7: 17, 10: 17, 11: 18, 12: 18}.items()]
+    + [((4, 16), 80, 32)],
+)
+def test_avoiding_set_pinned_alpha(r_set, n, alpha):
+    found, witness = certify.max_avoiding_set(r_set, n)
+    assert found == alpha == len(witness)
+    assert_avoiding(witness, r_set, n)
 
 
 def test_avoiding_set_horizon_guard():
@@ -181,6 +263,22 @@ def test_lp_ladder_matches_pins_with_dual_certificate(order):
     assert checks["residual"] < 1e-9
     assert checks["dual_min_slack"] >= -1e-9
     assert abs(checks["duality_gap"]) <= 1e-9
+
+
+def test_lp_sparse_start_needs_no_crossover(monkeypatch):
+    # the uniform measure on the order-16 subgroup is feasible for R = {1..8}:
+    # 16 atoms against 17 rows leave the crossover nothing to drop
+    solve, diagnostics = certify.solve_lp, []
+
+    def recording(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        diagnostics.append(result.diagnostics)
+        return result
+
+    monkeypatch.setattr(certify, "solve_lp", recording)
+    witness = certify.max_atom_lp(range(1, 9), 512)
+    assert diagnostics[0]["crossover_steps"] == 0
+    assert witness.atom == pytest.approx(LADDER_ATOMS[512], abs=1e-12)
 
 
 def test_lp_matches_highs_on_random_sets():

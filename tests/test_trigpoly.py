@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,10 @@ def test_frequencies_beyond_int32():
         # exact phases: reduce m*k mod 31 in integers before leaving them
         exact = sum(c * np.exp(2j * np.pi * (m * k % 31) / 31) for m, c in g.coeffs.items())
         assert vals[k] == pytest.approx(exact, abs=1e-12)
+    for t in (0.1, 0.37, 1 / 3, 0.999, -2.75, 1e-7):
+        # m*t mod 1 in exact rationals; the float product 2*pi*m*t is 2e-5 off
+        exact = sum(c * np.exp(2j * np.pi * float(m * Fraction(t) % 1)) for m, c in g.coeffs.items())
+        assert abs(tp.evaluate(g, t) - exact) <= tp.EVAL_TOL
 
 
 def test_json_matches_dict_storage_byte_for_byte():
