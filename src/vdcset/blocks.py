@@ -98,7 +98,8 @@ def block_polynomials(params: BlockParams):
     p has coefficients 1 - cos(2*pi*(ell*Q^k - |m|)/N) on |m| <= ell*Q^k
     (a convex profile, hence p >= 0); r carries spikes +1 at |m| = ell*Q^k
     and -1/2 at |m| = N/2 -+ ell*Q^k; s = 16*ell*(p conv F_{Q^k}) + r*p is
-    non-negative, certified here on a uniform grid.
+    non-negative, certified here on a uniform power-of-two grid of more
+    than 2*degree(s) points.
     """
     params.validate()
     n_total = params.order
@@ -113,7 +114,7 @@ def block_polynomials(params: BlockParams):
 
     smoothed = scale(poly_convolve(p, fejer(params.q**params.k)), 16.0 * params.ell)
     s = add(smoothed, multiply(r, p))
-    low = grid_min(s, max(4096, 2 * s.degree + 1))
+    low = grid_min(s, trigpoly._pow2_at_least(max(4096, 2 * s.degree + 1)))
     if low < -trigpoly.EVAL_TOL:
         raise BlockBulletError(f"block polynomial grid minimum {low} < -{trigpoly.EVAL_TOL}")
     return p, r, s
@@ -144,8 +145,9 @@ def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
             f"block order {n_total} exceeds the atom budget {atom_budget()}"
         )
     _, _, s = block_polynomials(params)
-    pair = scale_add(0.5, dirac(n_total, 1), 0.5, dirac(n_total, n_total - 1))
-    sigma = scale_add(1.0, pair, 1.0, from_samples(s, n_total))
+    weights = from_samples(s, n_total).weights.copy()
+    weights[[1, -1]] += 0.5
+    sigma = AtomicMeasure(n_total, weights)
     res = block_residuals(sigma, params)
     _require(f"block (ell={params.ell}, Q={params.q}, k={params.k})", res, [
         ("mass_excess", res["mass_excess"] > tol),
@@ -247,8 +249,9 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
         )
     factors = [build_block(BlockParams(params.ell, params.q, k), tol=tol) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
-    freqs = np.arange(params.order)
-    predicted = np.prod([f.spectrum[freqs % f.order] for f in factors], axis=0)
+    predicted = factors[0].spectrum
+    for f in factors[1:]:  # the running product repeats Q times within f's period
+        predicted = (predicted * f.spectrum.reshape(-1, predicted.size)).ravel()
     product = float(np.abs(sigma.spectrum - predicted).max())
     _require("witness spectrum", {"product_identity": product},
              [("block product identity", product > tol)])

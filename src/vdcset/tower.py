@@ -144,7 +144,9 @@ def tower_extend(c_prev: TrigPoly, block: TrigPoly, dilation: int) -> TrigPoly:
             f"growth inequality violated: previous product degree {c_prev.degree} "
             f">= dilation {dilation}"
         )
-    return multiply(c_prev, dilate(block, 2 * dilation))
+    # block first: the frequencies b + c (b a multiple of 2*dilation, |c| <
+    # dilation) then ascend in ravel order and the reducer skips its sort
+    return multiply(dilate(block, 2 * dilation), c_prev)
 
 
 def build_tower(stages, betas, *, tol: float = 1e-9) -> list:

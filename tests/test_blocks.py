@@ -205,3 +205,33 @@ def test_block_transform_identity_every_frequency():
         )
         assert sigma.fourier(m).real == pytest.approx(predicted, abs=1e-9)
         assert abs(sigma.fourier(m).imag) < 1e-9
+
+
+def test_block_positivity_grid_is_a_power_of_two(monkeypatch):
+    asked = []
+    real_grid_min = blocks.grid_min
+
+    def recording(poly, grid):
+        asked.append((poly.degree, grid))
+        return real_grid_min(poly, grid)
+
+    monkeypatch.setattr(blocks, "grid_min", recording)
+    for params in [(2, 64, 0), (8, 64, 1), (8, 128, 1), (8, 64, 2)]:
+        blocks.block_polynomials(blocks.BlockParams(*params))
+    assert len(asked) == 4
+    for degree, grid in asked:
+        floor = max(4096, 2 * degree + 1)
+        assert grid & (grid - 1) == 0
+        assert floor <= grid < 2 * floor
+
+
+@pytest.mark.parametrize("ell,q,k", [(8, 64, 1), (2, 64, 0)])
+def test_block_weights_match_scale_add_reference(ell, q, k):
+    # the point pair added as measures, then lifted and summed with the samples
+    params = blocks.BlockParams(ell, q, k)
+    n = params.order
+    s = blocks.block_polynomials(params)[2]
+    pair = ms.scale_add(0.5, ms.dirac(n, 1), 0.5, ms.dirac(n, n - 1))
+    reference = ms.scale_add(1.0, pair, 1.0, ms.from_samples(s, n))
+    weights = blocks.build_block(params).weights
+    assert weights.tobytes() == reference.weights.tobytes()

@@ -135,3 +135,27 @@ def test_eps_prime_for():
     # eps just below 1/3 needs an eps_prime a hair above 1/2
     with pytest.raises(ValueError, match="bound 1/2"):
         tower.eps_prime_for(0.3333333333)
+
+
+def depth4_stages(max_freq=21):
+    # the depth-4 tower of the construct benchmark: dilations just clear the growth inequality
+    dilations = [max_freq]
+    while len(dilations) < 4:
+        dilations.append(2 * (max_freq + 1) * dilations[-1] + 1)
+    return [tower.TowerStage((1, 2), 2, EPS, max_freq, d) for d in dilations]
+
+
+def test_extend_order_is_presorted_and_bit_identical():
+    # the uniform measure on the cube roots of unity kills 1 and 2 and has atom 1/3 > eps'
+    stages, beta = depth4_stages(), ms.uniform(3)
+    products = tower.build_tower(stages, [beta] * 4)
+    c_prev = tp.constant(1.0)
+    for stage, c in zip(stages, products):
+        dilated = tp.dilate(tower.tower_block(stage, beta), 2 * stage.dilation)
+        raw = np.add.outer(dilated.freqs, c_prev.freqs).ravel()
+        assert (raw[1:] > raw[:-1]).all()  # the reducer takes its no-sort path
+        old_order = tp.multiply(c_prev, dilated)
+        assert np.array_equal(c.freqs, old_order.freqs)
+        assert np.array_equal(c.values, old_order.values)
+        c_prev = c
+    assert products[-1].freqs.size == 41**4
