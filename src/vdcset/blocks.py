@@ -98,8 +98,10 @@ def block_polynomials(params: BlockParams):
     p has coefficients 1 - cos(2*pi*(ell*Q^k - |m|)/N) on |m| <= ell*Q^k
     (a convex profile, hence p >= 0); r carries spikes +1 at |m| = ell*Q^k
     and -1/2 at |m| = N/2 -+ ell*Q^k; s = 16*ell*(p conv F_{Q^k}) + r*p is
-    non-negative, certified here on a uniform power-of-two grid of more
-    than 2*degree(s) points.
+    non-negative, certified here on a uniform grid: the smallest power of two
+    >= max(4096, 2*degree(s) + 1). A size with a large prime factor (393215 =
+    5*78643 at order 262144) sends the FFT to Bluestein's algorithm, about 4x
+    slower than 524288; a denser grid only strengthens the check.
     """
     params.validate()
     n_total = params.order
@@ -114,7 +116,7 @@ def block_polynomials(params: BlockParams):
 
     smoothed = scale(poly_convolve(p, fejer(params.q**params.k)), 16.0 * params.ell)
     s = add(smoothed, multiply(r, p))
-    low = grid_min(s, trigpoly._pow2_at_least(max(4096, 2 * s.degree + 1)))
+    low = grid_min(s, 1 << max(12, (2 * s.degree).bit_length()))
     if low < -trigpoly.EVAL_TOL:
         raise BlockBulletError(f"block polynomial grid minimum {low} < -{trigpoly.EVAL_TOL}")
     return p, r, s

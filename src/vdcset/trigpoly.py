@@ -13,9 +13,6 @@ arithmetic are verified elsewhere with absolute tolerances 1e-12
 (coefficient arithmetic) and 1e-9 (evaluation); positivity of a polynomial
 is certified on a uniform grid, which is a heuristic, not a proof.  Grid
 values come from one inverse FFT of the coefficients folded mod the grid.
-Positivity grids are rounded up to a power of two: an FFT whose size has a
-large prime factor runs Bluestein's algorithm (393215 = 5*78643 points take
-about 4-6x as long as 524288), and a denser grid only strengthens the check.
 """
 
 import json
@@ -166,14 +163,9 @@ def grid_min(f: TrigPoly, grid: int) -> float:
     return float(sample_values(f, grid).real.min())
 
 
-def _pow2_at_least(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
 def positivity_grid(degree: int) -> int:
-    """Grid size used to certify non-negativity of a degree-d polynomial:
-    max(1024, 8*d) rounded up to a power of two, the FFT-friendly size."""
-    return _pow2_at_least(max(1024, 8 * degree))
+    """Grid size used to certify non-negativity of a degree-d polynomial."""
+    return max(1024, 8 * degree)
 
 
 def add(f: TrigPoly, g: TrigPoly) -> TrigPoly:

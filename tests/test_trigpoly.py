@@ -135,13 +135,6 @@ def test_convex_poly_random_profiles_positive():
         assert tp.grid_min(poly, 1024) >= -1e-9
 
 
-def test_positivity_grid_is_the_next_power_of_two():
-    for d in [0, 1, 2, 127, 128, 129, 1000, 4096, 49151, 49152, 196607, 10**6 + 3]:
-        grid, floor = tp.positivity_grid(d), max(1024, 8 * d)
-        assert grid & (grid - 1) == 0
-        assert floor <= grid < 2 * floor
-
-
 def test_domination_kernel_coefficients():
     assert tp.domination_kernel(1, 1).coeff(0) == pytest.approx(1.0, abs=1e-12)
     assert tp.domination_kernel(2, 3).coeff(-6) == pytest.approx(1.0, abs=1e-12)
