@@ -58,10 +58,10 @@ print("\n=== End-to-end: construction meets certification ===")
 mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 1))
 zeros = sorted(blocks.zero_set(mu, 63, 1e-9))
 print(f"zero set of the relaxed witness at order 64: {zeros}")
-lp = certify.max_atom_lp(zeros, 64, warm_start=mu)
+lp = certify.certify_not_vdc(zeros, 0.05, 64)
 print(f"constructive atom {float(mu.weights[0]):.9f} <= LP optimum {lp.atom:.9f}")
 cert = certify.certify_recurrence(zeros, 0.5, 64)
 print(f"avoiding-set size of the zero set at horizon 64: alpha = {cert.alpha}")
-lifted = certify.lift_witness(certify.certify_not_vdc(zeros, 0.05, 64), 3)
+lifted = certify.lift_witness(lp, 3)
 print(f"witness lifts to 3*R at order {lifted.order}: atom {lifted.atom:.9f}, "
       f"residual {lifted.residual:.1e}")

@@ -44,9 +44,8 @@ print("\n=== Agreement pairs in dense subsets of Z_Q^P ===")
 rng = np.random.default_rng(7)
 space = 4**4
 members = rng.choice(space, size=space // 2 + 30, replace=False)
-vectors = [cb.DigitVector(4, cb.int_to_digits(int(v), 4, 4)) for v in members]
-pair = cb.find_agreement_pair(vectors, ell=2)
-print(f"|B| = {len(vectors)} > Q^P/ell = {space // 2} with P > Q log ell: pair found")
+pair = cb.find_agreement_pair(members, ell=2, q=4, p=4)
+print(f"|B| = {len(members)} > Q^P/ell = {space // 2} with P > Q log ell: pair found")
 print(f"  x  = {pair.x.coords}")
 print(f"  x' = {pair.x_prime.coords}")
 print(f"  agreeing below s={pair.s}, x_s=0 vs x'_s=Q/2, distance <= 2 above")

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import measures, trigpoly
 from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
+from .reports import Check, require
 from .trigpoly import TrigPoly, add, convolve as poly_convolve, fejer, grid_min, multiply, scale
 
 MASS_CONSTANT = 320.0
@@ -51,7 +52,6 @@ class BlockParams:
     ell: int
     q: int
     k: int
-    c: float = MASS_CONSTANT
 
     def ledger(self) -> list:
         e = self.ell * self.q**self.k
@@ -89,7 +89,7 @@ class BlockParams:
 
     @property
     def mass_bound(self) -> float:
-        return 1.0 + self.c * self.ell**3 / self.q**2
+        return 1.0 + MASS_CONSTANT * self.ell**3 / self.q**2
 
 
 def block_polynomials(params: BlockParams):
@@ -137,6 +137,19 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     }
 
 
+def block_checks(res: dict, tol: float) -> list:
+    """The acceptance table of a block, one Check per block_residuals entry."""
+    return [
+        Check("mass_excess", res["mass_excess"] <= tol, res["mass_excess"], tol),
+        Check("plus_band_residual", res["plus_band_residual"] < tol,
+              res["plus_band_residual"], tol),
+        Check("minus_band_residual", res["minus_band_residual"] < tol,
+              res["minus_band_residual"], tol),
+        Check("min_weight", res["min_weight"] >= -measures.WEIGHT_TOL, res["min_weight"],
+              measures.WEIGHT_TOL),
+    ]
+
+
 def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
     sampled polynomial s, with the four transform guarantees verified."""
@@ -150,21 +163,10 @@ def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
     weights = from_samples(s, n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)
-    res = block_residuals(sigma, params)
-    _require(f"block (ell={params.ell}, Q={params.q}, k={params.k})", res, [
-        ("mass_excess", res["mass_excess"] > tol),
-        ("plus_band_residual", res["plus_band_residual"] > tol),
-        ("minus_band_residual", res["minus_band_residual"] > tol),
-        ("min_weight", res["min_weight"] < -measures.WEIGHT_TOL),
-    ], hint=" (a 'sufficiently large Q' condition is marginal)")
+    require(block_checks(block_residuals(sigma, params), tol), BlockBulletError,
+            f"block (ell={params.ell}, Q={params.q}, k={params.k}; a "
+            f"'sufficiently large Q' condition is marginal)")
     return sigma
-
-
-def _require(what: str, res: dict, misses, hint: str = "") -> None:
-    """Raise BlockBulletError naming every (guarantee, missed) pair that missed."""
-    failed = [name for name, missed in misses if missed]
-    if failed:
-        raise BlockBulletError(f"{what} failed {failed}: residuals {res}{hint}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
     Returns (mu, sigma): sigma is the convolution of the blocks for
     k = 0..P-1 (order Q^P) and mu = (sigma + dirac_0) / (sigma_mass + 1).
     Verified before returning: sigma_hat(y) = prod_k block_k_hat(y mod Q^(k+1))
-    at every frequency, and every guarantee in witness_residuals: mu_hat
+    at every frequency, and every row of witness_checks: mu_hat
     vanishes on the digit patterns, mu has unit mass, and its atom at 0 is
     at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
@@ -255,18 +257,13 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
     for f in factors[1:]:  # the running product repeats Q times within f's period
         predicted = (predicted * f.spectrum.reshape(-1, predicted.size)).ravel()
     product = float(np.abs(sigma.spectrum - predicted).max())
-    _require("witness spectrum", {"product_identity": product},
-             [("block product identity", product > tol)])
+    require([Check("block product identity", product <= tol, product, tol)], BlockBulletError,
+            "witness spectrum")
     total = sigma.mass()
     norm = 1.0 / (total + 1.0)
     mu = scale_add(norm, sigma, norm, dirac(params.order, 0))
-    res = witness_residuals(mu, params)
-    _require(f"witness (j={params.j}, Q={params.q}, P={params.p})", res, [
-        ("pattern_count", res["pattern_count"] != res["expected_pattern_count"]),
-        ("pattern_zeros_residual", res["pattern_zeros_residual"] >= tol),
-        ("mass", abs(res["mass"] - 1.0) >= tol),
-        ("atom", res["atom"] < res["atom_lower_bound"] - tol),
-    ])
+    require(witness_checks(witness_residuals(mu, params), tol), BlockBulletError,
+            f"witness (j={params.j}, Q={params.q}, P={params.p})")
     return mu, sigma
 
 
@@ -284,6 +281,20 @@ def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
         "atom": float(mu.weights[0]),
         "atom_lower_bound": params.atom_lower_bound(),
     }
+
+
+def witness_checks(res: dict, tol: float) -> list:
+    """The acceptance table of a witness, from its witness_residuals."""
+    bound = res["atom_lower_bound"]
+    return [
+        Check("digit_pattern_count", res["pattern_count"] == res["expected_pattern_count"],
+              res["pattern_count"]),
+        Check("pattern_zeros_residual", res["pattern_zeros_residual"] < tol,
+              res["pattern_zeros_residual"], tol),
+        Check("mass", abs(res["mass"] - 1.0) < tol, res["mass"], tol),
+        Check("atom_lower_bound", res["atom"] >= bound - tol, res["atom"], tol,
+              f"guaranteed {bound:.6g}"),
+    ]
 
 
 def digit_pattern_members(j: int, q: int, p: int) -> list:

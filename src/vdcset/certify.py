@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import AtomicMeasure
+from .reports import Check, require
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
 
 MAX_EXACT_HORIZON = 80
@@ -204,7 +205,7 @@ def _transform_rows(r_set, order: int):
     return np.array(rows), np.array(rhs)
 
 
-def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -> VdcFailureWitness:
+def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """Probability measure on the order-N roots of unity maximising the
     weight at 0 subject to a vanishing transform on r_set.
 
@@ -212,9 +213,7 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     of order d | N, with no r a multiple of d (its transform is 1 there, 0
     elsewhere), so the crossover has few atoms to drop.  d = N qualifies
     unless some r is a multiple of N, where the transform equals the mass
-    1: that raises LpInfeasibleError without a solve.  A warm_start
-    measure, when given, is only used as a soundness tripwire: the LP
-    optimum may never fall below its feasible atom.
+    1: that raises LpInfeasibleError without a solve.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -231,23 +230,14 @@ def max_atom_lp(r_set, order: int, *, warm_start: AtomicMeasure | None = None) -
     d = next(d for d in range(1, order + 1) if order % d == 0 and all(r % d for r in r_set))
     start = np.zeros(order)
     start[::order // d] = 1.0 / d
-    result = solve_lp(costs, matrix, rhs, start=start)
+    result = solve_lp(costs, matrix, rhs, start)
     measure = AtomicMeasure(order, result.x)
-    atom = float(measure.weights[0])
-    if warm_start is not None:
-        if warm_start.order != order:
-            raise ValueError("warm start must live on the same order")
-        if atom < float(warm_start.weights[0]) - RESIDUAL_TOL:
-            raise WitnessVerificationError(
-                f"LP atom {atom} fell below the feasible warm-start atom "
-                f"{float(warm_start.weights[0])}; diagnostics {result.diagnostics}"
-            )
     return VdcFailureWitness(
         r_set=r_set,
         epsilon=None,
         order=order,
         measure=measure,
-        atom=atom,
+        atom=float(measure.weights[0]),
         not_vdc=False,
         dual=result.dual,
     )
@@ -280,15 +270,27 @@ def reverify_witness(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> d
     }
 
 
+def certificate_checks(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> list:
+    """The acceptance table of an LP witness, from reverify_witness: a
+    non-negative unit-mass measure with a vanishing transform, and a
+    feasible dual whose bound meets the atom.  Weak duality then bounds
+    the atom of every feasible measure by atom + 2*tol."""
+    res = reverify_witness(witness, tol)
+    return [
+        Check("witness_min_weight", res["min_weight"] >= -1e-12, res["min_weight"], 1e-12),
+        Check("witness_mass", res["mass_error"] <= 1e-12, res["mass_error"], 1e-12),
+        Check("witness_residual", res["residual"] < tol, res["residual"], tol),
+        Check("dual_bound", res["dual_bound"] >= witness.atom - tol, res["dual_bound"], tol),
+        Check("dual_min_slack", res["dual_min_slack"] >= -tol, res["dual_min_slack"], tol),
+        Check("duality_gap", abs(res["duality_gap"]) <= tol, res["duality_gap"], tol),
+    ]
+
+
 def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     """LP witness with independent re-verification; the certificate claims
     not-epsilon-vdC exactly when the verified atom clears epsilon."""
     base = max_atom_lp(r_set, order)
-    checks = reverify_witness(base)
-    if (checks["min_weight"] < -1e-12 or checks["mass_error"] > 1e-12
-            or checks["residual"] >= RESIDUAL_TOL or checks["dual_min_slack"] < -RESIDUAL_TOL
-            or abs(checks["duality_gap"]) > RESIDUAL_TOL):
-        raise WitnessVerificationError(f"LP witness failed re-verification: {checks}")
+    require(certificate_checks(base), WitnessVerificationError, "LP witness re-verification")
     return replace(
         base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL
     )

@@ -95,12 +95,7 @@ def cmd_build_block(args, report: RunReport) -> None:
     report.flags["sample_poly_degree"] = params.sample_degree
     report.flags["degree_below_order"] = params.sample_degree < params.order
     sigma = blocks.build_block(params, tol=args.tol)
-    _add_residuals(report, blocks.block_residuals(sigma, params), [
-        ("mass_excess", "mass_excess", args.tol, operator.le),
-        ("plus_band_residual", "plus_band_residual", args.tol, operator.lt),
-        ("minus_band_residual", "minus_band_residual", args.tol, operator.lt),
-        ("min_weight", "min_weight", 1e-12, _floor),
-    ])
+    report.checks += blocks.block_checks(blocks.block_residuals(sigma, params), args.tol)
     report.flags["order"] = sigma.order
     report.flags["mass"] = sigma.mass()
     if args.emit_measure:
@@ -135,15 +130,7 @@ def cmd_build_witness(args, report: RunReport) -> None:
         report.add("atom_budget", False, detail=str(exc))
         return
     res = blocks.witness_residuals(mu, params)
-    bound = res["atom_lower_bound"]
-    _add_residuals(report, res, [
-        ("digit_pattern_count", "pattern_count", None,
-         lambda count, _: count == res["expected_pattern_count"]),
-        ("pattern_zeros_residual", "pattern_zeros_residual", args.tol, operator.lt),
-        ("mass", "mass", args.tol, lambda mass, tol: abs(mass - 1.0) < tol),
-        ("atom_lower_bound", "atom", args.tol, lambda atom, tol: atom >= bound - tol,
-         f"guaranteed {bound:.6g}"),
-    ])
+    report.checks += blocks.witness_checks(res, args.tol)
     report.flags["atom"] = res["atom"]
     report.flags["atom_exceeds_eps"] = res["atom"] > args.eps
     report.flags["eps_claim_applies"] = not params.relaxed
@@ -166,14 +153,7 @@ def cmd_certify_recurrence(args, report: RunReport) -> None:
 def cmd_certify_vdc(args, report: RunReport) -> None:
     r_set = read_set_file(args.set_file)
     witness = certify.certify_not_vdc(r_set, args.eps, args.order)
-    _add_residuals(report, certify.reverify_witness(witness), [
-        ("witness_min_weight", "min_weight", 1e-12, _floor),
-        ("witness_mass", "mass_error", 1e-12, operator.le),
-        ("witness_residual", "residual", args.tol, operator.lt),
-        ("dual_bound", "dual_bound", args.tol, lambda bound, tol: bound >= witness.atom - tol),
-        ("dual_min_slack", "dual_min_slack", args.tol, _floor),
-        ("duality_gap", "duality_gap", args.tol, operator.le),
-    ])
+    report.checks += certify.certificate_checks(witness, args.tol)
     report.flags["atom"] = witness.atom
     report.flags["not_vdc"] = witness.not_vdc
     report.flags["certificate"] = json.loads(witness.to_json())

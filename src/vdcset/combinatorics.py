@@ -190,29 +190,15 @@ def _index_grid(elements, q: int, p: int) -> np.ndarray:
     return flat.reshape((q,) * p, order="F")
 
 
-def vectors_to_grid(vectors, q: int | None = None, p: int | None = None) -> tuple:
-    """(grid, Q, P) of DigitVectors, or of flat indices sum_i coord_i * Q^i
-    (the digit order of int_to_digits) when q and p are given."""
-    if q is None:
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("need at least one vector")
-        q, p = vectors[0].q, len(vectors[0].coords)
-        if any(v.q != q or len(v.coords) != p for v in vectors):
-            raise ValueError("mixed dimensions: all vectors must share (Q, P)")
-        vectors = [digits_to_int(v.coords, q) for v in vectors]
-    return _index_grid(vectors, q, p), q, p
-
-
-def find_agreement_pair(vectors, ell: int, *, q: int | None = None, p: int | None = None):
+def find_agreement_pair(elements, ell: int, *, q: int, p: int):
     """First (smallest s, lexicographically smallest) agreement pair in B,
-    given as DigitVectors or, with q and p, as flat indices (see vectors_to_grid).
+    given as flat indices sum_i coord_i * Q^i (the digit order of int_to_digits).
 
     Returns an AgreementPair or None.  When the density hypothesis
     |B| > Q^P/ell together with P > Q*log(ell) holds, a pair must exist;
     exhausting the search in that regime indicates a bug and raises.
     """
-    grid, q, p = vectors_to_grid(vectors, q, p)
+    grid = _index_grid(elements, q, p)
     if q % 2:
         raise ValueError("modulus Q must be even")
     for x, x_prime, s in _agreement_candidates(grid, q):

@@ -23,6 +23,13 @@ class Check:
         }
 
 
+def require(checks: list, error: type, what: str) -> None:
+    """Raise ``error`` naming every failed check with its value and tolerance."""
+    failed = [f"{c.name} = {c.value} (tol {c.tolerance})" for c in checks if not c.passed]
+    if failed:
+        raise error(f"{what} failed: " + "; ".join(failed))
+
+
 @dataclass
 class RunReport:
     command: str

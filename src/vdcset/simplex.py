@@ -5,12 +5,10 @@ Solves  max c.x  subject to  A x = b,  x >= 0.  The row space of A is
 orthonormalised first (SVD), which removes redundant rows exactly and
 detects inconsistent systems; the feasible set is unchanged.
 
-The solve starts from a feasible point: the caller's ``start`` when it
-has one, otherwise the real part of a phase-1 vertex (artificial
-variables, minimised by the simplex iterations below).  A crossover then
-walks that point to a basic feasible solution without lowering c.x: m+1
-support columns always carry a null vector, and stepping along it (signed
-so that c.x does not fall) until one weight reaches 0 drops that column.
+The solve starts from the caller's feasible point.  A crossover walks it
+to a basic feasible solution without lowering c.x: m+1 support columns
+always carry a null vector, and stepping along it (signed so that c.x
+does not fall) until one weight reaches 0 drops that column.
 Once the support is at most m independent columns (at once, for a start
 with that few atoms) it is extended to a full basis, and phase 2
 optimises from there.  Bland's smallest-index rule picks the entering
@@ -36,7 +34,7 @@ MAX_ITERATIONS = 20000
 
 
 class LpInfeasibleError(RuntimeError):
-    """No feasible point (inconsistent rows, or phase 1 stayed positive)."""
+    """No feasible point: the constraint rows are inconsistent."""
 
 
 class LpUnboundedError(RuntimeError):
@@ -51,7 +49,6 @@ class LpDegenerateError(RuntimeError):
 class LpResult:
     x: np.ndarray
     objective: float
-    basis: list
     iterations: int
     dual: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -179,30 +176,11 @@ def _extend_basis(matrix, columns):
     return basis
 
 
-def _phase_one(matrix, rhs, tol):
-    """Real part of a phase-1 vertex (artificial identity block), and its
-    pivot count; raises LpInfeasibleError when the artificials stay positive."""
-    m, n = matrix.shape
-    flip = np.where(rhs < 0, -1.0, 1.0)
-    wide = np.hstack([matrix * flip[:, None], np.eye(m)])
-    basis = list(range(n, n + m))
-    phase1_costs = np.concatenate([np.zeros(n), -np.ones(m)])
-    iters, basic_values = _run_simplex(wide, rhs * flip, phase1_costs, basis, tol)
-    x = np.zeros(n + m)
-    x[basis] = np.maximum(basic_values, 0.0)
-    infeasibility = x[n:].sum()
-    if infeasibility > tol:
-        raise LpInfeasibleError(
-            f"phase 1 left total artificial mass {infeasibility} > {tol}"
-        )
-    return x[:n], iters
-
-
-def solve_lp(costs, matrix, rhs, *, start=None, tol: float = PIVOT_TOL) -> LpResult:
+def solve_lp(costs, matrix, rhs, start, *, tol: float = PIVOT_TOL) -> LpResult:
     """Maximise costs.x subject to matrix @ x = rhs, x >= 0.
 
-    ``start``, when given, must be a feasible point (non-negative and
-    solving the system to within tol); the solve then skips phase 1.
+    ``start`` must be a feasible point: non-negative and solving the
+    system to within tol.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -214,16 +192,12 @@ def solve_lp(costs, matrix, rhs, *, start=None, tol: float = PIVOT_TOL) -> LpRes
     if m == 0:
         raise LpDegenerateError("empty constraint system after preprocessing")
 
-    if start is None:
-        start, phase1 = _phase_one(matrix, rhs, tol)
-    else:
-        start = np.array(start, dtype=float)
-        if start.shape != (n,) or start.min() < -tol:
-            raise ValueError("start must be a non-negative point with one entry per column")
-        gap = float(np.linalg.norm(matrix @ start - rhs))
-        if gap > tol:
-            raise ValueError(f"start is not feasible: equality residual {gap} > {tol}")
-        phase1 = 0
+    start = np.array(start, dtype=float)
+    if start.shape != (n,) or start.min() < -tol:
+        raise ValueError("start must be a non-negative point with one entry per column")
+    gap = float(np.linalg.norm(matrix @ start - rhs))
+    if gap > tol:
+        raise ValueError(f"start is not feasible: equality residual {gap} > {tol}")
     basis, steps = _crossover(matrix, costs, start, tol)
     phase2, basic_values = _run_simplex(matrix, rhs, costs, basis, tol)
 
@@ -233,7 +207,6 @@ def solve_lp(costs, matrix, rhs, *, start=None, tol: float = PIVOT_TOL) -> LpRes
     dual = transform.T @ np.linalg.solve(basis_matrix.T, costs[basis])
     diag = {
         "rows": m,
-        "phase1_pivots": phase1,
         "crossover_steps": steps,
         "phase2_pivots": phase2,
         "basis_condition": float(np.linalg.cond(basis_matrix)),
@@ -241,8 +214,7 @@ def solve_lp(costs, matrix, rhs, *, start=None, tol: float = PIVOT_TOL) -> LpRes
     return LpResult(
         x=x,
         objective=float(costs @ x),
-        basis=list(basis),
-        iterations=phase1 + phase2,
+        iterations=phase2,
         dual=dual,
         diagnostics=diag,
     )

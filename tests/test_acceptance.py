@@ -335,7 +335,7 @@ def test_criterion_11_end_to_end_coherence():
     zeros = blocks.zero_set(mu, 63, 1e-9)
     # frozen regression baselines from the first run
     baseline_zeros = set(range(24, 41))
-    vdc = certify.max_atom_lp(sorted(zeros), 64, warm_start=mu)
+    vdc = certify.max_atom_lp(sorted(zeros), 64)
     cert = certify.certify_recurrence(sorted(zeros), 0.5, 64)
     constructive_atom = float(mu.weights[0])
     baseline_alpha = 24

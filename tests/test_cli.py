@@ -421,3 +421,30 @@ def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv
     assert len(printed) == len(names)
     for line, name in zip(printed, names):
         assert line[5:].startswith(name)
+
+
+@pytest.mark.parametrize(
+    "argv, tolerances",
+    [
+        pytest.param(["build-block", "--ell", "2", "--q", "64", "--k", "0"], {
+            **dict.fromkeys(LEDGER_NAMES),
+            "mass_excess": 1e-9, "plus_band_residual": 1e-9, "minus_band_residual": 1e-9,
+            "min_weight": 1e-12,
+        }, id="build-block"),
+        pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"], {
+            "parameter_ledger": None, "digit_pattern_count": None,
+            "pattern_zeros_residual": 1e-9, "mass": 1e-9, "atom_lower_bound": 1e-9,
+        }, id="build-witness"),
+        pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"], {
+            "witness_min_weight": 1e-12, "witness_mass": 1e-12, "witness_residual": 1e-9,
+            "dual_bound": 1e-9, "dual_min_slack": 1e-9, "duality_gap": 1e-9,
+        }, id="certify-vdc"),
+    ],
+)
+def test_readme_commands_pin_check_tolerances(tmp_path, monkeypatch, argv, tolerances):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "R.txt").write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
+    assert run(argv + ["--json-out", "r.json"]) == 0
+    checks = load_report(tmp_path / "r.json")["checks"]
+    assert {c["name"]: c["tolerance"] for c in checks} == tolerances
+    assert [c["name"] for c in checks] == list(tolerances)

