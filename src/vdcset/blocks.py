@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures, trigpoly
 from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
 from .reports import Check, require
-from .trigpoly import TrigPoly, add, convolve as poly_convolve, fejer, grid_min, multiply, scale
+from .trigpoly import (EVAL_TOL, TrigPoly, add, convolve as poly_convolve, fejer, grid_min, modulus,
+                       multiply, scale)
 
 MASS_CONSTANT = 320.0
 DEFAULT_ATOM_BUDGET = 1 << 26
@@ -117,8 +117,8 @@ def block_polynomials(params: BlockParams):
     smoothed = scale(poly_convolve(p, fejer(params.q**params.k)), 16.0 * params.ell)
     s = add(smoothed, multiply(r, p))
     low = grid_min(s, 1 << max(12, (2 * s.degree).bit_length()))
-    if low < -trigpoly.EVAL_TOL:
-        raise BlockBulletError(f"block polynomial grid minimum {low} < -{trigpoly.EVAL_TOL}")
+    if low < -EVAL_TOL:
+        raise BlockBulletError(f"block polynomial grid minimum {low} < -{EVAL_TOL}")
     return p, r, s
 
 
@@ -137,20 +137,19 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     }
 
 
-def block_checks(res: dict, tol: float) -> list:
-    """The acceptance table of a block, one Check per block_residuals entry."""
+def block_checks(res: dict) -> list:
+    """The acceptance table of a block, from block_residuals (min_weight has
+    no row: AtomicMeasure already rejects or clips negative weights)."""
     return [
-        Check("mass_excess", res["mass_excess"] <= tol, res["mass_excess"], tol),
-        Check("plus_band_residual", res["plus_band_residual"] < tol,
-              res["plus_band_residual"], tol),
-        Check("minus_band_residual", res["minus_band_residual"] < tol,
-              res["minus_band_residual"], tol),
-        Check("min_weight", res["min_weight"] >= -measures.WEIGHT_TOL, res["min_weight"],
-              measures.WEIGHT_TOL),
+        Check("mass_excess", res["mass_excess"] <= EVAL_TOL, res["mass_excess"], EVAL_TOL),
+        Check("plus_band_residual", res["plus_band_residual"] < EVAL_TOL,
+              res["plus_band_residual"], EVAL_TOL),
+        Check("minus_band_residual", res["minus_band_residual"] < EVAL_TOL,
+              res["minus_band_residual"], EVAL_TOL),
     ]
 
 
-def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
+def build_block(params: BlockParams) -> AtomicMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
     sampled polynomial s, with the four transform guarantees verified."""
     params.validate()
@@ -163,7 +162,7 @@ def build_block(params: BlockParams, *, tol: float = 1e-9) -> AtomicMeasure:
     weights = from_samples(s, n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)
-    require(block_checks(block_residuals(sigma, params), tol), BlockBulletError,
+    require(block_checks(block_residuals(sigma, params)), BlockBulletError,
             f"block (ell={params.ell}, Q={params.q}, k={params.k}; a "
             f"'sufficiently large Q' condition is marginal)")
     return sigma
@@ -233,7 +232,7 @@ def max_feasible_depth(q: int, budget: int | None = None) -> int:
     return p
 
 
-def build_witness(params: WitnessParams, *, tol: float = 1e-9):
+def build_witness(params: WitnessParams):
     """Convolve the depth-P tower of blocks and normalise with a point mass.
 
     Returns (mu, sigma): sigma is the convolution of the blocks for
@@ -251,18 +250,18 @@ def build_witness(params: WitnessParams, *, tol: float = 1e-9):
             f"{max_feasible_depth(params.q)}",
             max_feasible_p=max_feasible_depth(params.q),
         )
-    factors = [build_block(BlockParams(params.ell, params.q, k), tol=tol) for k in range(params.p)]
+    factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
     predicted = factors[0].spectrum
     for f in factors[1:]:  # the running product repeats Q times within f's period
         predicted = (predicted * f.spectrum.reshape(-1, predicted.size)).ravel()
     product = float(np.abs(sigma.spectrum - predicted).max())
-    require([Check("block product identity", product <= tol, product, tol)], BlockBulletError,
-            "witness spectrum")
+    require([Check("block product identity", product <= EVAL_TOL, product, EVAL_TOL)],
+            BlockBulletError, "witness spectrum")
     total = sigma.mass()
     norm = 1.0 / (total + 1.0)
     mu = scale_add(norm, sigma, norm, dirac(params.order, 0))
-    require(witness_checks(witness_residuals(mu, params), tol), BlockBulletError,
+    require(witness_checks(witness_residuals(mu, params)), BlockBulletError,
             f"witness (j={params.j}, Q={params.q}, P={params.p})")
     return mu, sigma
 
@@ -276,23 +275,23 @@ def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
     return {
         "pattern_count": len(members),
         "expected_pattern_count": params.p * params.ell * (params.ell - 1) ** (params.p - 1),
-        "pattern_zeros_residual": float(trigpoly.modulus(zeros).max()),
+        "pattern_zeros_residual": float(modulus(zeros).max()),
         "mass": mu.mass(),
         "atom": float(mu.weights[0]),
         "atom_lower_bound": params.atom_lower_bound(),
     }
 
 
-def witness_checks(res: dict, tol: float) -> list:
+def witness_checks(res: dict) -> list:
     """The acceptance table of a witness, from its witness_residuals."""
     bound = res["atom_lower_bound"]
     return [
         Check("digit_pattern_count", res["pattern_count"] == res["expected_pattern_count"],
               res["pattern_count"]),
-        Check("pattern_zeros_residual", res["pattern_zeros_residual"] < tol,
-              res["pattern_zeros_residual"], tol),
-        Check("mass", abs(res["mass"] - 1.0) < tol, res["mass"], tol),
-        Check("atom_lower_bound", res["atom"] >= bound - tol, res["atom"], tol,
+        Check("pattern_zeros_residual", res["pattern_zeros_residual"] < EVAL_TOL,
+              res["pattern_zeros_residual"], EVAL_TOL),
+        Check("mass", abs(res["mass"] - 1.0) < EVAL_TOL, res["mass"], EVAL_TOL),
+        Check("atom_lower_bound", res["atom"] >= bound - EVAL_TOL, res["atom"], EVAL_TOL,
               f"guaranteed {bound:.6g}"),
     ]
 

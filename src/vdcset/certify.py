@@ -25,9 +25,10 @@ import numpy as np
 from .measures import AtomicMeasure
 from .reports import Check, require
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
+from .trigpoly import COEFF_TOL, EVAL_TOL
 
 MAX_EXACT_HORIZON = 80
-RESIDUAL_TOL = 1e-9
+RESIDUAL_TOL = EVAL_TOL  # transform residuals and dual slacks are evaluations
 
 
 class WitnessVerificationError(RuntimeError):
@@ -243,7 +244,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     )
 
 
-def reverify_witness(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> dict:
+def reverify_witness(witness: VdcFailureWitness) -> dict:
     """Trust anchor outside the solver: non-negativity, unit mass, and the
     vanishing-transform residual recomputed straight from the weights; the
     dual polynomial f evaluated at the N roots by one FFT, its least slack
@@ -266,19 +267,17 @@ def reverify_witness(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> d
         "dual_bound": float(y[0]),
         "dual_min_slack": float(slack.min()),
         "duality_gap": float(y[0]) - witness.atom,
-        "tolerance": tol,
     }
 
 
-def certificate_checks(witness: VdcFailureWitness, tol: float = RESIDUAL_TOL) -> list:
+def certificate_checks(witness: VdcFailureWitness) -> list:
     """The acceptance table of an LP witness, from reverify_witness: a
-    non-negative unit-mass measure with a vanishing transform, and a
-    feasible dual whose bound meets the atom.  Weak duality then bounds
-    the atom of every feasible measure by atom + 2*tol."""
-    res = reverify_witness(witness, tol)
+    unit-mass measure (non-negative by construction) with a vanishing
+    transform, and a feasible dual whose bound meets the atom.  Weak
+    duality then bounds the atom of every feasible measure by atom + 2*tol."""
+    res, tol = reverify_witness(witness), RESIDUAL_TOL
     return [
-        Check("witness_min_weight", res["min_weight"] >= -1e-12, res["min_weight"], 1e-12),
-        Check("witness_mass", res["mass_error"] <= 1e-12, res["mass_error"], 1e-12),
+        Check("witness_mass", res["mass_error"] <= COEFF_TOL, res["mass_error"], COEFF_TOL),
         Check("witness_residual", res["residual"] < tol, res["residual"], tol),
         Check("dual_bound", res["dual_bound"] >= witness.atom - tol, res["dual_bound"], tol),
         Check("dual_min_slack", res["dual_min_slack"] >= -tol, res["dual_min_slack"], tol),

@@ -8,7 +8,6 @@ an unreadable set file.
 
 import argparse
 import json
-import operator
 import sys
 import time
 
@@ -36,39 +35,11 @@ def read_set_file(path: str) -> list:
 
 
 def cmd_verify_kernels(args, report: RunReport) -> None:
-    grid, nmax, tol = args.grid, args.nmax, args.tol
-    sufficient = grid > KERNEL_GRID_FACTOR * nmax * nmax
-    report.add(
-        "grid_sufficient",
-        sufficient,
-        value=grid,
-        detail=f"need grid > {KERNEL_GRID_FACTOR}*nmax^2 = {KERNEL_GRID_FACTOR * nmax * nmax}",
-    )
-    if not sufficient:
-        return
-    res = trigpoly.kernel_residuals(grid, nmax, np.random.default_rng(args.seed))
-    _add_residuals(report, res, [
-        ("fejer_product_identity", "fejer_product_identity", tol, operator.lt),
-        ("fejer_lower_bound", "fejer_lower_bound", 1e-12, _floor),
-        ("fejer_upper_bound", "fejer_upper_bound", 1e-12, operator.le),
-        ("multiply_pointwise", "multiply_pointwise", tol, operator.lt),
-        ("domination_kernel_coeffs", "domination_kernel_coeffs", 1e-12, operator.lt),
-        ("domination_fixpoint", "domination_fixpoint", 1e-12, operator.lt),
-        ("domination_lower_bound", "domination_lower_bound", tol, _floor),
-        ("convex_profile_positivity", "convex_profile_positivity", tol, _floor),
-        ("sampling_identity", "sampling_identity", tol, operator.lt),
-    ])
-
-
-def _floor(value, tol) -> bool:
-    """Non-negativity up to roundoff: value >= -tol."""
-    return value >= -tol
-
-
-def _add_residuals(report: RunReport, residuals: dict, rows) -> None:
-    """One check per (check name, residual key, tolerance, comparison[, detail]) row."""
-    for name, key, tol, compare, *detail in rows:
-        report.add(name, compare(residuals[key], tol), residuals[key], tol, *detail)
+    need = KERNEL_GRID_FACTOR * args.nmax * args.nmax
+    detail = f"need grid > {KERNEL_GRID_FACTOR}*nmax^2 = {need}"
+    if report.add("grid_sufficient", args.grid > need, args.grid, detail=detail).passed:
+        res = trigpoly.kernel_residuals(args.grid, args.nmax, np.random.default_rng(args.seed))
+        report.checks += trigpoly.kernel_checks(res)
 
 
 EMIT_ATOM_LIMIT = 1 << 16
@@ -94,8 +65,8 @@ def cmd_build_block(args, report: RunReport) -> None:
         return
     report.flags["sample_poly_degree"] = params.sample_degree
     report.flags["degree_below_order"] = params.sample_degree < params.order
-    sigma = blocks.build_block(params, tol=args.tol)
-    report.checks += blocks.block_checks(blocks.block_residuals(sigma, params), args.tol)
+    sigma = blocks.build_block(params)
+    report.checks += blocks.block_checks(blocks.block_residuals(sigma, params))
     report.flags["order"] = sigma.order
     report.flags["mass"] = sigma.mass()
     if args.emit_measure:
@@ -124,13 +95,13 @@ def cmd_build_witness(args, report: RunReport) -> None:
     report.flags["relaxed"] = params.relaxed
     report.flags["canonical_p"] = params.canonical_p
     try:
-        mu, _ = blocks.build_witness(params, tol=args.tol)
+        mu, _ = blocks.build_witness(params)
     except blocks.AtomBudgetError as exc:
         report.flags["refused"] = str(exc)
         report.add("atom_budget", False, detail=str(exc))
         return
     res = blocks.witness_residuals(mu, params)
-    report.checks += blocks.witness_checks(res, args.tol)
+    report.checks += blocks.witness_checks(res)
     report.flags["atom"] = res["atom"]
     report.flags["atom_exceeds_eps"] = res["atom"] > args.eps
     report.flags["eps_claim_applies"] = not params.relaxed
@@ -153,13 +124,15 @@ def cmd_certify_recurrence(args, report: RunReport) -> None:
 def cmd_certify_vdc(args, report: RunReport) -> None:
     r_set = read_set_file(args.set_file)
     witness = certify.certify_not_vdc(r_set, args.eps, args.order)
-    report.checks += certify.certificate_checks(witness, args.tol)
+    report.checks += certify.certificate_checks(witness)
     report.flags["atom"] = witness.atom
     report.flags["not_vdc"] = witness.not_vdc
     report.flags["certificate"] = json.loads(witness.to_json())
 
 
 def cmd_lemma_prt(args, report: RunReport) -> None:
+    if args.random_size < 2:
+        raise ValueError(f"random systems need --random-size >= 2, got {args.random_size}")
     rng = np.random.default_rng(args.seed)
     failures = 0
     tested = 0
@@ -230,13 +203,10 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
 def cmd_tower(args, report: RunReport) -> None:
     with open(args.stages_file, "r", encoding="utf-8") as handle:
         config = json.load(handle)
-    if "eps_prime" in config:
-        eps_prime = float(config["eps_prime"])
-    else:
-        eps_prime = tower.eps_prime_for(float(config["eps"]))
+    eps_prime = (float(config["eps_prime"]) if "eps_prime" in config
+                 else tower.eps_prime_for(float(config["eps"])))
     report.flags["eps_prime"] = eps_prime
-    stages = []
-    betas = []
+    stages, betas = [], []
     for index, entry in enumerate(config.get("stages", []), 1):
         try:
             stage = tower.TowerStage(
@@ -250,21 +220,16 @@ def cmd_tower(args, report: RunReport) -> None:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
         stages.append(stage)
         if "beta_weights" in entry:
-            beta = measures.AtomicMeasure(
-                len(entry["beta_weights"]), np.array(entry["beta_weights"], dtype=float)
-            )
+            weights = np.array(entry["beta_weights"], dtype=float)
+            beta = measures.AtomicMeasure(len(weights), weights)
         else:
             beta = _beta_for_stage(stage, entry.get("beta_order"), index)
         betas.append(beta)
     if not stages:
         report.flags["empty"] = True
         return
-    products = tower.build_tower(stages, betas, tol=args.tol)
-    named = [("vanishing_tail", "vanishing_tail"), ("frozen_window", "frozen_window"),
-             ("mean", "mean_deviation"), ("marked_frequency", "marked_frequency")]
-    for res in tower.claim_residuals(stages, products):
-        rows = [(f"stage{res['stage']}_{name}", key, args.tol, operator.le) for name, key in named]
-        _add_residuals(report, res, rows)
+    products = tower.build_tower(stages, betas)
+    report.checks += tower.claim_checks(tower.claim_residuals(stages, products))
 
 
 def _beta_for_stage(stage, beta_order, index: int) -> measures.AtomicMeasure:
@@ -301,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-out", type=str, default=None, help="write the report here")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
 
     parser = argparse.ArgumentParser(
         prog="vdcset",

@@ -250,6 +250,8 @@ def digit_difference(elements, j: int, q: int, p: int):
     """
     if q % 2 or q // 2 + 8 * j >= q:
         raise ValueError("digit differences need Q even with Q/2 + 8*j < Q")
+    if p < 1:
+        raise ValueError(f"digit differences need P >= 1, got {p}")
     grid = _index_grid(elements, q, p)
     count_e = int(grid.sum())
     if count_e == 0:

@@ -31,7 +31,7 @@ class AtomicMeasure:
             raise ValueError("order must be >= 1")
         if w.shape != (self.order,):
             raise ValueError(f"expected {self.order} weights, got shape {w.shape}")
-        low = w.min() if w.size else 0.0
+        low = w.min()
         if low < -WEIGHT_TOL:
             raise ValueError(f"negative weight {low} below clamp scale {-WEIGHT_TOL}")
         np.clip(w, 0.0, None, out=w)
@@ -114,7 +114,7 @@ def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     if not poly.real:
         raise ValueError("from_samples needs a real-flagged polynomial")
     vals = sample_values(poly, order)
-    imag_max = float(np.abs(vals.imag).max()) if order else 0.0
+    imag_max = float(np.abs(vals.imag).max())
     if imag_max > 1e-9:
         raise ValueError(f"samples are not real: max imaginary part {imag_max}")
     samples = vals.real

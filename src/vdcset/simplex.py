@@ -59,17 +59,17 @@ def _rank_tol(shape) -> float:
     return max(shape) * np.finfo(float).eps * 10
 
 
-def _orthonormal_rows(matrix, rhs, tol):
+def _orthonormal_rows(matrix, rhs):
     """Equivalent system (transform @ matrix, transform @ rhs) with
     orthonormal rows; raises on inconsistency."""
     u, singular, vt = np.linalg.svd(matrix, full_matrices=False)
     if singular.size == 0 or singular[0] == 0.0:
-        if np.abs(rhs).max(initial=0.0) > tol:
+        if np.abs(rhs).max(initial=0.0) > PIVOT_TOL:
             raise LpInfeasibleError("zero system with non-zero right-hand side")
         return np.zeros((0, matrix.shape[1])), np.zeros(0), np.zeros((0, matrix.shape[0]))
     rank = int(np.sum(singular > singular[0] * _rank_tol(matrix.shape)))
     dropped = u[:, rank:].T @ rhs
-    if dropped.size and np.abs(dropped).max() > tol:
+    if dropped.size and np.abs(dropped).max() > PIVOT_TOL:
         raise LpInfeasibleError(
             f"inconsistent constraints: residual {np.abs(dropped).max()} outside the row space"
         )
@@ -89,7 +89,7 @@ def _factorise(matrix, rhs, basis):
     return solved[:, :-1], solved[:, -1]
 
 
-def _run_simplex(matrix, rhs, costs, basis, tol):
+def _run_simplex(matrix, rhs, costs, basis):
     """Bland-rule iterations on (matrix, rhs); mutates basis, returns
     (iterations, basic values)."""
     iterations = 0
@@ -103,12 +103,12 @@ def _run_simplex(matrix, rhs, costs, basis, tol):
         tableau, basic_values = _factorise(matrix, rhs, basis)
         reduced = costs - costs[basis] @ tableau
         reduced[basis] = 0.0
-        improving = np.flatnonzero(reduced > tol)
+        improving = np.flatnonzero(reduced > PIVOT_TOL)
         if not improving.size:
             return iterations, basic_values
         entering = int(improving[0])
         column = tableau[:, entering]
-        rows = np.flatnonzero(column > tol)
+        rows = np.flatnonzero(column > PIVOT_TOL)
         if not rows.size:
             raise LpUnboundedError(f"objective unbounded along column {entering}")
         ratios = np.maximum(basic_values[rows], 0.0) / column[rows]
@@ -119,7 +119,7 @@ def _run_simplex(matrix, rhs, costs, basis, tol):
         iterations += 1
 
 
-def _crossover(matrix, costs, x, tol):
+def _crossover(matrix, costs, x):
     """Walk the feasible point x >= 0 to a basis without lowering costs.x.
 
     Keeps a working set of at most m+1 support columns; while it holds m+1
@@ -140,9 +140,9 @@ def _crossover(matrix, costs, x, tol):
         gain = costs[work] @ d
         if gain < 0:
             d, gain = -d, -gain
-        if d.min() >= -tol:
+        if d.min() >= -PIVOT_TOL:
             # a non-negative null direction: unbounded if it gains, else go back
-            if gain > tol:
+            if gain > PIVOT_TOL:
                 raise LpUnboundedError(f"objective unbounded along columns {work.tolist()}")
             d = -d
         falling = np.flatnonzero(d < 0)
@@ -176,30 +176,30 @@ def _extend_basis(matrix, columns):
     return basis
 
 
-def solve_lp(costs, matrix, rhs, start, *, tol: float = PIVOT_TOL) -> LpResult:
+def solve_lp(costs, matrix, rhs, start) -> LpResult:
     """Maximise costs.x subject to matrix @ x = rhs, x >= 0.
 
     ``start`` must be a feasible point: non-negative and solving the
-    system to within tol.
+    system to within PIVOT_TOL.
     """
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     costs = np.asarray(costs, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != rhs.shape[0] or matrix.shape[1] != costs.shape[0]:
         raise ValueError("inconsistent LP dimensions")
-    matrix, rhs, transform = _orthonormal_rows(matrix, rhs, tol)
+    matrix, rhs, transform = _orthonormal_rows(matrix, rhs)
     m, n = matrix.shape
     if m == 0:
         raise LpDegenerateError("empty constraint system after preprocessing")
 
     start = np.array(start, dtype=float)
-    if start.shape != (n,) or start.min() < -tol:
+    if start.shape != (n,) or start.min() < -PIVOT_TOL:
         raise ValueError("start must be a non-negative point with one entry per column")
     gap = float(np.linalg.norm(matrix @ start - rhs))
-    if gap > tol:
-        raise ValueError(f"start is not feasible: equality residual {gap} > {tol}")
-    basis, steps = _crossover(matrix, costs, start, tol)
-    phase2, basic_values = _run_simplex(matrix, rhs, costs, basis, tol)
+    if gap > PIVOT_TOL:
+        raise ValueError(f"start is not feasible: equality residual {gap} > {PIVOT_TOL}")
+    basis, steps = _crossover(matrix, costs, start)
+    phase2, basic_values = _run_simplex(matrix, rhs, costs, basis)
 
     x = np.zeros(n)
     x[basis] = np.maximum(basic_values, 0.0)

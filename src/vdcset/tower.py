@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import AtomicMeasure
-from .trigpoly import TrigPoly, add, constant, dilate, grid_min, modulus, multiply, positivity_grid
+from .reports import Check
+from .trigpoly import (EVAL_TOL, TrigPoly, add, constant, dilate, grid_min, modulus, multiply,
+                       positivity_grid)
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,13 @@ def eps_prime_for(eps: float) -> float:
     return candidate
 
 
-def check_beta(stage: TowerStage, beta: AtomicMeasure, tol: float = 1e-9) -> None:
-    if abs(beta.mass() - 1.0) > tol:
-        raise ValueError(f"beta mass {beta.mass()} is not 1 within {tol}")
+def check_beta(stage: TowerStage, beta: AtomicMeasure) -> None:
+    if abs(beta.mass() - 1.0) > EVAL_TOL:
+        raise ValueError(f"beta mass {beta.mass()} is not 1 within {EVAL_TOL}")
     for r in stage.r_set:
         val = abs(beta.fourier(r))
-        if val > tol:
-            raise ValueError(f"beta transform at {r} is {val}, not 0 within {tol}")
+        if val > EVAL_TOL:
+            raise ValueError(f"beta transform at {r} is {val}, not 0 within {EVAL_TOL}")
     if beta.weights[0] <= stage.eps_prime:
         raise ValueError(
             f"beta atom at 0 is {beta.weights[0]}, not above eps_prime {stage.eps_prime}"
@@ -111,16 +113,16 @@ def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     return TrigPoly.from_arrays(m, ripple, real=True)
 
 
-def tower_block(stage: TowerStage, beta: AtomicMeasure, *, tol: float = 1e-9) -> TrigPoly:
+def tower_block(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     """The stage polynomial b: correction + eps_prime + Fejer-smoothed
     (beta - eps_prime*dirac_0).
 
-    Guarantees: coeff(0) = beta's mass, 1 within tol (check_beta);
+    Guarantees: coeff(0) = beta's mass, 1 within EVAL_TOL (check_beta);
     coeff(m) = beta_hat(m) - eps_prime for 0 < |m| <= n; coeff(m) = 0 for
     |m| >= max_freq; positive on the circle.
     """
     stage.validate()
-    check_beta(stage, beta, tol=tol)
+    check_beta(stage, beta)
     big_m = stage.max_freq
     m = np.arange(-big_m + 1, big_m)
     smoothed = (1.0 - np.abs(m) / big_m) * (beta.spectrum[m % beta.order] - stage.eps_prime)
@@ -149,7 +151,7 @@ def tower_extend(c_prev: TrigPoly, block: TrigPoly, dilation: int) -> TrigPoly:
     return multiply(dilate(block, 2 * dilation), c_prev)
 
 
-def build_tower(stages, betas, *, tol: float = 1e-9) -> list:
+def build_tower(stages, betas) -> list:
     """Run all stages; returns the list of running products c_1, ..., c_J."""
     stages = list(stages)
     betas = list(betas)
@@ -159,7 +161,7 @@ def build_tower(stages, betas, *, tol: float = 1e-9) -> list:
     products = []
     current = constant(1.0)
     for stage, beta in zip(stages, betas):
-        block = tower_block(stage, beta, tol=tol)
+        block = tower_block(stage, beta)
         current = tower_extend(current, block, stage.dilation)
         products.append(current)
     return products
@@ -198,3 +200,12 @@ def claim_residuals(stages, products) -> list:
             }
         )
     return out
+
+
+def claim_checks(residuals) -> list:
+    """The acceptance table of a tower, from claim_residuals: per stage, each
+    guarantee's worst deviation at most EVAL_TOL."""
+    named = {"vanishing_tail": "vanishing_tail", "frozen_window": "frozen_window",
+             "mean": "mean_deviation", "marked_frequency": "marked_frequency"}
+    return [Check(f"stage{res['stage']}_{name}", res[key] <= EVAL_TOL, res[key], EVAL_TOL)
+            for res in residuals for name, key in named.items()]

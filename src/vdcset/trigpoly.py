@@ -16,9 +16,12 @@ values come from one inverse FFT of the coefficients folded mod the grid.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .reports import Check
 
 COEFF_TOL = 1e-12
 EVAL_TOL = 1e-9
@@ -298,6 +301,8 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
     domination kernel's unit coefficients on |m| <= RL, its fixpoint
     f conv K = f for f = |g|^2 and the grid minimum of 4R*(f conv F_L) - f;
     convex-profile grid minima; the sampling identity mean = coeff(0)."""
+    if nmax < 1:
+        raise ValueError(f"kernel identities need nmax >= 1, got {nmax}")
     orders = range(1, nmax + 1)
     fej = {k: sample_values(fejer(k), grid).real for k in {n * m for n in orders for m in orders}}
 
@@ -345,3 +350,21 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
         "convex_profile_positivity": min(profiles),
         "sampling_identity": max(means),
     }
+
+
+def kernel_checks(res: dict) -> list:
+    """The acceptance table of kernel_residuals: identities below their tolerance,
+    the Fejer upper bound at most it, lower bounds and minima at least minus it."""
+    floor = lambda value, tol: value >= -tol
+    rows = [
+        ("fejer_product_identity", EVAL_TOL, operator.lt),
+        ("fejer_lower_bound", COEFF_TOL, floor),
+        ("fejer_upper_bound", COEFF_TOL, operator.le),
+        ("multiply_pointwise", EVAL_TOL, operator.lt),
+        ("domination_kernel_coeffs", COEFF_TOL, operator.lt),
+        ("domination_fixpoint", COEFF_TOL, operator.lt),
+        ("domination_lower_bound", EVAL_TOL, floor),
+        ("convex_profile_positivity", EVAL_TOL, floor),
+        ("sampling_identity", EVAL_TOL, operator.lt),
+    ]
+    return [Check(name, compare(res[name], tol), res[name], tol) for name, tol, compare in rows]

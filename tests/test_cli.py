@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from vdcset import certify, cli, simplex
+from vdcset import blocks, certify, cli, simplex, tower
 
 
 def run(argv):
@@ -341,20 +342,33 @@ def test_build_block_computes_block_polynomials_once(monkeypatch, capsys):
     assert "FLAG sample_poly_degree = 639" in capsys.readouterr().out
 
 
-def test_tower_beta_mass_within_tolerance(tmp_path):
-    # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage must build
-    weight = (1.0 + 5e-10) / 3
+def beta_stage_file(tmp_path, mass):
+    """A one-stage tower file whose beta is uniform on 3 points with this mass."""
     stages = {
         "eps_prime": 0.3,
         "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7,
-                    "beta_weights": [weight] * 3}],
+                    "beta_weights": [mass / 3] * 3}],
     }
     path = tmp_path / "stages.json"
     path.write_text(json.dumps(stages), encoding="utf-8")
+    return str(path)
+
+
+def test_tower_beta_mass_within_tolerance(tmp_path):
+    # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage must build
     out = tmp_path / "r.json"
-    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 0
+    path = beta_stage_file(tmp_path, 1.0 + 5e-10)
+    assert run(["tower", "--stages-file", path, "--json-out", str(out)]) == 0
     checks = {c["name"]: c for c in load_report(out)["checks"]}
     assert checks["stage1_mean"]["value"] == pytest.approx(5e-10, abs=1e-12)
+
+
+def test_tower_beta_mass_beyond_tolerance_fails(tmp_path, capsys):
+    # mass 1 + 1e-7 misses the pinned 1e-9: no option can loosen it
+    assert run(["tower", "--stages-file", beta_stage_file(tmp_path, 1.0 + 1e-7)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL completed" in out
+    assert "not 1 within 1e-09" in out
 
 
 LEDGER_NAMES = [
@@ -367,6 +381,30 @@ TOWER_NAMES = [
     for j in (1, 2)
     for name in ("vanishing_tail", "frozen_window", "mean", "marked_frequency")
 ]
+README_ARGV = {
+    "verify-kernels": ["verify-kernels"],
+    "build-block": ["build-block", "--ell", "2", "--q", "64", "--k", "0"],
+    "build-witness": ["build-witness", "--j", "1", "--eps", "0.01", "--q", "64"],
+    "certify-recurrence": ["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
+    "certify-vdc": ["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
+    "lemma-prt": ["lemma-prt"],
+    "lemma-digits": ["lemma-digits", "--q", "64", "--p", "2"],
+    "lemma-pair": ["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140"],
+    "tower": ["tower", "--stages-file", "stages.json"],
+}
+
+
+def write_readme_inputs(tmp_path, monkeypatch):
+    """Work in tmp_path beside the README's set file R.txt and two-stage stages.json."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "R.txt").write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
+    (tmp_path / "stages.json").write_text(json.dumps({
+        "eps_prime": 0.3,
+        "stages": [
+            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7},
+            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 113},
+        ],
+    }), encoding="utf-8")
 
 
 @pytest.mark.parametrize(
@@ -380,7 +418,7 @@ TOWER_NAMES = [
         ], id="verify-kernels"),
         pytest.param(
             ["build-block", "--ell", "2", "--q", "64", "--k", "0"],
-            LEDGER_NAMES + ["mass_excess", "plus_band_residual", "minus_band_residual", "min_weight"],
+            LEDGER_NAMES + ["mass_excess", "plus_band_residual", "minus_band_residual"],
             id="build-block",
         ),
         pytest.param(
@@ -394,7 +432,7 @@ TOWER_NAMES = [
         pytest.param(["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
                      ["alpha_within_budget"], id="certify-recurrence"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
-                     ["witness_min_weight", "witness_mass", "witness_residual", "dual_bound",
+                     ["witness_mass", "witness_residual", "dual_bound",
                       "dual_min_slack", "duality_gap"], id="certify-vdc"),
         pytest.param(["lemma-prt"], ["poincare_failures"], id="lemma-prt"),
         pytest.param(["lemma-digits", "--q", "64", "--p", "2"], ["all_found", "all_verified"],
@@ -405,15 +443,7 @@ TOWER_NAMES = [
     ],
 )
 def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv, names):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "R.txt").write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
-    (tmp_path / "stages.json").write_text(json.dumps({
-        "eps_prime": 0.3,
-        "stages": [
-            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7},
-            {"r_set": [1], "n": 1, "max_freq": 7, "dilation": 113},
-        ],
-    }), encoding="utf-8")
+    write_readme_inputs(tmp_path, monkeypatch)
     run(argv + ["--json-out", "r.json"])
     assert [c["name"] for c in load_report(tmp_path / "r.json")["checks"]] == names
     printed = [line for line in capsys.readouterr().out.splitlines()
@@ -426,25 +456,65 @@ def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv
 @pytest.mark.parametrize(
     "argv, tolerances",
     [
+        pytest.param(["verify-kernels"], {
+            "grid_sufficient": None, "fejer_product_identity": 1e-9, "fejer_lower_bound": 1e-12,
+            "fejer_upper_bound": 1e-12, "multiply_pointwise": 1e-9,
+            "domination_kernel_coeffs": 1e-12, "domination_fixpoint": 1e-12,
+            "domination_lower_bound": 1e-9, "convex_profile_positivity": 1e-9,
+            "sampling_identity": 1e-9,
+        }, id="verify-kernels"),
         pytest.param(["build-block", "--ell", "2", "--q", "64", "--k", "0"], {
             **dict.fromkeys(LEDGER_NAMES),
             "mass_excess": 1e-9, "plus_band_residual": 1e-9, "minus_band_residual": 1e-9,
-            "min_weight": 1e-12,
         }, id="build-block"),
         pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"], {
             "parameter_ledger": None, "digit_pattern_count": None,
             "pattern_zeros_residual": 1e-9, "mass": 1e-9, "atom_lower_bound": 1e-9,
         }, id="build-witness"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"], {
-            "witness_min_weight": 1e-12, "witness_mass": 1e-12, "witness_residual": 1e-9,
+            "witness_mass": 1e-12, "witness_residual": 1e-9,
             "dual_bound": 1e-9, "dual_min_slack": 1e-9, "duality_gap": 1e-9,
         }, id="certify-vdc"),
+        pytest.param(["tower", "--stages-file", "stages.json"], dict.fromkeys(TOWER_NAMES, 1e-9),
+                     id="tower"),
     ],
 )
 def test_readme_commands_pin_check_tolerances(tmp_path, monkeypatch, argv, tolerances):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "R.txt").write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
+    write_readme_inputs(tmp_path, monkeypatch)
     assert run(argv + ["--json-out", "r.json"]) == 0
     checks = load_report(tmp_path / "r.json")["checks"]
     assert {c["name"]: c["tolerance"] for c in checks} == tolerances
     assert [c["name"] for c in checks] == list(tolerances)
+
+
+def test_readme_argv_cover_every_subcommand():
+    assert sorted(README_ARGV) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(README_ARGV))
+def test_no_subcommand_accepts_a_tolerance(command, capsys):
+    parser = cli.build_parser()
+    parser.parse_args(README_ARGV[command])
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(README_ARGV[command] + ["--tol", "1e-9"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("function", [
+    blocks.build_block, blocks.build_witness, blocks.block_checks, blocks.witness_checks,
+    certify.reverify_witness, certify.certificate_checks, tower.check_beta, tower.tower_block,
+    tower.build_tower, simplex.solve_lp,
+], ids=lambda f: f.__name__)
+def test_acceptance_functions_take_no_tolerance(function):
+    assert "tol" not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("argv, bound", [
+    pytest.param(["verify-kernels", "--nmax", "0"], "nmax >= 1", id="verify-kernels"),
+    pytest.param(["lemma-digits", "--q", "64", "--p", "0"], "P >= 1", id="lemma-digits"),
+    pytest.param(["lemma-prt", "--random-size", "1"], "--random-size >= 2", id="lemma-prt"),
+])
+def test_out_of_range_arguments_name_their_bound(tmp_path, argv, bound):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--json-out", str(out)]) == 1
+    assert bound in load_report(out)["flags"]["error"]

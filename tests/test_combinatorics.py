@@ -204,6 +204,11 @@ def test_digit_difference_validation():
         cb.digit_difference({64**2}, 1, 64, 2)
 
 
+def test_digit_difference_needs_a_depth():
+    with pytest.raises(ValueError, match="P >= 1"):
+        cb.digit_difference([0], 1, 64, 0)
+
+
 def test_pattern_position_matches_pattern_members():
     from vdcset import blocks
 

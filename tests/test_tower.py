@@ -117,6 +117,17 @@ def test_claim_residuals_catch_each_broken_guarantee():
     assert rows[0]["frozen_window"] == pytest.approx(1e-3, abs=1e-15)
     assert rows[1]["marked_frequency"] == pytest.approx(4e-3, abs=1e-9)
     assert rows[1]["vanishing_tail"] <= 1e-9 and rows[0]["marked_frequency"] <= 1e-9
+    failed = [c.name for c in tower.claim_checks(rows) if not c.passed]
+    assert failed == ["stage1_vanishing_tail", "stage1_frozen_window", "stage2_marked_frequency"]
+
+
+def test_claim_checks_accept_deviations_up_to_the_tolerance():
+    row = {"stage": 3, "vanishing_tail": 1e-9, "frozen_window": 0.0, "mean_deviation": 2e-9,
+           "marked_frequency": 1e-9}
+    assert [(c.name, c.passed, c.tolerance) for c in tower.claim_checks([row])] == [
+        ("stage3_vanishing_tail", True, 1e-9), ("stage3_frozen_window", True, 1e-9),
+        ("stage3_mean", False, 1e-9), ("stage3_marked_frequency", True, 1e-9),
+    ]
 
 
 def test_lp_betas_plug_in():

@@ -366,3 +366,26 @@ def test_kernel_residuals_samples_each_polynomial_once(monkeypatch):
     # 30 distinct Fejer orders n*m, then 20 trials each of the domination
     # minimum, the convex profile (its certified minimum reused) and the mean
     assert len(calls) == 30 + 20 + 20 + 20
+
+
+def test_kernel_checks_at_the_tolerance():
+    # each residual exactly at its tolerance (minus it for the floors): strict
+    # identities fail, the Fejer upper bound and the floors pass
+    res = {
+        "fejer_product_identity": 1e-9, "fejer_lower_bound": -1e-12, "fejer_upper_bound": 1e-12,
+        "multiply_pointwise": 1e-9, "domination_kernel_coeffs": 1e-12,
+        "domination_fixpoint": 1e-12, "domination_lower_bound": -1e-9,
+        "convex_profile_positivity": -1e-9, "sampling_identity": 1e-9,
+    }
+    checks = tp.kernel_checks(res)
+    assert [c.name for c in checks] == list(res)
+    assert [abs(c.value) == c.tolerance for c in checks] == [True] * len(res)
+    assert {c.name for c in checks if c.passed} == {
+        "fejer_lower_bound", "fejer_upper_bound", "domination_lower_bound",
+        "convex_profile_positivity",
+    }
+
+
+def test_kernel_residuals_need_an_order():
+    with pytest.raises(ValueError, match="nmax >= 1"):
+        tp.kernel_residuals(1024, 0, np.random.default_rng(0))
