@@ -48,6 +48,6 @@ for y in sorted(int(v) for v in rng.integers(0, q**p, size=4)):
     print(f"  y={y:5d}: sigma_hat={sigma.fourier(y).real:+.6f} "
           f"product={predicted.real:+.6f}")
 
-zeros = blocks.zero_set(mu, 200, 1e-9)
+zeros = blocks.zero_set(mu, 200)
 print(f"\nzeros of mu_hat up to 200: {sorted(zeros)}")
 print("(patterns are guaranteed zeros; reflections of the -1 band add more)")

@@ -56,7 +56,7 @@ except certify.LpInfeasibleError as exc:
 
 print("\n=== End-to-end: construction meets certification ===")
 mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 1))
-zeros = sorted(blocks.zero_set(mu, 63, 1e-9))
+zeros = sorted(blocks.zero_set(mu, 63))
 print(f"zero set of the relaxed witness at order 64: {zeros}")
 lp = certify.certify_not_vdc(zeros, 0.05, 64)
 print(f"constructive atom {float(mu.weights[0]):.9f} <= LP optimum {lp.atom:.9f}")

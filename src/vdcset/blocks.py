@@ -200,20 +200,24 @@ class WitnessParams:
         return self.q**self.p
 
     def ledger(self) -> list:
-        entries = [
+        """The witness inequalities, then the block ledger of k = 0, which
+        stands for every k < P: for even Q each block inequality is
+        homogeneous in Q^k (2*ell*Q^k < Q^(k+1)/2 exactly when 4*ell < Q),
+        and an odd Q fails 'Q even' at every k."""
+        block = BlockParams(self.ell, self.q, 0)
+        return [
             ("j >= 1", self.j >= 1),
             ("P >= 1", self.p >= 1),
             ("0 < epsilon < 1/2", 0.0 < self.epsilon < 0.5),
             ("Q/2 + 8*j < Q", 16 * self.j < self.q),
             ("(8*j - 1)/(Q - 1) <= 1", 8 * self.j <= self.q),
-        ]
-        for k in range(max(self.p, 1)):
-            block = BlockParams(self.ell, self.q, k)
-            entries += [(f"block k={k}: {name}", ok) for name, ok in block.ledger()]
-        return entries
+        ] + [(f"block k=0: {name}", ok) for name, ok in block.ledger()]
+
+    def violations(self) -> list:
+        return [name for name, ok in self.ledger() if not ok]
 
     def validate(self):
-        bad = [name for name, ok in self.ledger() if not ok]
+        bad = self.violations()
         if bad:
             raise BlockParamsError(
                 f"witness parameters (j={self.j}, Q={self.q}, P={self.p}) violate: "
@@ -224,10 +228,9 @@ class WitnessParams:
         return 1.0 / (1.0 + (1.0 + MASS_CONSTANT * self.ell**3 / self.q**2) ** self.p)
 
 
-def max_feasible_depth(q: int, budget: int | None = None) -> int:
-    budget = atom_budget() if budget is None else budget
+def max_feasible_depth(q: int) -> int:
     p = 0
-    while q ** (p + 1) <= budget:
+    while q ** (p + 1) <= atom_budget():
         p += 1
     return p
 
@@ -243,12 +246,12 @@ def build_witness(params: WitnessParams):
     at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
     params.validate()
-    if params.order > atom_budget():
+    feasible = max_feasible_depth(params.q)
+    if params.p > feasible:
         raise AtomBudgetError(
             f"witness order {params.q}^{params.p} exceeds the atom budget "
-            f"{atom_budget()}; maximal feasible P for Q={params.q} is "
-            f"{max_feasible_depth(params.q)}",
-            max_feasible_p=max_feasible_depth(params.q),
+            f"{atom_budget()}; maximal feasible P for Q={params.q} is {feasible}",
+            max_feasible_p=feasible,
         )
     factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
@@ -327,9 +330,9 @@ def digit_pattern_members(j: int, q: int, p: int) -> list:
     return members
 
 
-def zero_set(mu: AtomicMeasure, bound: int, tol: float = 1e-9) -> set:
-    """Frequencies 1 <= r <= bound where the transform of mu vanishes."""
+def zero_set(mu: AtomicMeasure, bound: int) -> set:
+    """Frequencies 1 <= r <= bound where |mu_hat(r)| < EVAL_TOL."""
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
     freqs = np.arange(1, bound + 1)
-    return {int(r) for r in freqs[np.abs(mu.spectrum[freqs % mu.order]) < tol]}
+    return {int(r) for r in freqs[np.abs(mu.spectrum[freqs % mu.order]) < EVAL_TOL]}

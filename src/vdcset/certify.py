@@ -19,6 +19,7 @@ Ruzsa characterisation of vdC sets); matching the atom proves optimality.
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,23 @@ class VdcFailureWitness:
     def residual(self) -> float:
         """Worst |measure_hat(r)| over r_set, straight from the weights."""
         return float(max((abs(self.measure.fourier(r)) for r in self.r_set), default=0.0))
+
+    @cached_property
+    def checks(self) -> list:
+        """The acceptance table, from reverify_witness: a unit-mass measure
+        (non-negative by construction) with a vanishing transform, and a
+        feasible dual whose bound meets the atom.  Weak duality then bounds
+        the atom of every feasible measure by atom + 2*tol.  Computed once
+        per witness; dataclasses.replace builds a new witness, which
+        computes its own."""
+        res, tol = reverify_witness(self), RESIDUAL_TOL
+        return [
+            Check("witness_mass", res["mass_error"] <= COEFF_TOL, res["mass_error"], COEFF_TOL),
+            Check("witness_residual", res["residual"] < tol, res["residual"], tol),
+            Check("dual_bound", res["dual_bound"] >= self.atom - tol, res["dual_bound"], tol),
+            Check("dual_min_slack", res["dual_min_slack"] >= -tol, res["dual_min_slack"], tol),
+            Check("duality_gap", abs(res["duality_gap"]) <= tol, res["duality_gap"], tol),
+        ]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -270,29 +288,14 @@ def reverify_witness(witness: VdcFailureWitness) -> dict:
     }
 
 
-def certificate_checks(witness: VdcFailureWitness) -> list:
-    """The acceptance table of an LP witness, from reverify_witness: a
-    unit-mass measure (non-negative by construction) with a vanishing
-    transform, and a feasible dual whose bound meets the atom.  Weak
-    duality then bounds the atom of every feasible measure by atom + 2*tol."""
-    res, tol = reverify_witness(witness), RESIDUAL_TOL
-    return [
-        Check("witness_mass", res["mass_error"] <= COEFF_TOL, res["mass_error"], COEFF_TOL),
-        Check("witness_residual", res["residual"] < tol, res["residual"], tol),
-        Check("dual_bound", res["dual_bound"] >= witness.atom - tol, res["dual_bound"], tol),
-        Check("dual_min_slack", res["dual_min_slack"] >= -tol, res["dual_min_slack"], tol),
-        Check("duality_gap", abs(res["duality_gap"]) <= tol, res["duality_gap"], tol),
-    ]
-
-
 def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     """LP witness with independent re-verification; the certificate claims
-    not-epsilon-vdC exactly when the verified atom clears epsilon."""
+    not-epsilon-vdC exactly when the verified atom clears epsilon.  The
+    returned witness carries the table it passed as its checks."""
     base = max_atom_lp(r_set, order)
-    require(certificate_checks(base), WitnessVerificationError, "LP witness re-verification")
-    return replace(
-        base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL
-    )
+    witness = replace(base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL)
+    require(witness.checks, WitnessVerificationError, "LP witness re-verification")
+    return witness
 
 
 def lift_witness(witness: VdcFailureWitness, factor: int) -> VdcFailureWitness:

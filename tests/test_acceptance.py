@@ -332,7 +332,7 @@ def test_criterion_10_tower_claim():
 def test_criterion_11_end_to_end_coherence():
     start = time.perf_counter()
     mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 1))
-    zeros = blocks.zero_set(mu, 63, 1e-9)
+    zeros = blocks.zero_set(mu, 63)
     # frozen regression baselines from the first run
     baseline_zeros = set(range(24, 41))
     vdc = certify.max_atom_lp(sorted(zeros), 64)

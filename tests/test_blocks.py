@@ -98,6 +98,21 @@ def test_witness_params_ledger():
         blocks.WitnessParams(1, 0.01, 16, 1).validate()
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_witness_ledger_matches_per_block_reference(j):
+    # the block inequalities are homogeneous in Q^k for even Q, and an odd Q
+    # fails 'Q even' at every k, so one block ledger decides all k < P
+    for q in range(2, 200):
+        lengths = set()
+        for p in range(1, 7):
+            wp = blocks.WitnessParams(j, 0.01, q, p)
+            reference = all(ok for _, ok in wp.ledger()[:5]) and all(
+                ok for k in range(p) for _, ok in blocks.BlockParams(wp.ell, q, k).ledger())
+            assert (not wp.violations()) == reference, (j, q, p)
+            lengths.add(len(wp.ledger()))
+        assert len(lengths) == 1
+
+
 def test_witness_depth_budget():
     with pytest.raises(blocks.AtomBudgetError) as err:
         blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 45))
@@ -178,15 +193,15 @@ def test_digit_pattern_members_small():
 
 
 def test_zero_set_basics():
-    assert blocks.zero_set(ms.uniform(8), 7, 1e-9) == set(range(1, 8))
-    assert blocks.zero_set(ms.dirac(8, 0), 8, 1e-9) == set()
+    assert blocks.zero_set(ms.uniform(8), 7) == set(range(1, 8))
+    assert blocks.zero_set(ms.dirac(8, 0), 8) == set()
     with pytest.raises(ValueError):
         blocks.zero_set(ms.uniform(8), 9)
 
 
 def test_zero_set_contains_all_patterns():
     mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
-    zeros = blocks.zero_set(mu, 4095, 1e-9)
+    zeros = blocks.zero_set(mu, 4095)
     assert set(blocks.digit_pattern_members(1, 64, 2)) <= zeros
 
 

@@ -372,3 +372,24 @@ def test_lifted_witness_reverifies():
         checks = certify.reverify_witness(lifted)  # f(c*x) certifies the lifted LP
         assert checks["dual_min_slack"] >= -1e-9 and abs(checks["duality_gap"]) <= 1e-9
         assert lifted.r_set == tuple(factor * r for r in witness.r_set)
+
+
+def test_replaced_and_lifted_witnesses_recompute_their_table(monkeypatch):
+    real, calls = certify.reverify_witness, []
+
+    def counted(witness):
+        calls.append(witness.order)
+        return real(witness)
+
+    monkeypatch.setattr(certify, "reverify_witness", counted)
+    witness = certify.certify_not_vdc(range(1, 8), 0.05, 32)
+    assert calls == [32]
+    assert witness.checks is witness.checks and calls == [32]
+    lowered = witness.dual.copy()
+    lowered[0] -= 1e-3
+    bad = replace(witness, dual=lowered)
+    assert not all(c.passed for c in bad.checks)
+    assert all(c.passed for c in witness.checks)
+    lifted = certify.lift_witness(witness, 3)
+    assert all(c.passed for c in lifted.checks)
+    assert calls == [32, 32, 96]

@@ -102,7 +102,10 @@ def test_build_witness_canonical_refusal(tmp_path):
     assert run(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64",
                 "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert "maximal feasible P is 4" in report["flags"]["refused"]
+    check_report_schema(report)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("parameter_ledger", True), ("completed", False)]
+    assert "maximal feasible P for Q=64 is 4" in report["flags"]["error"]
 
 
 def test_build_witness_ledger_violation(tmp_path):
@@ -142,6 +145,20 @@ def test_certify_vdc_cli(tmp_path):
     report = load_report(out)
     assert report["flags"]["atom"] == pytest.approx(0.125, abs=1e-9)
     assert report["flags"]["not_vdc"] is True
+
+
+def test_certify_vdc_reverifies_once(tmp_path, monkeypatch):
+    real, calls = certify.reverify_witness, []
+
+    def counted(witness):
+        calls.append(witness.order)
+        return real(witness)
+
+    monkeypatch.setattr(certify, "reverify_witness", counted)
+    setf = tmp_path / "set.txt"
+    setf.write_text("\n".join(str(r) for r in range(1, 9)), encoding="utf-8")
+    assert run(["certify-vdc", "--set-file", str(setf), "--eps", "0.1", "--order", "32"]) == 0
+    assert calls == [32]
 
 
 @pytest.mark.parametrize("failure", ["stall", "reverification"])
@@ -298,7 +315,9 @@ def test_atom_budget_env_override(tmp_path, monkeypatch):
     assert run(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2",
                 "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert "atom budget" in report["flags"]["refused"]
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
+        ("parameter_ledger", True), ("completed", False)]
+    assert "atom budget 100; maximal feasible P for Q=64 is 1" in report["flags"]["error"]
 
 
 def test_build_block_atom_budget_is_reported(tmp_path, monkeypatch):
@@ -428,7 +447,7 @@ def write_readme_inputs(tmp_path, monkeypatch):
             id="build-witness",
         ),
         pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64"],
-                     ["canonical_depth_feasible"], id="build-witness-canonical"),
+                     ["parameter_ledger", "completed"], id="build-witness-canonical"),
         pytest.param(["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
                      ["alpha_within_budget"], id="certify-recurrence"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
@@ -502,8 +521,8 @@ def test_no_subcommand_accepts_a_tolerance(command, capsys):
 
 @pytest.mark.parametrize("function", [
     blocks.build_block, blocks.build_witness, blocks.block_checks, blocks.witness_checks,
-    certify.reverify_witness, certify.certificate_checks, tower.check_beta, tower.tower_block,
-    tower.build_tower, simplex.solve_lp,
+    certify.reverify_witness, certify.VdcFailureWitness.checks.func, tower.check_beta,
+    tower.tower_block, tower.build_tower, simplex.solve_lp, blocks.zero_set,
 ], ids=lambda f: f.__name__)
 def test_acceptance_functions_take_no_tolerance(function):
     assert "tol" not in inspect.signature(function).parameters
