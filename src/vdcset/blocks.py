@@ -18,15 +18,20 @@ import numpy as np
 
 from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
 from .reports import Check, require
-from .trigpoly import (EVAL_TOL, TrigPoly, add, convolve as poly_convolve, fejer, grid_min, modulus,
-                       multiply, scale)
+from .trigpoly import EVAL_TOL, TrigPoly, grid_min, modulus
 
 MASS_CONSTANT = 320.0
 DEFAULT_ATOM_BUDGET = 1 << 26
 
 
 def atom_budget() -> int:
-    """Atom cap for builders; override with the VDC_ATOM_BUDGET env var."""
+    """Atom cap for builders; override with the VDC_ATOM_BUDGET env var.
+
+    A block costs about 81 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 2.9 s CPU and 1.36 GB peak
+    RSS on a 2-vCPU x86-64 VM (numpy 2.4).  At that rate the default cap
+    2^26 admits blocks of about 5.4 GB.
+    """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
 
@@ -101,25 +106,48 @@ def block_polynomials(params: BlockParams):
     non-negative, certified here on a uniform grid: the smallest power of two
     >= max(4096, 2*degree(s) + 1). A size with a large prime factor (393215 =
     5*78643 at order 262144) sends the FFT to Bluestein's algorithm, about 4x
-    slower than 524288; a denser grid only strengthens the check.
+    slower than 524288; a denser grid only strengthens the check.  s is
+    assembled directly as one coefficient array (_assemble_s), whose dense
+    scratch array is freed before the grid check runs.
     """
     params.validate()
     n_total = params.order
     edge = params.ell * params.q**params.k
 
     m = np.arange(-edge, edge + 1)
-    p = TrigPoly.from_arrays(m, 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total), real=True)
+    profile = 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total)
+    p = TrigPoly.from_arrays(m, profile, real=True)
 
     half = n_total // 2
     spikes = np.array([edge, half - edge, half + edge])
     r = TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
 
-    smoothed = scale(poly_convolve(p, fejer(params.q**params.k)), 16.0 * params.ell)
-    s = add(smoothed, multiply(r, p))
+    s = _assemble_s(params, profile, spikes)
     low = grid_min(s, 1 << max(12, (2 * s.degree).bit_length()))
     if low < -EVAL_TOL:
         raise BlockBulletError(f"block polynomial grid minimum {low} < -{EVAL_TOL}")
     return p, r, s
+
+
+def _assemble_s(params: BlockParams, profile: np.ndarray, spikes: np.ndarray) -> TrigPoly:
+    """s = 16*ell*(p conv F_{Q^k}) + r*p from p's values on |m| <= ell*Q^k
+    and r's spikes at m > 0.
+
+    s is even, so it is assembled as one array of its coefficients at
+    m >= 0, then mirrored: the Fejer-weighted profile of p on m < Q^k, plus
+    p's profile added as a slice at each of those spikes (the spike at
+    -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).  The sums run in
+    the order of the polynomial products they replace.
+    """
+    edge, width = params.ell * params.q**params.k, params.q**params.k
+    even = np.zeros(params.sample_degree + 2)  # s at m = 0 .. N/2 + 2*ell*Q^k
+    even[:width] = 16.0 * params.ell * (profile[edge : edge + width] * (1.0 - np.arange(width) / width))
+    for spike, weight in zip(spikes, (1.0, -0.5, -0.5)):
+        even[spike - edge : spike + edge + 1] += weight * profile
+    at = np.flatnonzero(even[1:]) + 1
+    values = even[at]
+    return TrigPoly.from_arrays(np.concatenate((-at[::-1], [0], at)),
+                                np.concatenate((values[::-1], even[:1], values)), real=True)
 
 
 def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
@@ -158,8 +186,7 @@ def build_block(params: BlockParams) -> AtomicMeasure:
         raise AtomBudgetError(
             f"block order {n_total} exceeds the atom budget {atom_budget()}"
         )
-    _, _, s = block_polynomials(params)
-    weights = from_samples(s, n_total).weights.copy()
+    weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)
     require(block_checks(block_residuals(sigma, params)), BlockBulletError,

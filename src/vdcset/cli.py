@@ -75,8 +75,8 @@ def cmd_build_block(args, report: RunReport) -> None:
 
 def cmd_build_witness(args, report: RunReport) -> None:
     p = args.p
-    if p is None:
-        p = blocks.WitnessParams(args.j, args.eps, args.q, 1).canonical_p
+    if p is None:  # log(2*j^2) needs j >= 1; otherwise the ledger names j and P stays 1
+        p = blocks.WitnessParams(args.j, args.eps, args.q, 1).canonical_p if args.j >= 1 else 1
     params = blocks.WitnessParams(args.j, args.eps, args.q, p)
     bad = params.violations()
     report.add("parameter_ledger", not bad, detail="; ".join(bad))

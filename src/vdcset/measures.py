@@ -2,8 +2,9 @@
 
 Weight j sits at the point j/N of the circle; the Fourier transform
 ``fourier(k) = sum_j w_j exp(-2*pi*i*k*j/N)`` is N-periodic, so one FFT of
-the weights holds all of it.  Measures are immutable; operations return new
-measures.
+the weights holds all of it.  The weights are real, so that FFT is one real
+FFT (``rfft``) of half the period, mirrored by fourier(-k) = conj(fourier(k)).
+Measures are immutable; operations return new measures.
 """
 
 import json
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import TrigPoly, sample_values
+from .trigpoly import TrigPoly, antihermitian_norm, sample_values
 
 WEIGHT_TOL = 1e-12          # float noise clamped to zero at construction
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
@@ -44,7 +45,8 @@ class AtomicMeasure:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Read-only transform over one period: spectrum[k] == fourier(k), 0 <= k < order."""
-        s = np.fft.fft(self.weights)
+        half = np.fft.rfft(self.weights)
+        s = np.concatenate((half, np.conj(half[1 : (self.order + 1) // 2][::-1])))
         s.setflags(write=False)
         return s
 
@@ -94,38 +96,40 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Circular convolution after lifting both measures to lcm order.
 
     Fourier transforms multiply: fourier(out, k) = fourier(m1, k) * fourier(m2, k),
-    and that product is how it is computed (one real FFT of each lift, one
-    inverse).  The inverse leaves float noise around zero weights, which the
-    WEIGHT_TOL clamp of AtomicMeasure absorbs.
+    and that product is how it is computed: the lift of a measure to a
+    multiple of its order repeats its spectrum, so the operands' cached
+    spectra, repeated to half the lcm period, are multiplied and inverted by
+    one ``irfft``.  The inverse leaves float noise around zero weights, which
+    the WEIGHT_TOL clamp of AtomicMeasure absorbs.
     """
     common = _common_order(m1, m2)
-    w1, w2 = _lift(m1, common), _lift(m2, common)
-    out = np.fft.irfft(np.fft.rfft(w1) * np.fft.rfft(w2), common)
+    half = common // 2 + 1
+    out = np.fft.irfft(np.resize(m1.spectrum, half) * np.resize(m2.spectrum, half), common)
     return AtomicMeasure(common, out)
 
 
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     """Measure with weight poly(n/order)/order placed at the point -n/order.
 
-    Requires a real-flagged polynomial whose samples are non-negative up to
-    float noise: anything below -1e-6 signals a genuinely non-positive
-    polynomial and is rejected; small negatives are clamped to zero.
+    Requires a real-flagged polynomial, conjugate-symmetric up to 1e-9 in
+    the l1 norm of its anti-Hermitian part (a bound on the imaginary part
+    the real samples leave out), whose samples are non-negative up to float
+    noise: anything below -1e-6 signals a genuinely non-positive polynomial
+    and is rejected; small negatives are clamped to zero.
     """
     if not poly.real:
         raise ValueError("from_samples needs a real-flagged polynomial")
-    vals = sample_values(poly, order)
-    imag_max = float(np.abs(vals.imag).max())
-    if imag_max > 1e-9:
-        raise ValueError(f"samples are not real: max imaginary part {imag_max}")
-    samples = vals.real
+    skew = antihermitian_norm(poly)
+    if skew > 1e-9:
+        raise ValueError(f"coefficients are not conjugate-symmetric: anti-Hermitian l1 norm {skew}")
+    samples = sample_values(poly, order)
     low = float(samples.min())
     if low < -SAMPLE_REJECT_TOL:
         raise ValueError(
             f"sample minimum {low} < -{SAMPLE_REJECT_TOL}: polynomial is not non-negative"
         )
-    samples = np.clip(samples, 0.0, None)
-    w = np.zeros(order)
-    w[(order - np.arange(order)) % order] = samples / order
+    np.clip(samples, 0.0, None, out=samples)
+    w = np.concatenate((samples[:1], samples[:0:-1])) / order  # w[j] = samples[-j mod order]
     return AtomicMeasure(order, w)
 
 

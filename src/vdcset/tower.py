@@ -181,10 +181,13 @@ def claim_residuals(stages, products) -> list:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
         inside = np.abs(c.freqs) < threshold
         tail = float(modulus(c.values[~inside]).max(initial=0.0))
-        if i + 1 < len(products):
+        if i + 1 < len(products):  # the window is the union of both supports below threshold
             nxt = products[i + 1]
-            window = np.union1d(c.freqs[inside], nxt.freqs[np.abs(nxt.freqs) < threshold])
-            frozen = float(modulus(c.coeff(window) - nxt.coeff(window)).max(initial=0.0))
+            below = np.abs(nxt.freqs) < threshold
+            frozen = max(
+                float(modulus(c.values[inside] - nxt.coeff(c.freqs[inside])).max(initial=0.0)),
+                float(modulus(c.coeff(nxt.freqs[below]) - nxt.values[below]).max(initial=0.0)),
+            )
         else:
             frozen = 0.0
         mean_dev = abs(c.coeff(0) - 1.0)

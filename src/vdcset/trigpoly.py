@@ -12,7 +12,9 @@ Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
 (coefficient arithmetic) and 1e-9 (evaluation); positivity of a polynomial
 is certified on a uniform grid, which is a heuristic, not a proof.  Grid
-values come from one inverse FFT of the coefficients folded mod the grid.
+values come from one inverse FFT of the coefficients folded mod the grid:
+a real (``irfft``) transform of the folded half spectrum for a
+``real``-flagged polynomial, a complex one otherwise.
 """
 
 import json
@@ -56,6 +58,8 @@ class TrigPoly:
 
     @staticmethod
     def from_arrays(freqs, values, real: bool = False) -> "TrigPoly":
+        """The polynomial of the two arrays.  Arrays already in normal form
+        are kept without a copy and made read-only, so pass ones you own."""
         poly = object.__new__(TrigPoly)
         poly._reduce(freqs, values, real)
         return poly
@@ -73,7 +77,9 @@ class TrigPoly:
                 np.add.at(summed, np.cumsum(first) - 1, values)
                 freqs, values = freqs[first], summed
         keep = values != 0
-        for name, array in (("freqs", freqs[keep]), ("values", values[keep])):
+        if not keep.all():
+            freqs, values = freqs[keep], values[keep]
+        for name, array in (("freqs", freqs), ("values", values)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
         object.__setattr__(self, "real", real)
@@ -152,13 +158,27 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
 
     Frequencies are folded mod ``grid`` first, which is exact at these
     points (exp(2*pi*i*m*g/grid) depends on m only through m mod grid);
-    the folded sum is one inverse FFT, grid * ifft(folded).
+    the folded sum is one inverse FFT, grid * ifft(folded).  For a
+    ``real``-flagged ``f`` the values are real: Re f, one ``irfft`` of the
+    Hermitian part (folded[k] + conj(folded[-k]))/2 on k <= grid/2, folded
+    there directly (c_m at k = m mod grid, or conj(c_m) at grid - k).
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    folded = np.zeros(grid, dtype=complex)
-    np.add.at(folded, f.freqs % grid, f.values)
-    return np.fft.ifft(folded) * grid
+    at = f.freqs % grid
+    if not f.real:
+        folded = np.bincount(at, f.values.real, grid) + 1j * np.bincount(at, f.values.imag, grid)
+        return np.fft.ifft(folded) * grid
+    upper = at > grid // 2
+    at = np.minimum(at, grid - at)
+    twice = np.empty(grid // 2 + 1, dtype=complex)  # twice the Hermitian part
+    twice.real = np.bincount(at, f.values.real, twice.size)
+    twice.imag = np.bincount(at, np.where(upper, -f.values.imag, f.values.imag), twice.size)
+    own = [0, grid // 2] if grid % 2 == 0 else [0]  # k == -k: folded + conj(folded)
+    twice[own] = 2 * twice[own].real
+    values = np.fft.irfft(twice, grid)
+    values *= grid / 2
+    return values
 
 
 def grid_min(f: TrigPoly, grid: int) -> float:
@@ -184,6 +204,16 @@ def scale(f: TrigPoly, a) -> TrigPoly:
 def conjugate_reflect(f: TrigPoly) -> TrigPoly:
     """The polynomial t -> conj(f(t)); coefficients conj(c_{-m}) at m."""
     return TrigPoly.from_arrays(-f.freqs[::-1], np.conj(f.values[::-1]), real=f.real)
+
+
+def antihermitian_norm(f: TrigPoly) -> float:
+    """l1 norm of the anti-Hermitian part (f - conj(f))/2, whose coefficients
+    are (c_m - conj(c_-m))/2; it bounds |Im f| on the circle."""
+    if np.array_equal(f.freqs, -f.freqs[::-1]):  # c_-m sits at the mirrored index
+        skew = f.values - np.conj(f.values[::-1])
+    else:
+        skew = add(f, scale(conjugate_reflect(f), -1.0)).values
+    return float(np.abs(skew).sum()) / 2
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:

@@ -6,6 +6,7 @@ import pytest
 from vdcset import blocks
 from vdcset import combinatorics as cb
 from vdcset import measures as ms
+from vdcset import trigpoly as tp
 
 
 def test_params_ledger_names_violations():
@@ -32,9 +33,24 @@ def test_block_polynomial_coefficients():
     assert r.coeff(34) == pytest.approx(-0.5)
     assert r.coeff(3) == 0.0
     # grid positivity of the assembled polynomial
-    from vdcset import trigpoly as tp
-
     assert tp.grid_min(s, 4096) >= -1e-9
+
+
+def reference_block_polynomial(p, r, params):
+    """s = 16*ell*(p conv F_{Q^k}) + r*p composed from polynomial operations."""
+    smoothed = tp.scale(tp.convolve(p, tp.fejer(params.q**params.k)), 16.0 * params.ell)
+    return tp.add(smoothed, tp.multiply(r, p))
+
+
+@pytest.mark.parametrize("ell,q,k", [(2, 64, 0), (8, 64, 1), (8, 128, 1), (5, 34, 1)])
+def test_block_polynomial_matches_composed_reference(ell, q, k):
+    # (5, 34, 1) has 4*ell*Q^k > N/2: the spikes at ell*Q^k and N/2 - ell*Q^k overlap
+    params = blocks.BlockParams(ell, q, k)
+    p, r, s = blocks.block_polynomials(params)
+    reference = reference_block_polynomial(p, r, params)
+    assert s.real and np.array_equal(s.freqs, reference.freqs)
+    assert np.abs(s.values - reference.values).max() <= 1e-12
+    assert s.degree == params.sample_degree
 
 
 def test_sample_degree_closed_form():

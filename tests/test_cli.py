@@ -116,6 +116,18 @@ def test_build_witness_ledger_violation(tmp_path):
     assert "Q > 4*ell" in report["flags"]["invalid_params"]
 
 
+def test_build_witness_canonical_depth_needs_a_valid_j(tmp_path, capsys):
+    # without --p the canonical depth takes log(2*j^2); j = 0 must reach the ledger instead
+    out = tmp_path / "r.json"
+    assert run(["build-witness", "--j", "0", "--eps", "0.01", "--q", "64",
+                "--json-out", str(out)]) == 1
+    assert "FAIL parameter_ledger [j >= 1" in capsys.readouterr().out
+    report = load_report(out)
+    check_report_schema(report)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("parameter_ledger", False)]
+    assert "j >= 1" in report["flags"]["invalid_params"]
+
+
 def test_set_file_parsing(tmp_path):
     path = tmp_path / "set.txt"
     path.write_text("# comment\n1\n2  # trailing\n\n3\n", encoding="utf-8")
@@ -348,16 +360,23 @@ def test_build_witness_builds_each_block_once(monkeypatch):
 def test_build_block_computes_block_polynomials_once(monkeypatch, capsys):
     from vdcset import blocks
 
-    calls = []
-    real = blocks.block_polynomials
+    calls, sampled = [], []
+    real, real_samples = blocks.block_polynomials, blocks.from_samples
 
     def counted(params):
         calls.append(params)
         return real(params)
 
+    def counted_samples(poly, order):
+        sampled.append(order)
+        return real_samples(poly, order)
+
+    # the traced benchmark books both layers on the construct path: each must run once
     monkeypatch.setattr(blocks, "block_polynomials", counted)
+    monkeypatch.setattr(blocks, "from_samples", counted_samples)
     assert run(["build-block", "--ell", "2", "--q", "32", "--k", "1"]) == 0
     assert calls == [blocks.BlockParams(2, 32, 1)]
+    assert sampled == [1024]
     assert "FLAG sample_poly_degree = 639" in capsys.readouterr().out
 
 

@@ -93,6 +93,35 @@ def test_convolution_against_direct_oracle_and_theorem():
     check(24, 36)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 4096])
+def test_spectrum_is_the_complex_fft(order):
+    m = ms.AtomicMeasure(order, np.random.default_rng(order).random(order))
+    assert m.spectrum.shape == (order,)
+    assert np.abs(m.spectrum - np.fft.fft(m.weights)).max() <= 1e-12 * m.mass()
+    with pytest.raises(ValueError):
+        m.spectrum[0] = 0.0
+
+
+def lift_rfft_convolution(m1, m2):
+    """Convolution by zero-stuffed lifts to the lcm order and one rfft of each."""
+    common = math.lcm(m1.order, m2.order)
+    lifts = []
+    for m in (m1, m2):
+        w = np.zeros(common)
+        w[:: common // m.order] = m.weights
+        lifts.append(w)
+    return np.fft.irfft(np.fft.rfft(lifts[0]) * np.fft.rfft(lifts[1]), common)
+
+
+@pytest.mark.parametrize("orders", [(64, 4096), (4096, 64), (3, 5), (5, 3), (6, 6), (1, 7)])
+def test_convolve_from_cached_spectra_matches_lifts(orders):
+    rng = np.random.default_rng(sum(orders))
+    m1, m2 = (ms.AtomicMeasure(n, rng.random(n) / n) for n in orders)
+    out = ms.convolve(m1, m2)
+    assert out.order == math.lcm(*orders)
+    assert np.abs(out.weights - lift_rfft_convolution(m1, m2)).max() <= 1e-12 * m1.mass() * m2.mass()
+
+
 def test_lcm_overflow_guard():
     big = ms.dirac(1 << 21, 0)
     other = ms.dirac((1 << 21) - 1, 0)  # coprime orders, lcm ~ 2^42
@@ -132,6 +161,18 @@ def test_from_samples_negative_rejection():
         ms.from_samples(bad, 8)
     with pytest.raises(ValueError, match="real-flagged"):
         ms.from_samples(tp.character(1), 8)
+
+
+def test_from_samples_rejects_coefficients_that_are_not_conjugate_symmetric():
+    # each non-negative in its real part, so only the symmetry check can refuse them
+    for poly in [tp.TrigPoly({0: 3.0, 1: 1.0 + 1e-6j, -1: 1.0 + 1e-6j}, real=True),
+                 tp.TrigPoly({0: 3.0, 1: 1.0}, real=True),
+                 tp.TrigPoly({0: 3.0 + 1e-8j}, real=True)]:
+        with pytest.raises(ValueError, match="not conjugate-symmetric"):
+            ms.from_samples(poly, 8)
+    # roundoff-level asymmetry is accepted
+    near = tp.TrigPoly({0: 3.0, 1: 1.0, -1: 1.0 + 1e-13}, real=True)
+    assert ms.from_samples(near, 8).mass() == pytest.approx(3.0, abs=1e-12)
 
 
 def test_scale_add():

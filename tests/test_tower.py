@@ -170,3 +170,25 @@ def test_extend_order_is_presorted_and_bit_identical():
         assert np.array_equal(c.values, old_order.values)
         c_prev = c
     assert products[-1].freqs.size == 41**4
+
+
+def union_window_frozen(stages, products, i):
+    """frozen_window over the sorted union of both products' windows."""
+    c, nxt = products[i], products[i + 1]
+    threshold = stages[i + 1].dilation
+    window = np.union1d(c.freqs[np.abs(c.freqs) < threshold],
+                        nxt.freqs[np.abs(nxt.freqs) < threshold])
+    return float(tp.modulus(c.coeff(window) - nxt.coeff(window)).max(initial=0.0))
+
+
+def test_frozen_window_matches_the_union_reference():
+    stages, beta = depth4_stages()[:3], ms.uniform(3)
+    products = tower.build_tower(stages, [beta] * 3)
+    # one product perturbed: a frequency only it has, and one both have
+    shared = int(products[0].freqs[3])
+    # (stage 1 sees 7 only in its next product, stage 2 only in its own)
+    products[1] = tp.add(products[1], tp.TrigPoly({7: 2e-3, shared: -3e-4}))
+    rows = tower.claim_residuals(stages, products)
+    for i in range(2):
+        assert rows[i]["frozen_window"] == union_window_frozen(stages, products, i)
+        assert rows[i]["frozen_window"] == pytest.approx(2e-3, abs=1e-12)

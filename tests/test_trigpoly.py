@@ -93,6 +93,54 @@ def test_sample_values_match_single_point_eval():
         assert vals[g] == pytest.approx(tp.evaluate(f, g / grid), abs=1e-10)
 
 
+def complex_sample_reference(f, grid):
+    """The complex sampling path: fold with np.add.at, one ifft of the whole fold."""
+    folded = np.zeros(grid, dtype=complex)
+    np.add.at(folded, f.freqs % grid, f.values)
+    return np.fft.ifft(folded) * grid
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 8, 33, 64, 257, 1024])
+def test_real_sampling_is_the_real_part_of_the_complex_path(grid):
+    rng = np.random.default_rng(grid)
+    polys = [random_real_poly(rng, degree) for degree in (0, 5, 40, 700)]  # 40, 700 alias
+    far = rng.integers(1, 10**9, size=12)  # sparse frequencies far beyond every grid
+    c = rng.normal(size=12) + 1j * rng.normal(size=12)
+    polys.append(tp.TrigPoly.from_arrays(np.concatenate((far, -far)),
+                                         np.concatenate((c, np.conj(c))), real=True))
+    # not conjugate-symmetric although flagged real: the samples are still Re f
+    polys.append(tp.add(polys[1], tp.TrigPoly({3: 0.25j, -7: 1.0 - 0.5j}, real=True)))
+    for f in polys:
+        vals = tp.sample_values(f, grid)
+        reference = complex_sample_reference(f, grid)
+        bound = 1e-12 * np.abs(f.values).sum()
+        assert vals.dtype == float and vals.shape == (grid,)
+        assert np.abs(vals - reference.real).max() <= bound
+        unflagged = tp.TrigPoly.from_arrays(f.freqs, f.values, real=False)
+        assert np.abs(tp.sample_values(unflagged, grid) - reference).max() <= bound
+
+
+def test_antihermitian_norm():
+    rng = np.random.default_rng(8)
+    assert tp.antihermitian_norm(random_real_poly(rng, 9)) == 0.0
+    # 2i*cos: c_1 = c_-1 = i, each with anti-Hermitian part i
+    assert tp.antihermitian_norm(tp.TrigPoly({1: 1j, -1: 1j}, real=True)) == 2.0
+    # one-sided support: c_1 and its missing mirror each carry half of |c_1|
+    assert tp.antihermitian_norm(tp.TrigPoly({0: 2.0, 1: 0.5})) == 0.5
+    assert tp.antihermitian_norm(tp.TrigPoly({0: 1j})) == 1.0
+
+
+def test_normal_form_arrays_are_kept_without_copy():
+    freqs, values = np.array([-3, 0, 5], dtype=np.int64), np.array([1.0, 2.0j, -1.0])
+    f = tp.TrigPoly.from_arrays(freqs, values)
+    assert f.freqs is freqs and f.values is values
+    assert not freqs.flags.writeable and not values.flags.writeable
+    # a dropped zero makes copies, leaving the caller's arrays writable
+    freqs, values = np.array([-3, 0, 5], dtype=np.int64), np.array([1.0, 0.0, -1.0 + 0j])
+    g = tp.TrigPoly.from_arrays(freqs, values)
+    assert g.freqs.tolist() == [-3, 5] and freqs.flags.writeable
+
+
 def test_convex_profile_validation_names_index():
     with pytest.raises(tp.ProfileError, match="index 0"):
         tp.ConvexProfile((1.0, 2.0, 0.0))  # increasing step flagged at 0
