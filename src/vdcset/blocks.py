@@ -154,9 +154,8 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     """Worst-case deviations of a block from its four guarantees."""
     e = params.ell * params.q**params.k
     half = params.order // 2
-    spectrum = sigma.spectrum
-    plus_band = np.abs(spectrum[params.q**params.k : e + 1] - 1.0)
-    minus_band = np.abs(spectrum[half : half + e + 1] + 1.0)
+    plus_band = np.abs(sigma.fourier(np.arange(params.q**params.k, e + 1)) - 1.0)
+    minus_band = np.abs(sigma.fourier(np.arange(half, half + e + 1)) + 1.0)
     return {
         "mass_excess": sigma.mass() - params.mass_bound,
         "plus_band_residual": float(plus_band.max()),
@@ -282,10 +281,9 @@ def build_witness(params: WitnessParams):
         )
     factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
-    predicted = factors[0].spectrum
-    for f in factors[1:]:  # the running product repeats Q times within f's period
-        predicted = (predicted * f.spectrum.reshape(-1, predicted.size)).ravel()
-    product = float(np.abs(sigma.spectrum - predicted).max())
+    k = np.arange(sigma.order // 2 + 1)  # real weights: k > N/2 repeats conjugates
+    predicted = functools.reduce(np.multiply, (f.fourier(k) for f in factors))
+    product = float(np.abs(sigma.fourier(k) - predicted).max())
     require([Check("block product identity", product <= EVAL_TOL, product, EVAL_TOL)],
             BlockBulletError, "witness spectrum")
     total = sigma.mass()
@@ -301,7 +299,7 @@ def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
     P*8j*(8j-1)^(P-1), the worst |mu_hat| on them, the mass, and the atom
     at 0 beside its guaranteed lower bound."""
     members = np.array(digit_pattern_members(params.j, params.q, params.p))
-    zeros = mu.spectrum[members % mu.order]
+    zeros = mu.fourier(members)
     return {
         "pattern_count": len(members),
         "expected_pattern_count": params.p * params.ell * (params.ell - 1) ** (params.p - 1),
@@ -362,4 +360,4 @@ def zero_set(mu: AtomicMeasure, bound: int) -> set:
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
     freqs = np.arange(1, bound + 1)
-    return {int(r) for r in freqs[np.abs(mu.spectrum[freqs % mu.order]) < EVAL_TOL]}
+    return {int(r) for r in freqs[np.abs(mu.fourier(freqs)) < EVAL_TOL]}

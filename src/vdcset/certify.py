@@ -26,7 +26,7 @@ import numpy as np
 from .measures import AtomicMeasure
 from .reports import Check, require
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
-from .trigpoly import COEFF_TOL, EVAL_TOL
+from .trigpoly import COEFF_TOL, EVAL_TOL, TrigPoly, modulus, sample_values
 
 MAX_EXACT_HORIZON = 80
 RESIDUAL_TOL = EVAL_TOL  # transform residuals and dual slacks are evaluations
@@ -76,7 +76,8 @@ class VdcFailureWitness:
     @property
     def residual(self) -> float:
         """Worst |measure_hat(r)| over r_set, straight from the weights."""
-        return float(max((abs(self.measure.fourier(r)) for r in self.r_set), default=0.0))
+        values = self.measure.fourier(np.array(self.r_set, dtype=np.int64))
+        return float(modulus(values).max(initial=0.0))
 
     @cached_property
     def checks(self) -> list:
@@ -265,18 +266,16 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
 def reverify_witness(witness: VdcFailureWitness) -> dict:
     """Trust anchor outside the solver: non-negativity, unit mass, and the
     vanishing-transform residual recomputed straight from the weights; the
-    dual polynomial f evaluated at the N roots by one FFT, its least slack
-    min_j f(j/N) - [j = 0], its bound f's constant term, and that bound's
-    gap to the atom."""
+    dual polynomial f = y_0 + sum_r (y_c cos + y_s sin)(2*pi*r*t) sampled at
+    the N roots, its least slack min_j f(j/N) - [j = 0], its bound f's
+    constant term, and that bound's gap to the atom."""
     w = witness.measure.weights
-    n = witness.order
     y = witness.dual
-    r = np.array(witness.r_set, dtype=np.int64) % n
-    coeffs = np.zeros(n, dtype=complex)
-    coeffs[0] = y[0]
-    np.add.at(coeffs, r, (y[1::2] - 1j * y[2::2]) / 2)
-    np.add.at(coeffs, -r % n, (y[1::2] + 1j * y[2::2]) / 2)
-    slack = n * np.fft.ifft(coeffs).real
+    r = np.array(witness.r_set, dtype=np.int64)
+    half = (y[1::2] - 1j * y[2::2]) / 2  # the coefficient at r; conjugated at -r
+    dual = TrigPoly.from_arrays(np.concatenate((-r[::-1], [0], r)),
+                                np.concatenate((np.conj(half[::-1]), [y[0]], half)), real=True)
+    slack = sample_values(dual, witness.order)
     slack[0] -= 1.0
     return {
         "min_weight": float(w.min()),

@@ -20,7 +20,7 @@ KERNEL_GRID_FACTOR = 2  # grid must exceed 2*nmax^2 to resolve the kernel produc
 
 
 def read_set_file(path: str) -> list:
-    """One integer per line; blank lines and '#' comments are ignored."""
+    """One positive integer per line; blank lines and '#' comments are ignored."""
     values = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -31,6 +31,8 @@ def read_set_file(path: str) -> list:
                 values.append(int(text))
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not an integer: {text!r}") from exc
+            if values[-1] < 1:
+                raise ValueError(f"{path}:{lineno}: not a positive integer: {text!r}")
     return values
 
 
@@ -187,8 +189,13 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
 def cmd_tower(args, report: RunReport) -> None:
     with open(args.stages_file, "r", encoding="utf-8") as handle:
         config = json.load(handle)
-    eps_prime = (float(config["eps_prime"]) if "eps_prime" in config
-                 else tower.eps_prime_for(float(config["eps"])))
+    if not isinstance(config, dict) or not isinstance(config.get("stages", []), list):
+        raise ValueError("the stages file must be an object whose 'stages' is a list")
+    try:
+        eps_prime = (float(config["eps_prime"]) if "eps_prime" in config
+                     else tower.eps_prime_for(float(config["eps"])))
+    except (KeyError, TypeError):
+        raise ValueError("the stages file needs eps or eps_prime as a number") from None
     report.flags["eps_prime"] = eps_prime
     stages, betas = [], []
     for index, entry in enumerate(config.get("stages", []), 1):
@@ -200,14 +207,19 @@ def cmd_tower(args, report: RunReport) -> None:
                 max_freq=int(entry["max_freq"]),
                 dilation=int(entry["dilation"]),
             )
+            beta_order = int(entry.get("beta_order") or 0)
+            weights = np.array(entry.get("beta_weights", []), dtype=float)
+            if weights.ndim != 1:
+                raise ValueError("beta_weights is not a list of numbers")
         except KeyError as exc:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"stage {index} is malformed: {exc}") from None
         stages.append(stage)
         if "beta_weights" in entry:
-            weights = np.array(entry["beta_weights"], dtype=float)
-            beta = measures.AtomicMeasure(len(weights), weights)
+            beta = measures.AtomicMeasure(weights.size, weights)
         else:
-            beta = _beta_for_stage(stage, entry.get("beta_order"), index)
+            beta = _beta_for_stage(stage, beta_order, index)
         betas.append(beta)
     if not stages:
         report.flags["empty"] = True

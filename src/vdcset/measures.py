@@ -1,10 +1,11 @@
 """Non-negative atomic measures on the N-th roots of unity.
 
 Weight j sits at the point j/N of the circle; the Fourier transform
-``fourier(k) = sum_j w_j exp(-2*pi*i*k*j/N)`` is N-periodic, so one FFT of
-the weights holds all of it.  The weights are real, so that FFT is one real
-FFT (``rfft``) of half the period, mirrored by fourier(-k) = conj(fourier(k)).
-Measures are immutable; operations return new measures.
+``fourier(k) = sum_j w_j exp(-2*pi*i*k*j/N)`` is N-periodic, and the weights
+are real, so fourier(-k) = conj(fourier(k)): one real FFT (``rfft``) of the
+weights, the half spectrum 0 <= k <= N/2, holds all of it.  ``fourier`` is
+the one reader of that layout.  Measures are immutable; operations return
+new measures.
 """
 
 import json
@@ -44,14 +45,20 @@ class AtomicMeasure:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only transform over one period: spectrum[k] == fourier(k), 0 <= k < order."""
+        """Read-only half spectrum: spectrum[k] == fourier(k), 0 <= k <= order//2."""
         half = np.fft.rfft(self.weights)
-        s = np.concatenate((half, np.conj(half[1 : (self.order + 1) // 2][::-1])))
-        s.setflags(write=False)
-        return s
+        half.setflags(write=False)
+        return half
 
-    def fourier(self, k: int) -> complex:
-        return complex(self.spectrum[int(k) % self.order])
+    def fourier(self, k):
+        """Transform at an integer k of any sign (a complex), or elementwise at
+        an integer array: the half spectrum at k mod N, or its conjugate at
+        N - (k mod N)."""
+        k = np.asarray(k)
+        r = np.atleast_1d(k) % self.order
+        values = self.spectrum[np.minimum(r, self.order - r)]
+        np.conjugate(values, out=values, where=2 * r > self.order)
+        return complex(values[0]) if k.ndim == 0 else values
 
     def to_json(self) -> str:
         body = ", ".join(f"{w:.17g}" for w in self.weights)
@@ -95,17 +102,14 @@ def _common_order(m1: AtomicMeasure, m2: AtomicMeasure) -> int:
 def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Circular convolution after lifting both measures to lcm order.
 
-    Fourier transforms multiply: fourier(out, k) = fourier(m1, k) * fourier(m2, k),
-    and that product is how it is computed: the lift of a measure to a
-    multiple of its order repeats its spectrum, so the operands' cached
-    spectra, repeated to half the lcm period, are multiplied and inverted by
-    one ``irfft``.  The inverse leaves float noise around zero weights, which
-    the WEIGHT_TOL clamp of AtomicMeasure absorbs.
+    Fourier transforms multiply: fourier(out, k) = fourier(m1, k) * fourier(m2, k)
+    on k <= common/2, inverted by one ``irfft``.  The inverse leaves float
+    noise around zero weights, which the WEIGHT_TOL clamp of AtomicMeasure
+    absorbs.
     """
     common = _common_order(m1, m2)
-    half = common // 2 + 1
-    out = np.fft.irfft(np.resize(m1.spectrum, half) * np.resize(m2.spectrum, half), common)
-    return AtomicMeasure(common, out)
+    k = np.arange(common // 2 + 1)
+    return AtomicMeasure(common, np.fft.irfft(m1.fourier(k) * m2.fourier(k), common))
 
 
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:

@@ -109,7 +109,7 @@ def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     (beta_hat(m) - eps_prime)*|m|/max_freq on |m| <= n; its sup norm stays
     below eps_prime because max_freq > n*(n+1)/eps_prime."""
     m = np.arange(-stage.n, stage.n + 1)
-    ripple = (beta.spectrum[m % beta.order] - stage.eps_prime) * np.abs(m) / stage.max_freq
+    ripple = (beta.fourier(m) - stage.eps_prime) * np.abs(m) / stage.max_freq
     return TrigPoly.from_arrays(m, ripple, real=True)
 
 
@@ -125,7 +125,7 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     check_beta(stage, beta)
     big_m = stage.max_freq
     m = np.arange(-big_m + 1, big_m)
-    smoothed = (1.0 - np.abs(m) / big_m) * (beta.spectrum[m % beta.order] - stage.eps_prime)
+    smoothed = (1.0 - np.abs(m) / big_m) * (beta.fourier(m) - stage.eps_prime)
     smoothed[big_m - 1] += stage.eps_prime  # the m = 0 entry
     block = add(TrigPoly.from_arrays(m, smoothed, real=True), tower_correction(stage, beta))
     low = grid_min(block, positivity_grid(block.degree))

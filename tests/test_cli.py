@@ -136,6 +136,11 @@ def test_set_file_parsing(tmp_path):
     bad.write_text("x\n", encoding="utf-8")
     with pytest.raises(ValueError, match="bad.txt:1"):
         cli.read_set_file(str(bad))
+    # R is a set of positive integers: r <= 0 would be dropped by one certifier, folded by another
+    for text, lineno in (("5\n-3\n", 2), ("0\n", 1)):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.txt:{lineno}: not a positive"):
+            cli.read_set_file(str(bad))
 
 
 def test_certify_recurrence_cli(tmp_path):
@@ -284,6 +289,37 @@ def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
     assert message in report["flags"]["error"]
     assert report["checks"][-1]["name"] == "completed"
     assert f"FAIL completed [{message}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        pytest.param({"stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7}]},
+                     "needs eps or eps_prime", id="no-eps"),
+        pytest.param({"eps": None, "stages": []}, "needs eps or eps_prime", id="eps-null"),
+        pytest.param({"eps_prime": 0.3, "stages": [{"r_set": 3, "n": 1, "max_freq": 7,
+                                                    "dilation": 7}]},
+                     "stage 1 is malformed", id="r-set-not-a-list"),
+        pytest.param([1, 2], "must be an object", id="top-level-list"),
+        pytest.param({"eps_prime": 0.3, "stages": {"a": 1}}, "'stages' is a list",
+                     id="stages-not-a-list"),
+        pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
+                                                    "dilation": 7, "beta_weights": 3}]},
+                     "stage 1 is malformed", id="beta-weights-not-a-list"),
+        pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
+                                                    "dilation": 7, "beta_order": "x"}]},
+                     "stage 1 is malformed", id="beta-order-not-an-integer"),
+    ],
+)
+def test_malformed_stage_files_are_reported(tmp_path, capsys, config, message):
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 1
+    report = load_report(out)
+    check_report_schema(report)
+    assert message in report["flags"]["error"]
+    assert "FAIL completed [" in capsys.readouterr().out
 
 
 def test_tower_empty_stages(tmp_path):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,10 +98,25 @@ def test_convolution_against_direct_oracle_and_theorem():
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 4096])
 def test_spectrum_is_the_complex_fft(order):
     m = ms.AtomicMeasure(order, np.random.default_rng(order).random(order))
-    assert m.spectrum.shape == (order,)
-    assert np.abs(m.spectrum - np.fft.fft(m.weights)).max() <= 1e-12 * m.mass()
+    k = np.arange(-2 * order, 2 * order)
+    assert np.abs(m.fourier(k) - np.fft.fft(m.weights)[k % order]).max() <= 1e-12 * m.mass()
+    assert m.spectrum.shape == (order // 2 + 1,)
     with pytest.raises(ValueError):
         m.spectrum[0] = 0.0
+    assert type(m.fourier(np.int64(order - 1))) is complex
+    assert [m.fourier(int(j)) for j in k] == m.fourier(k).tolist()  # scalar calls, same bits
+
+
+def test_only_measures_reads_the_spectrum_layout():
+    """Other modules read transforms through fourier, so the half-spectrum
+    layout can change in measures.py alone."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ms.__file__).parent.glob("*.py")) if path.name != "measures.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "spectrum"
+    ]
+    assert readers == []
 
 
 def lift_rfft_convolution(m1, m2):
