@@ -28,9 +28,10 @@ def atom_budget() -> int:
     """Atom cap for builders; override with the VDC_ATOM_BUDGET env var.
 
     A block costs about 81 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 2.9 s CPU and 1.36 GB peak
-    RSS on a 2-vCPU x86-64 VM (numpy 2.4).  At that rate the default cap
-    2^26 admits blocks of about 5.4 GB.
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 5.5-7.8 s CPU and 1298 MiB
+    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); the 2^25-point
+    positivity grid of s sets the peak.  Both figures depend on the host.
+    At that rate the default cap 2^26 admits blocks of about 5.1 GiB.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -188,6 +189,7 @@ def build_block(params: BlockParams) -> AtomicMeasure:
     weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)
+    del weights  # sigma holds its own copy: one order-N array through the residuals
     require(block_checks(block_residuals(sigma, params)), BlockBulletError,
             f"block (ell={params.ell}, Q={params.q}, k={params.k}; a "
             f"'sufficiently large Q' condition is marginal)")

@@ -11,14 +11,17 @@ Failure-of-vdC side: a probability measure on the order-N roots of unity
 whose transform vanishes on R and whose atom at 0 exceeds epsilon is a
 witness that R is not an epsilon-vdC set.  The best such atom is a linear
 program, solved with the dense simplex from a uniform measure and
-re-verified independently of the solver.  Its dual is a real trigonometric
-polynomial f with f(j/N) >= [j = 0] at every root, whose constant term
-bounds the atom from above (the finite form of the Kamae-Mendes France /
-Ruzsa characterisation of vdC sets); matching the atom proves optimality.
+re-verified independently of the solver.  Averaging a feasible measure with
+its reflection j -> -j keeps it feasible and keeps the atom, so the LP is
+solved over symmetric measures: orbit weights on {h, N - h} and one cosine
+row per r.  Its dual is a real cosine polynomial f with f(j/N) >= [j = 0]
+at every root, whose constant term bounds the atom from above (the finite
+form of the Kamae-Mendes France / Ruzsa characterisation of vdC sets);
+matching the atom proves optimality.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -70,8 +73,13 @@ class VdcFailureWitness:
     measure: AtomicMeasure
     atom: float
     not_vdc: bool
-    # LP dual: constant term, then the (cos, sin) coefficients for each r
+    # LP dual: constant term, then the (cos, sin) coefficients for each r.
+    # The solver's dual is even (every sine coefficient 0); the checks accept
+    # any sine part, as a replaced dual (or the lift of one) may carry
     dual: np.ndarray
+    # solve_lp's diagnostics (rows, crossover steps, phase-2 pivots, basis
+    # condition); not part of the witness, so neither compared nor in to_json
+    diagnostics: dict = field(default_factory=dict, compare=False)
 
     @property
     def residual(self) -> float:
@@ -213,21 +221,20 @@ def truncate_preserving(r_set, epsilon: float, n: int):
     return {r for r in cert.r_set if r < n}
 
 
-def _transform_rows(r_set, order: int):
-    j = np.arange(order)
-    rows, rhs = [np.ones(order)], [1.0]
-    for r in sorted(r_set):
-        angle = 2.0 * np.pi * (r % order) * j / order
-        rows.append(np.cos(angle))
-        rhs.append(0.0)
-        rows.append(np.sin(angle))
-        rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
-
-
 def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """Probability measure on the order-N roots of unity maximising the
     weight at 0 subject to a vanishing transform on r_set.
+
+    The LP is solved over reflection-symmetric measures.  The reflection
+    j -> -j of a feasible measure is feasible (real weights: its transform
+    is the conjugate) and keeps the atom, so their average is a symmetric
+    optimum.  The unknowns are the orbit weights u_h, the mass on
+    {h, N - h} for h = 0..N//2, and the rows are the mass and one
+    cos(2*pi*r*h/N) per r: 1 + |R| rows on N//2 + 1 columns.  An orbit's
+    dual constraint reads mult_h * f(h/N) >= [h = 0] for the even dual
+    f = y_0 + sum_r y_r cos(2*pi*r*t), so f(j/N) >= [j = 0] at every root;
+    the dual is returned in the (y_0, then y_c, y_s per r) layout of the
+    full problem with every y_s = 0, and u is unfolded to weights.
 
     The solve starts from the uniform measure on the smallest subgroup,
     of order d | N, with no r a multiple of d (its transform is 1 there, 0
@@ -244,14 +251,21 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
             f"r = {multiples[0]} is a multiple of the order {order}: every "
             f"probability measure has transform 1 there"
         )
-    matrix, rhs = _transform_rows(r_set, order)
-    costs = np.zeros(order)
+    j = np.arange(order)
+    orbit = np.minimum(j, order - j)  # root j lies in the orbit {h, N - h}
+    h = np.arange(order // 2 + 1)
+    residues = np.array(r_set, dtype=np.int64)[:, None] % order
+    matrix = np.vstack((np.ones(h.size), np.cos(2.0 * np.pi * residues * h / order)))
+    rhs = np.zeros(matrix.shape[0])
+    rhs[0] = 1.0
+    costs = np.zeros(h.size)
     costs[0] = 1.0
     d = next(d for d in range(1, order + 1) if order % d == 0 and all(r % d for r in r_set))
-    start = np.zeros(order)
-    start[::order // d] = 1.0 / d
+    start = np.bincount(orbit[::order // d], minlength=h.size) / d
     result = solve_lp(costs, matrix, rhs, start)
-    measure = AtomicMeasure(order, result.x)
+    measure = AtomicMeasure(order, result.x[orbit] / np.bincount(orbit)[orbit])
+    dual = np.zeros(1 + 2 * len(r_set))
+    dual[0], dual[1::2] = result.dual[0], result.dual[1:]
     return VdcFailureWitness(
         r_set=r_set,
         epsilon=None,
@@ -259,7 +273,8 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
         measure=measure,
         atom=float(measure.weights[0]),
         not_vdc=False,
-        dual=result.dual,
+        dual=dual,
+        diagnostics=result.diagnostics,
     )
 
 

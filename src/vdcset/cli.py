@@ -115,6 +115,7 @@ def cmd_certify_vdc(args, report: RunReport) -> None:
     report.checks += witness.checks
     report.flags["atom"] = witness.atom
     report.flags["not_vdc"] = witness.not_vdc
+    report.flags["lp"] = witness.diagnostics
     report.flags["certificate"] = json.loads(witness.to_json())
 
 

@@ -185,16 +185,24 @@ def test_truncate_preserving():
         certify.truncate_preserving({2, 4}, 0.2, 6)
 
 
-def enumerate_vertex_atoms(r_set, order):
-    """Independent oracle: vertex enumeration of the witness polytope."""
+def full_lp_rows(r_set, order):
+    """The LP over all measures, not only symmetric ones: the mass row, then
+    a cosine and a sine row per r (sorted), the layout of the witness dual."""
     j = np.arange(order)
     rows = [np.ones(order)]
-    for r in r_set:
-        rows.append(np.cos(2 * np.pi * r * j / order))
-        rows.append(np.sin(2 * np.pi * r * j / order))
-    matrix = np.array([row for row in rows if np.abs(row).max() > 1e-12])
-    rhs = np.zeros(matrix.shape[0])
+    for r in sorted(r_set):
+        angle = 2 * np.pi * (r % order) * j / order
+        rows += [np.cos(angle), np.sin(angle)]
+    rhs = np.zeros(len(rows))
     rhs[0] = 1.0
+    return np.array(rows), rhs
+
+
+def enumerate_vertex_atoms(r_set, order):
+    """Independent oracle: vertex enumeration of the witness polytope."""
+    matrix, rhs = full_lp_rows(r_set, order)
+    keep = np.abs(matrix).max(axis=1) > 1e-12
+    matrix, rhs = matrix[keep], rhs[keep]
     rank = np.linalg.matrix_rank(matrix)
     best = None
     for cols in itertools.combinations(range(order), rank):
@@ -267,7 +275,7 @@ def test_lp_ladder_matches_pins_with_dual_certificate(order):
 
 def test_lp_sparse_start_needs_no_crossover(monkeypatch):
     # the uniform measure on the order-16 subgroup is feasible for R = {1..8}:
-    # 16 atoms against 17 rows leave the crossover nothing to drop
+    # folded onto 9 orbits against 9 rows, it leaves the crossover nothing to drop
     solve, diagnostics = certify.solve_lp, []
 
     def recording(*args, **kwargs):
@@ -281,13 +289,31 @@ def test_lp_sparse_start_needs_no_crossover(monkeypatch):
     assert witness.atom == pytest.approx(LADDER_ATOMS[512], abs=1e-12)
 
 
+def test_lp_solves_the_former_stall():
+    # degenerate for Bland pricing: the full cos+sin LP exceeds MAX_ITERATIONS here
+    witness = certify.certify_not_vdc((3, 5, 7, 11), 0.1, 512)
+    assert witness.atom == pytest.approx(0.5, abs=1e-12)
+    assert all(c.passed for c in witness.checks)
+    assert witness.diagnostics["rows"] <= 5
+
+
+@pytest.mark.parametrize("r_set, order", [(range(1, 9), 64), ((3, 20, 37, 45), 33), ((2, 5), 10)])
+def test_lp_solution_is_reflection_symmetric(r_set, order):
+    witness = certify.max_atom_lp(r_set, order)
+    w = witness.measure.weights
+    assert np.array_equal(w[1:], w[:0:-1])  # w_j = w_(N-j)
+    assert np.all(witness.dual[2::2] == 0.0)  # no sine part in the solver's dual
+    assert all(c.passed for c in witness.checks)
+
+
 def test_lp_matches_highs_on_random_sets():
+    # HiGHS solves the full LP over all measures, the library the symmetric one
     optimize = pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(11)
-    for _ in range(12):
-        order = int(rng.integers(8, 80))
+    for draw in range(16):
+        order = 2 * int(rng.integers(4, 40)) + draw % 2  # even and odd N
         r_set = sorted({int(v) for v in rng.integers(1, 3 * order, size=int(rng.integers(1, 6)))})
-        matrix, rhs = certify._transform_rows(r_set, order)
+        matrix, rhs = full_lp_rows(r_set, order)
         costs = np.zeros(order)
         costs[0] = -1.0
         ref = optimize.linprog(costs, A_eq=matrix, b_eq=rhs, bounds=(0, None), method="highs")
@@ -317,7 +343,7 @@ def test_dual_slack_fft_matches_direct_evaluation():
     # random duals with sine terms, frequencies past N/2 and past N
     rng = np.random.default_rng(12)
     witness = certify.max_atom_lp((3, 20, 37, 45), 32)
-    matrix, _ = certify._transform_rows(witness.r_set, 32)
+    matrix, _ = full_lp_rows(witness.r_set, 32)
     for _ in range(5):
         y = rng.normal(size=matrix.shape[0])
         direct = matrix.T @ y

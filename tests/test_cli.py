@@ -164,6 +164,17 @@ def test_certify_vdc_cli(tmp_path):
     assert report["flags"]["not_vdc"] is True
 
 
+def test_certify_vdc_reports_solver_diagnostics(tmp_path):
+    setf = tmp_path / "set.txt"
+    setf.write_text("\n".join(str(r) for r in range(1, 9)), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["certify-vdc", "--set-file", str(setf), "--eps", "0.1",
+                "--order", "128", "--json-out", str(out)]) == 0
+    lp = load_report(out)["flags"]["lp"]
+    assert set(lp) == {"rows", "crossover_steps", "phase2_pivots", "basis_condition"}
+    assert lp["rows"] <= 1 + 8  # one mass row and one cosine row per r
+
+
 def test_certify_vdc_reverifies_once(tmp_path, monkeypatch):
     real, calls = certify.reverify_witness, []
 
