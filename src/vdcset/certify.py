@@ -141,13 +141,15 @@ def _clique_cover_bound(candidates: int, adjacency: list, need: int) -> int:
 def _extend(candidates: int, chosen: int, need: int, alpha: list, adjacency: list):
     """Mask of chosen plus need pairwise non-adjacent candidates, or None.
     Branches on the highest candidate hi, taken first and then dropped;
-    alpha[hi - lo + 1] bounds what candidates within [lo, hi] can add."""
+    alpha[hi - lo + 1] bounds what candidates within [lo, hi] can add, and
+    as chosen holds 0, alpha[hi + 1] bounds them together with 0."""
     if not need:
         return chosen
     while candidates.bit_count() >= need:
         hi = candidates.bit_length() - 1
         lo = (candidates & -candidates).bit_length() - 1
-        if alpha[hi - lo + 1] < need or _clique_cover_bound(candidates, adjacency, need) < need:
+        if (alpha[hi - lo + 1] < need or alpha[hi + 1] <= need
+                or _clique_cover_bound(candidates, adjacency, need) < need):
             return None
         bit = 1 << hi
         candidates ^= bit
@@ -163,11 +165,12 @@ def max_avoiding_set(r_set, n: int):
 
     A shifted copy of an avoiding set still avoids r_set, so every interval
     of length L has the same maximum alpha_L.  alpha_k exceeds alpha_{k-1}
-    (by one) when some avoiding set of that size contains k-1; a depth-first
-    search decides this, pruned by alpha of the interval its candidates span
-    and by a greedy clique cover.  Returns (alpha, witness), witness some
-    maximum set, sorted.  Horizons above 80 are refused to keep the
-    exactness promise honest.
+    (by one) when some avoiding set in {0..k-1} has that size; it contains
+    both 0 and k-1, or a shift would fit it in {0..k-2}.  A depth-first
+    search from the pair decides this, pruned by alpha of the intervals its
+    candidates span and by a greedy clique cover.  Returns (alpha,
+    witness), witness some maximum set, sorted.  Horizons above 80 are
+    refused to keep the exactness promise honest.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -182,11 +185,14 @@ def max_avoiding_set(r_set, n: int):
             adjacency[v] |= 1 << (v + r)
             adjacency[v + r] |= 1 << v
 
-    alpha = [0] * (n + 1)
-    best_mask = 0
-    for k in range(1, n + 1):
+    alpha = [0, 1] + [0] * (n - 1)
+    best_mask = 1
+    for k in range(2, n + 1):
         bit = 1 << (k - 1)
-        found = _extend((bit - 1) & ~adjacency[k - 1], bit, alpha[k - 1], alpha, adjacency)
+        found = None
+        if not adjacency[k - 1] & 1:
+            candidates = (bit - 2) & ~adjacency[k - 1] & ~adjacency[0]
+            found = _extend(candidates, bit | 1, alpha[k - 1] - 1, alpha, adjacency)
         alpha[k] = alpha[k - 1]
         if found is not None:
             alpha[k] += 1
