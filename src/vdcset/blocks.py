@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
 from .reports import Check, require
-from .trigpoly import EVAL_TOL, TrigPoly, grid_min, modulus
+from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
 MASS_CONSTANT = 320.0
 DEFAULT_ATOM_BUDGET = 1 << 26
@@ -27,11 +27,12 @@ DEFAULT_ATOM_BUDGET = 1 << 26
 def atom_budget() -> int:
     """Atom cap for builders; override with the VDC_ATOM_BUDGET env var.
 
-    A block costs about 81 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 5.5-7.8 s CPU and 1298 MiB
-    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); the 2^25-point
-    positivity grid of s sets the peak.  Both figures depend on the host.
-    At that rate the default cap 2^26 admits blocks of about 5.1 GiB.
+    A block costs about 47 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 4.6-5.2 s CPU and 746 MiB
+    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); from_samples' order-N
+    irfft of s, beside s's coefficients, sets the peak.  Both figures
+    depend on the host.  At that rate the default cap 2^26 admits blocks of
+    about 2.9 GiB.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -101,54 +102,47 @@ class BlockParams:
 def block_polynomials(params: BlockParams):
     """The three real polynomials (p, r, s) behind a block measure.
 
-    p has coefficients 1 - cos(2*pi*(ell*Q^k - |m|)/N) on |m| <= ell*Q^k
-    (a convex profile, hence p >= 0); r carries spikes +1 at |m| = ell*Q^k
-    and -1/2 at |m| = N/2 -+ ell*Q^k; s = 16*ell*(p conv F_{Q^k}) + r*p is
-    non-negative, certified here on a uniform grid: the smallest power of two
-    >= max(4096, 2*degree(s) + 1). A size with a large prime factor (393215 =
-    5*78643 at order 262144) sends the FFT to Bluestein's algorithm, about 4x
-    slower than 524288; a denser grid only strengthens the check.  s is
-    assembled directly as one coefficient array (_assemble_s), whose dense
-    scratch array is freed before the grid check runs.
-    """
-    params.validate()
-    n_total = params.order
-    edge = params.ell * params.q**params.k
-
-    m = np.arange(-edge, edge + 1)
-    profile = 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total)
-    p = TrigPoly.from_arrays(m, profile, real=True)
-
-    half = n_total // 2
-    spikes = np.array([edge, half - edge, half + edge])
-    r = TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
-
-    s = _assemble_s(params, profile, spikes)
-    low = grid_min(s, 1 << max(12, (2 * s.degree).bit_length()))
-    if low < -EVAL_TOL:
-        raise BlockBulletError(f"block polynomial grid minimum {low} < -{EVAL_TOL}")
-    return p, r, s
-
-
-def _assemble_s(params: BlockParams, profile: np.ndarray, spikes: np.ndarray) -> TrigPoly:
-    """s = 16*ell*(p conv F_{Q^k}) + r*p from p's values on |m| <= ell*Q^k
-    and r's spikes at m > 0.
+    p has coefficients 1 - cos(2*pi*(ell*Q^k - |m|)/N) on |m| <= ell*Q^k;
+    r carries spikes +1 at |m| = ell*Q^k and -1/2 at |m| = N/2 -+ ell*Q^k.
+    s = 16*ell*(p conv F_{Q^k}) + r*p = 4*(4*ell*(p conv F_{Q^k}) - p) + (4 + r)*p
+    is non-negative by construction, so no grid is evaluated:
+    - p >= 0 by Polya's criterion (convex_poly): ConvexProfile checks its
+      profile, convex because the ledger row 'ell*Q^k < Q^(k+1)/2 -
+      ell*Q^k' (4*ell*Q^k < N) keeps the angle of 1 - cos below pi/2;
+    - 4*R*(f conv F_L) >= f for f >= 0 of degree <= R*L (the domination
+      rows of verify-kernels), here with R = ell and L = Q^k;
+    - |r| <= 4, the sum of its |coefficients|.
+    The argument holds for p's float coefficients.  Assembling s in floats
+    moves each coefficient by at most 3.1e-16 of itself and s by at most
+    6.1e-17 of its l1 norm, measured against extended precision at the
+    blocks of the tests.  from_samples' -1e-6 rejection and AtomicMeasure's
+    clamp still guard the sampled weights.
 
     s is even, so it is assembled as one array of its coefficients at
     m >= 0, then mirrored: the Fejer-weighted profile of p on m < Q^k, plus
-    p's profile added as a slice at each of those spikes (the spike at
+    p's profile added as a slice at each spike of r at m > 0 (the spike at
     -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).  The sums run in
     the order of the polynomial products they replace.
     """
+    params.validate()
+    n_total, half = params.order, params.order // 2
     edge, width = params.ell * params.q**params.k, params.q**params.k
+
+    m = np.arange(-edge, edge + 1)
+    profile = 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total)
+    p = convex_poly(ConvexProfile(profile[edge:]))
+    spikes = np.array([edge, half - edge, half + edge])
+    r = TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
+
     even = np.zeros(params.sample_degree + 2)  # s at m = 0 .. N/2 + 2*ell*Q^k
     even[:width] = 16.0 * params.ell * (profile[edge : edge + width] * (1.0 - np.arange(width) / width))
     for spike, weight in zip(spikes, (1.0, -0.5, -0.5)):
         even[spike - edge : spike + edge + 1] += weight * profile
     at = np.flatnonzero(even[1:]) + 1
     values = even[at]
-    return TrigPoly.from_arrays(np.concatenate((-at[::-1], [0], at)),
-                                np.concatenate((values[::-1], even[:1], values)), real=True)
+    s = TrigPoly.from_arrays(np.concatenate((-at[::-1], [0], at)),
+                             np.concatenate((values[::-1], even[:1], values)), real=True)
+    return p, r, s
 
 
 def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import TrigPoly, antihermitian_norm, sample_values
+from .trigpoly import EVAL_TOL, TrigPoly, antihermitian_norm, sample_values
 
 WEIGHT_TOL = 1e-12          # float noise clamped to zero at construction
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
@@ -33,6 +33,9 @@ class AtomicMeasure:
             raise ValueError("order must be >= 1")
         if w.shape != (self.order,):
             raise ValueError(f"expected {self.order} weights, got shape {w.shape}")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"weight {bad[0]} is not finite: {w[bad[0]]}")
         low = w.min()
         if low < -WEIGHT_TOL:
             raise ValueError(f"negative weight {low} below clamp scale {-WEIGHT_TOL}")
@@ -115,8 +118,8 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     """Measure with weight poly(n/order)/order placed at the point -n/order.
 
-    Requires a real-flagged polynomial, conjugate-symmetric up to 1e-9 in
-    the l1 norm of its anti-Hermitian part (a bound on the imaginary part
+    Requires a real-flagged polynomial, conjugate-symmetric up to EVAL_TOL
+    in the l1 norm of its anti-Hermitian part (a bound on the imaginary part
     the real samples leave out), whose samples are non-negative up to float
     noise: anything below -1e-6 signals a genuinely non-positive polynomial
     and is rejected; small negatives are clamped to zero.
@@ -124,7 +127,7 @@ def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     if not poly.real:
         raise ValueError("from_samples needs a real-flagged polynomial")
     skew = antihermitian_norm(poly)
-    if skew > 1e-9:
+    if skew > EVAL_TOL:
         raise ValueError(f"coefficients are not conjugate-symmetric: anti-Hermitian l1 norm {skew}")
     samples = sample_values(poly, order)
     low = float(samples.min())

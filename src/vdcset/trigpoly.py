@@ -10,9 +10,11 @@ values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
 
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
-(coefficient arithmetic) and 1e-9 (evaluation); positivity of a polynomial
-is certified on a uniform grid, which is a heuristic, not a proof.  Grid
-values come from one inverse FFT of the coefficients folded mod the grid:
+(coefficient arithmetic) and 1e-9 (evaluation).  Convex-profile polynomials
+are non-negative by Polya's criterion, which ConvexProfile certifies; only
+tower stage polynomials still rest on a uniform grid minimum, a heuristic,
+not a proof.  Grid values come from one inverse FFT of the coefficients
+folded mod the grid:
 a real (``irfft``) transform of the folded half spectrum for a
 ``real``-flagged polynomial, a complex one otherwise.
 """
@@ -243,34 +245,33 @@ def dilate(f: TrigPoly, a: int) -> TrigPoly:
 
 @dataclass(frozen=True)
 class ConvexProfile:
-    """Values f(0), ..., f(ell) of a non-negative, non-increasing, convex
-    function with f(ell) = 0.  Inequalities are checked with absolute
-    tolerance 1e-12; equality is accepted."""
+    """Values f(0), ..., f(ell) of a finite, non-negative, non-increasing,
+    convex function with f(ell) = 0.  Inequalities are checked with absolute
+    tolerance COEFF_TOL; equality is accepted.  This check is the
+    certificate that convex_poly is non-negative."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
+        vals = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        if not vals.size:
             raise ProfileError("profile must contain at least f(0)")
-        for i, v in enumerate(vals):
-            if v < -COEFF_TOL:
-                raise ProfileError(f"profile negative at index {i}: f({i}) = {v}")
-        if abs(vals[-1]) > COEFF_TOL:
-            raise ProfileError(
-                f"profile must vanish at its last index {len(vals) - 1}: got {vals[-1]}"
-            )
-        for i in range(len(vals) - 1):
-            if vals[i + 1] > vals[i] + COEFF_TOL:
-                raise ProfileError(
-                    f"profile not non-increasing at index {i}: f({i}) = {vals[i]} < f({i + 1}) = {vals[i + 1]}"
-                )
-        for i in range(1, len(vals) - 1):
-            if 2.0 * vals[i] > vals[i - 1] + vals[i + 1] + COEFF_TOL:
-                raise ProfileError(
-                    f"profile not convex at index {i}: 2*f({i}) > f({i - 1}) + f({i + 1})"
-                )
+        bad = np.flatnonzero(~np.isfinite(vals))  # first: the tests below compare finite values
+        if bad.size:
+            raise ProfileError(f"profile not finite at index {bad[0]}: f({bad[0]}) = {vals[bad[0]]}")
+        tests = [  # (failing entries, index of entry 0, message at index i)
+            (vals < -COEFF_TOL, 0, lambda i: f"negative at index {i}: f({i}) = {vals[i]}"),
+            (np.abs(vals[-1:]) > COEFF_TOL, vals.size - 1,
+             lambda i: f"must vanish at its last index {i}: got {vals[i]}"),
+            (vals[1:] > vals[:-1] + COEFF_TOL, 0, lambda i: f"not non-increasing at index {i}: "
+             f"f({i}) = {vals[i]} < f({i + 1}) = {vals[i + 1]}"),
+            (2.0 * vals[1:-1] > vals[:-2] + vals[2:] + COEFF_TOL, 1,
+             lambda i: f"not convex at index {i}: 2*f({i}) > f({i - 1}) + f({i + 1})"),
+        ]
+        for failing, first, message in tests:
+            if failing.any():
+                raise ProfileError("profile " + message(first + int(np.argmax(failing))))
 
     @property
     def cutoff(self) -> int:
@@ -278,23 +279,16 @@ class ConvexProfile:
 
 
 def convex_poly(profile: ConvexProfile) -> TrigPoly:
-    """Polynomial with coefficient f(|m|) from a convex profile.
+    """Polynomial with coefficient f(|m|) from a convex profile with cutoff L.
 
-    Such a polynomial is non-negative on the circle; construction places
-    the coefficients and certifies min >= -1e-9 on a uniform grid.
+    Non-negative by Polya's criterion, so no grid is evaluated: with f = 0
+    beyond L it is sum_{n=1}^{L+1} n*(f(n-1) - 2*f(n) + f(n+1))*F_n, and
+    0 <= F_n <= n.  A profile that passed its check has every second
+    difference >= -3*COEFF_TOL, so p >= -3*COEFF_TOL * sum_{n <= L+1} n^2.
     """
-    return _convex_poly_with_min(profile)[0]
-
-
-def _convex_poly_with_min(profile: ConvexProfile) -> tuple:
-    """convex_poly and the grid minimum that certifies it."""
     values = np.asarray(profile.values)
     freqs = np.arange(-profile.cutoff, profile.cutoff + 1)
-    poly = TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
-    low = grid_min(poly, positivity_grid(poly.degree))
-    if low < -EVAL_TOL:
-        raise ProfileError(f"convex profile produced grid minimum {low} < -{EVAL_TOL}")
-    return poly, low
+    return TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
 
 
 def domination_kernel(big_r: int, big_l: int) -> TrigPoly:
@@ -355,7 +349,8 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
 
     def convex():  # partial sums of sorted drops make a convex profile
         drops = np.sort(rng.random(int(rng.integers(1, 17))))
-        return _convex_poly_with_min(ConvexProfile(tuple(np.cumsum(drops)[::-1]) + (0.0,)))[1]
+        poly = convex_poly(ConvexProfile(tuple(np.cumsum(drops)[::-1]) + (0.0,)))
+        return grid_min(poly, positivity_grid(poly.degree))
 
     def sampling():
         degree = int(rng.integers(0, 8))

@@ -238,22 +238,37 @@ def test_block_transform_identity_every_frequency():
         assert abs(sigma.fourier(m).imag) < 1e-9
 
 
-def test_block_positivity_grid_is_a_power_of_two(monkeypatch):
-    asked = []
-    real_grid_min = blocks.grid_min
+@pytest.mark.parametrize("ell,q,k", [(2, 64, 0), (2, 64, 1), (2, 64, 2), (8, 64, 1),
+                                      (8, 128, 1), (5, 34, 1)])
+def test_block_polynomial_decomposition_on_a_grid(ell, q, k):
+    # grid oracle for s = 4*(4*ell*(p conv F_{Q^k}) - p) + (4 + r)*p, which the
+    # builder relies on instead of a grid: s and both parts stay >= -EVAL_TOL on 8N points
+    params = blocks.BlockParams(ell, q, k)
+    p, r, s = blocks.block_polynomials(params)
+    smoothed = tp.scale(tp.convolve(p, tp.fejer(q**k)), 4.0 * ell)
+    first = tp.add(smoothed, tp.scale(p, -1.0))
+    second = tp.multiply(tp.add(tp.constant(4.0), r), p)
+    whole = tp.add(tp.scale(first, 4.0), second)
+    assert np.array_equal(whole.freqs, s.freqs)
+    assert np.abs(whole.values - s.values).max() <= tp.COEFF_TOL
+    grid = 8 * params.order
+    for poly in (s, first, second):
+        assert tp.grid_min(poly, grid) >= -tp.EVAL_TOL
 
-    def recording(poly, grid):
-        asked.append((poly.degree, grid))
-        return real_grid_min(poly, grid)
 
-    monkeypatch.setattr(blocks, "grid_min", recording)
-    for params in [(2, 64, 0), (8, 64, 1), (8, 128, 1), (8, 64, 2)]:
-        blocks.block_polynomials(blocks.BlockParams(*params))
-    assert len(asked) == 4
-    for degree, grid in asked:
-        floor = max(4096, 2 * degree + 1)
-        assert grid & (grid - 1) == 0
-        assert floor <= grid < 2 * floor
+def test_builders_evaluate_no_grid(monkeypatch):
+    # positivity of p and s is certified by the convex profile, not by sampling
+    def refuse(*args):
+        raise AssertionError("a positivity grid was evaluated")
+
+    monkeypatch.setattr(tp, "grid_min", refuse)
+    monkeypatch.setattr(tp, "positivity_grid", refuse)
+    assert not hasattr(blocks, "grid_min")
+    assert blocks.build_block(blocks.BlockParams(2, 64, 1)).order == 64**2
+    mu, sigma = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
+    assert mu.order == sigma.order == 64**2
+    poly = tp.convex_poly(tp.ConvexProfile((1.0, 0.25, 0.0)))
+    assert poly.coeffs == {-1: 0.25, 0: 1.0, 1: 0.25}
 
 
 @pytest.mark.parametrize("ell,q,k", [(8, 64, 1), (2, 64, 0)])

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -454,6 +455,16 @@ def test_tower_beta_mass_beyond_tolerance_fails(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL completed" in out
     assert "not 1 within 1e-09" in out
+
+
+def test_tower_rejects_non_finite_beta_weights(tmp_path, capsys):
+    # nan passed check_beta and the stage positivity test, failing only at stage1_mean
+    stages = {"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7,
+                                            "beta_weights": [math.nan, 0.3333, 0.3333]}]}
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps(stages), encoding="utf-8")
+    assert run(["tower", "--stages-file", str(path)]) == 1
+    assert "FAIL completed [weight 0 is not finite: nan" in capsys.readouterr().out
 
 
 LEDGER_NAMES = [

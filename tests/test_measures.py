@@ -204,6 +204,15 @@ def test_scale_add():
     assert mu.mass() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_rejected(bad):
+    # nan passes every weight comparison, so only an explicit test rejects it
+    with pytest.raises(ValueError, match="weight 1 is not finite"):
+        ms.AtomicMeasure(3, np.array([0.5, bad, 0.5]))
+    with pytest.raises(ValueError, match="weight 0 is not finite: nan"):
+        ms.AtomicMeasure.from_json('{"order": 3, "weights": [NaN, 0.5, 0.5]}')
+
+
 def test_json_round_trip_is_exact():
     rng = np.random.default_rng(29)
     m = ms.AtomicMeasure(7, rng.random(7))

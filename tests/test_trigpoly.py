@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -150,7 +151,73 @@ def test_convex_profile_validation_names_index():
         tp.ConvexProfile((2.0, 1.0))
     with pytest.raises(tp.ProfileError, match="negative"):
         tp.ConvexProfile((1.0, -0.5, 0.0))
+    # a long profile, (L - i)^2 / L^2, bent concave at two corners: the first is named
+    cutoff = 100_000
+    values = (cutoff - np.arange(cutoff + 1.0)) ** 2 / cutoff**2
+    values[[61_803, 90_001]] += 1e-9  # second differences are 2e-10, the tolerance 1e-12
+    with pytest.raises(tp.ProfileError, match="not convex at index 61803:"):
+        tp.ConvexProfile(values)
+    values[[61_803, 90_001]] -= 1e-9
+    assert tp.ConvexProfile(values).cutoff == cutoff
 
+
+@pytest.mark.parametrize("values, index", [((math.nan, 0.0), 0), ((math.inf, 1.0, 0.0), 0),
+                                           ((1.0, 0.5, -math.inf), 2)])
+def test_convex_profile_rejects_non_finite_values(values, index):
+    # every comparison is False on nan, so only an explicit test rejects it
+    with pytest.raises(tp.ProfileError, match=f"not finite at index {index}"):
+        tp.ConvexProfile(values)
+
+
+
+def reference_profile_error(values):
+    """The profile checks as one loop per invariant, in ConvexProfile's order:
+    the message of the first failure, or None."""
+    vals = [float(v) for v in values]
+    tol = tp.COEFF_TOL
+    for i, v in enumerate(vals):
+        if not math.isfinite(v):
+            return f"profile not finite at index {i}: f({i}) = {v}"
+    for i, v in enumerate(vals):
+        if v < -tol:
+            return f"profile negative at index {i}: f({i}) = {v}"
+    if abs(vals[-1]) > tol:
+        return f"profile must vanish at its last index {len(vals) - 1}: got {vals[-1]}"
+    for i in range(len(vals) - 1):
+        if vals[i + 1] > vals[i] + tol:
+            return (f"profile not non-increasing at index {i}: "
+                    f"f({i}) = {vals[i]} < f({i + 1}) = {vals[i + 1]}")
+    for i in range(1, len(vals) - 1):
+        if 2.0 * vals[i] > vals[i - 1] + vals[i + 1] + tol:
+            return f"profile not convex at index {i}: 2*f({i}) > f({i - 1}) + f({i + 1})"
+    return None
+
+
+def test_convex_profile_matches_loop_reference():
+    # convex profiles, then one entry moved by a size near and far from the tolerance
+    rng = np.random.default_rng(41)
+    outcomes = set()
+    for _ in range(600):
+        cutoff = int(rng.integers(1, 30))
+        drops = np.sort(rng.random(cutoff))
+        values = np.concatenate([np.cumsum(drops)[::-1], [0.0]])
+        kind = int(rng.integers(0, 4))
+        i = int(rng.integers(0, cutoff + 1))
+        if kind == 1:
+            values[i] += rng.choice([-1.0, 1.0]) * rng.choice([1e-13, 3e-12, 1e-6, 0.05, 1.0])
+        elif kind == 2:
+            values[i] = rng.choice([math.nan, math.inf, -math.inf])
+        elif kind == 3:
+            values[i:] = values[i:] - rng.choice([1e-13, 1e-3])
+        expected = reference_profile_error(values)
+        try:
+            tp.ConvexProfile(values)
+            got = None
+        except tp.ProfileError as exc:
+            got = str(exc)
+        assert got == expected
+        outcomes.add(expected.split(" at ")[0] if expected else None)
+    assert len(outcomes) == 6  # accepted, and each of the five failures
 
 def test_convex_poly_zero_profile():
     assert tp.convex_poly(tp.ConvexProfile((0.0,))).coeffs == {}
