@@ -73,9 +73,7 @@ class VdcFailureWitness:
     measure: AtomicMeasure
     atom: float
     not_vdc: bool
-    # LP dual: constant term, then the (cos, sin) coefficients for each r.
-    # The solver's dual is even (every sine coefficient 0); the checks accept
-    # any sine part, as a replaced dual (or the lift of one) may carry
+    # LP dual: constant term y_0, then the cosine coefficient y_r for each r
     dual: np.ndarray
     # solve_lp's diagnostics (rows, crossover steps, phase-2 pivots, basis
     # condition); not part of the witness, so neither compared nor in to_json
@@ -239,8 +237,8 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     cos(2*pi*r*h/N) per r: 1 + |R| rows on N//2 + 1 columns.  An orbit's
     dual constraint reads mult_h * f(h/N) >= [h = 0] for the even dual
     f = y_0 + sum_r y_r cos(2*pi*r*t), so f(j/N) >= [j = 0] at every root;
-    the dual is returned in the (y_0, then y_c, y_s per r) layout of the
-    full problem with every y_s = 0, and u is unfolded to weights.
+    the dual is returned as (y_0, then y_r per r), and u is unfolded to
+    weights.
 
     The solve starts from the uniform measure on the smallest subgroup,
     of order d | N, with no r a multiple of d (its transform is 1 there, 0
@@ -270,8 +268,6 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     start = np.bincount(orbit[::order // d], minlength=h.size) / d
     result = solve_lp(costs, matrix, rhs, start)
     measure = AtomicMeasure(order, result.x[orbit] / np.bincount(orbit)[orbit])
-    dual = np.zeros(1 + 2 * len(r_set))
-    dual[0], dual[1::2] = result.dual[0], result.dual[1:]
     return VdcFailureWitness(
         r_set=r_set,
         epsilon=None,
@@ -279,7 +275,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
         measure=measure,
         atom=float(measure.weights[0]),
         not_vdc=False,
-        dual=dual,
+        dual=result.dual,
         diagnostics=result.diagnostics,
     )
 
@@ -287,15 +283,16 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
 def reverify_witness(witness: VdcFailureWitness) -> dict:
     """Trust anchor outside the solver: non-negativity, unit mass, and the
     vanishing-transform residual recomputed straight from the weights; the
-    dual polynomial f = y_0 + sum_r (y_c cos + y_s sin)(2*pi*r*t) sampled at
-    the N roots, its least slack min_j f(j/N) - [j = 0], its bound f's
-    constant term, and that bound's gap to the atom."""
+    dual polynomial f = y_0 + sum_r y_r cos(2*pi*r*t), coefficient y_r/2 at
+    r and at -r, sampled at the N roots, its least slack
+    min_j f(j/N) - [j = 0], its bound f's constant term, and that bound's
+    gap to the atom."""
     w = witness.measure.weights
     y = witness.dual
     r = np.array(witness.r_set, dtype=np.int64)
-    half = (y[1::2] - 1j * y[2::2]) / 2  # the coefficient at r; conjugated at -r
+    half = y[1:] / 2
     dual = TrigPoly.from_arrays(np.concatenate((-r[::-1], [0], r)),
-                                np.concatenate((np.conj(half[::-1]), [y[0]], half)), real=True)
+                                np.concatenate((half[::-1], y[:1], half)), real=True)
     slack = sample_values(dual, witness.order)
     slack[0] -= 1.0
     return {

@@ -128,8 +128,8 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
 
     def fails(m, mapping, subset) -> bool:
         n, overlap = combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
-        density = len(subset) / m
-        return n > -(-2 * m // len(subset)) or 2 * overlap < density * density - 1e-15
+        count = round(overlap * m)  # overlap is count/m; compared in integers like strong_poincare
+        return n > -(-2 * m // len(subset)) or 2 * count * m < len(subset) ** 2
 
     for m in range(1, args.m_max + 1):
         for shift in range(m):
@@ -209,19 +209,16 @@ def cmd_tower(args, report: RunReport) -> None:
                 dilation=int(entry["dilation"]),
             )
             beta_order = int(entry.get("beta_order") or 0)
-            weights = np.array(entry.get("beta_weights", []), dtype=float)
-            if weights.ndim != 1:
-                raise ValueError("beta_weights is not a list of numbers")
+            beta = None
+            if "beta_weights" in entry:  # AtomicMeasure checks the shape and every weight
+                weights = np.array(entry["beta_weights"], dtype=float)
+                beta = measures.AtomicMeasure(weights.size, weights)
         except KeyError as exc:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"stage {index} is malformed: {exc}") from None
         stages.append(stage)
-        if "beta_weights" in entry:
-            beta = measures.AtomicMeasure(weights.size, weights)
-        else:
-            beta = _beta_for_stage(stage, beta_order, index)
-        betas.append(beta)
+        betas.append(_beta_for_stage(stage, beta_order, index) if beta is None else beta)
     if not stages:
         report.flags["empty"] = True
         return

@@ -10,11 +10,9 @@ values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
 
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
-(coefficient arithmetic) and 1e-9 (evaluation).  Convex-profile polynomials
-are non-negative by Polya's criterion, which ConvexProfile certifies; only
-tower stage polynomials still rest on a uniform grid minimum, a heuristic,
-not a proof.  Grid values come from one inverse FFT of the coefficients
-folded mod the grid:
+(coefficient arithmetic) and 1e-9 (evaluation).  No builder evaluates a
+positivity grid; grid minima serve only kernel_residuals as oracles.  Grid
+values come from one inverse FFT of the coefficients folded mod the grid:
 a real (``irfft``) transform of the folded half spectrum for a
 ``real``-flagged polynomial, a complex one otherwise.
 """
@@ -184,12 +182,12 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
 
 
 def grid_min(f: TrigPoly, grid: int) -> float:
-    """Minimum of Re f over the uniform grid (positivity heuristic)."""
+    """Minimum of Re f over the uniform grid (an oracle, not a proof of positivity)."""
     return float(sample_values(f, grid).real.min())
 
 
 def positivity_grid(degree: int) -> int:
-    """Grid size used to certify non-negativity of a degree-d polynomial."""
+    """Grid size on which the oracle rows sample a degree-d polynomial's minimum."""
     return max(1024, 8 * degree)
 
 
@@ -243,18 +241,19 @@ def dilate(f: TrigPoly, a: int) -> TrigPoly:
     return TrigPoly.from_arrays(a * f.freqs, f.values, real=f.real)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvexProfile:
-    """Values f(0), ..., f(ell) of a finite, non-negative, non-increasing,
-    convex function with f(ell) = 0.  Inequalities are checked with absolute
-    tolerance COEFF_TOL; equality is accepted.  This check is the
-    certificate that convex_poly is non-negative."""
+    """Values f(0), ..., f(ell), a read-only float64 copy, of a finite,
+    non-negative, non-increasing, convex function with f(ell) = 0, checked
+    with absolute tolerance COEFF_TOL (equality accepted): the certificate,
+    by Polya's criterion, that convex_poly is non-negative."""
 
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", tuple(vals.tolist()))
+        vals = np.array(self.values, dtype=float)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
         if not vals.size:
             raise ProfileError("profile must contain at least f(0)")
         bad = np.flatnonzero(~np.isfinite(vals))  # first: the tests below compare finite values
@@ -275,7 +274,7 @@ class ConvexProfile:
 
     @property
     def cutoff(self) -> int:
-        return len(self.values) - 1
+        return self.values.size - 1
 
 
 def convex_poly(profile: ConvexProfile) -> TrigPoly:
@@ -286,7 +285,7 @@ def convex_poly(profile: ConvexProfile) -> TrigPoly:
     0 <= F_n <= n.  A profile that passed its check has every second
     difference >= -3*COEFF_TOL, so p >= -3*COEFF_TOL * sum_{n <= L+1} n^2.
     """
-    values = np.asarray(profile.values)
+    values = profile.values
     freqs = np.arange(-profile.cutoff, profile.cutoff + 1)
     return TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
 

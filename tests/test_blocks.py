@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vdcset import blocks
+from vdcset import blocks, tower
 from vdcset import combinatorics as cb
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
@@ -257,18 +257,25 @@ def test_block_polynomial_decomposition_on_a_grid(ell, q, k):
 
 
 def test_builders_evaluate_no_grid(monkeypatch):
-    # positivity of p and s is certified by the convex profile, not by sampling
+    # positivity of p and s is certified by the convex profile, that of a tower
+    # stage by its closed-form floor, not by sampling
     def refuse(*args):
         raise AssertionError("a positivity grid was evaluated")
 
     monkeypatch.setattr(tp, "grid_min", refuse)
     monkeypatch.setattr(tp, "positivity_grid", refuse)
     assert not hasattr(blocks, "grid_min")
+    for name in ("grid_min", "positivity_grid", "sample_values"):
+        assert not hasattr(tower, name)
     assert blocks.build_block(blocks.BlockParams(2, 64, 1)).order == 64**2
     mu, sigma = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
     assert mu.order == sigma.order == 64**2
     poly = tp.convex_poly(tp.ConvexProfile((1.0, 0.25, 0.0)))
     assert poly.coeffs == {-1: 0.25, 0: 1.0, 1: 0.25}
+    monkeypatch.setattr(tp, "sample_values", refuse)
+    stages = [tower.TowerStage((1, 2), 2, 0.3, 21, d) for d in (21, 925, 40701)]
+    products = tower.build_tower(stages, [ms.uniform(3)] * 3)
+    assert products[-1].freqs.size == 41**3
 
 
 @pytest.mark.parametrize("ell,q,k", [(8, 64, 1), (2, 64, 0)])

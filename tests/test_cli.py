@@ -319,6 +319,12 @@ def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
                                                     "dilation": 7, "beta_weights": 3}]},
                      "stage 1 is malformed", id="beta-weights-not-a-list"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
+                                                    "dilation": 7, "beta_weights": [0.5, -0.5]}]},
+                     "stage 1 is malformed: negative weight", id="beta-weights-negative"),
+        pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
+                                                    "dilation": 7, "beta_weights": []}]},
+                     "stage 1 is malformed: order must be >= 1", id="beta-weights-empty"),
+        pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
                                                     "dilation": 7, "beta_order": "x"}]},
                      "stage 1 is malformed", id="beta-order-not-an-integer"),
     ],
@@ -464,7 +470,8 @@ def test_tower_rejects_non_finite_beta_weights(tmp_path, capsys):
     path = tmp_path / "stages.json"
     path.write_text(json.dumps(stages), encoding="utf-8")
     assert run(["tower", "--stages-file", str(path)]) == 1
-    assert "FAIL completed [weight 0 is not finite: nan" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL completed [stage 1 is malformed: weight 0 is not finite: nan" in out
 
 
 LEDGER_NAMES = [

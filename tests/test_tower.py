@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vdcset import certify, tower
+from vdcset import certify, cli, tower
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
@@ -192,3 +192,43 @@ def test_frozen_window_matches_the_union_reference():
     for i in range(2):
         assert rows[i]["frozen_window"] == union_window_frozen(stages, products, i)
         assert rows[i]["frozen_window"] == pytest.approx(2e-3, abs=1e-12)
+
+
+def random_betas(stage, rng, count):
+    """Seeded betas killing the stage's recurrence set: the uniform measure
+    on the smallest subgroup of order d with no r a multiple of d (atom 1/d),
+    mixed with a random measure smoothed by it, with the atom above eps'."""
+    d = next(d for d in range(2, stage.n + 2) if all(r % d for r in stage.r_set))
+    subgroup = ms.uniform(d)
+    for _ in range(count):
+        order = d * int(rng.integers(1, 9))
+        noise = ms.convolve(ms.AtomicMeasure(order, rng.dirichlet(np.ones(order))), subgroup)
+        share = rng.uniform((stage.eps_prime * d + 1) / 2, 1.0)
+        yield ms.scale_add(share, subgroup, 1.0 - share, noise)
+
+
+def test_stage_polynomial_stays_above_its_floor():
+    # grid oracle for the closed-form floor eps' - (mass - eps')*n*(n+1)/max_freq
+    rng = np.random.default_rng(5)
+    for stage in (toy_stages()[0], depth4_stages()[0]):  # the dilation plays no part
+        lp = cli._beta_for_stage(stage, 0, 1)  # as cmd_tower picks it
+        for beta in [ms.uniform(3), lp, *random_betas(stage, rng, 20)]:
+            eps, n = stage.eps_prime, stage.n
+            floor = eps - (beta.mass() - eps) * n * (n + 1) / stage.max_freq
+            assert floor > 0.0
+            block = tower.tower_block(stage, beta)
+            assert tp.grid_min(block, 8 * stage.max_freq) >= floor - tp.EVAL_TOL
+
+
+def test_non_positive_floor_is_named(monkeypatch):
+    # eps' = 1e-10 needs max_freq > 2e10; the mass 1 + 9e-10 passes check_beta and
+    # leaves the floor at -7.5e-20, which must raise before the 4e10 frequencies exist
+    stage = tower.TowerStage((1,), 1, 1e-10, 20_000_000_001, 20_000_000_001)
+    beta = ms.AtomicMeasure(2, np.full(2, (1.0 + 9e-10) / 2))
+
+    def refuse(*args):
+        raise AssertionError("coefficients were built before the floor was checked")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(ValueError, match="no positive floor: -7.5"):
+        tower.tower_block(stage, beta)
