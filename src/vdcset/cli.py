@@ -7,6 +7,7 @@ an unreadable set file.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -126,25 +127,24 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
     failures = 0
     tested = 0
 
-    def fails(m, mapping, subset) -> bool:
-        n, overlap = combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
-        count = round(overlap * m)  # overlap is count/m; compared in integers like strong_poincare
-        return n > -(-2 * m // len(subset)) or 2 * count * m < len(subset) ** 2
+    def failed(m, n, count, size):  # the recurrence bound, in integers like poincare_returns
+        return (n > -(-2 * m // size)) | (2 * count * m < size * size)
 
     for m in range(1, args.m_max + 1):
+        members = (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)  # all masks
+        sizes = members.sum(axis=1)
         for shift in range(m):
-            mapping = tuple((x + shift) % m for x in range(m))
-            for mask in range(1, 1 << m):
-                subset = frozenset(i for i in range(m) if mask >> i & 1)
-                tested += 1
-                failures += fails(m, mapping, subset)
+            n, count = combinatorics.poincare_returns((np.arange(m) + shift) % m, members)
+            tested += len(members)
+            failures += int(np.count_nonzero(failed(m, n, count, sizes)))
     for _ in range(args.random_trials):
         m = int(rng.integers(2, args.random_size + 1))
-        mapping = tuple(int(v) for v in rng.permutation(m))
+        mapping = rng.permutation(m).tolist()
         count = int(rng.integers(1, m + 1))
-        subset = frozenset(int(v) for v in rng.choice(m, size=count, replace=False))
+        subset = rng.choice(m, size=count, replace=False).tolist()
+        n, overlap = combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
         tested += 1
-        failures += fails(m, mapping, subset)
+        failures += bool(failed(m, n, round(overlap * m), len(subset)))
     report.add("poincare_failures", failures == 0, failures, detail=f"{tested} systems")
 
 
@@ -159,7 +159,8 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
         if y is None:
             continue
         found += 1
-        verified += bool(np.isin(members + y, members).any())
+        present = np.bincount(members, minlength=space).astype(bool)  # is y = e' - e in E - E?
+        verified += bool((present[: space - y] & present[y:]).any())
     report.add("all_found", found == args.trials, found, detail=f"{args.trials} trials")
     report.add("all_verified", verified == found, verified)
     report.flags["density"] = args.density
@@ -256,6 +257,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: each parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json-out", type=str, default=None, help="write the report here")

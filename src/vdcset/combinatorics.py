@@ -71,8 +71,8 @@ class FiniteSystem:
     subset: frozenset
 
     def __post_init__(self):
-        mapping = tuple(int(v) for v in self.mapping)
-        subset = frozenset(int(v) for v in self.subset)
+        mapping = tuple(map(int, self.mapping))
+        subset = frozenset(map(int, self.subset))
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "subset", subset)
         if len(mapping) != self.size or sorted(mapping) != list(range(self.size)):
@@ -85,29 +85,47 @@ class FiniteSystem:
         return len(self.subset) / self.size
 
 
+def poincare_returns(mapping, members):
+    """strong_poincare for one permutation T of {0..m-1} and one subset E
+    per row of the bool matrix members: T is checked once and T^n stepped
+    once for all rows.  Returns int arrays (n, count = |E intersect T^-n E|).
+    """
+    perm = np.asarray(mapping, dtype=np.int64)
+    members = np.asarray(members, dtype=bool)
+    m = perm.size
+    if not np.array_equal(np.sort(perm), np.arange(m)):  # also false for a non-1-D mapping
+        raise ValueError("mapping must be a permutation of {0..size-1}")
+    if members.ndim != 2 or members.shape[1] != m:
+        raise ValueError(f"members must hold one row of {m} cells per subset")
+    sizes = members.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("subset must be non-empty")
+    horizon = -(-2 * m // sizes)  # ceil(2 / density)
+    need = -(-sizes * sizes // (2 * m))  # the least count with 2*count*m >= |E|^2
+    best_n, best_count = np.ones_like(sizes), np.full_like(sizes, -1)
+    open_rows = np.ones(sizes.shape, dtype=bool)
+    current = perm
+    for n in range(1, int(horizon.max(initial=0)) + 1):
+        overlap = (members & members[:, current]).sum(axis=1)
+        better = open_rows & (overlap > best_count)  # a first qualifying n is also a new maximum
+        best_n[better], best_count[better] = n, overlap[better]
+        open_rows &= (best_count < need) & (horizon > n)
+        if not open_rows.any():
+            break
+        current = perm[current]
+    return best_n, best_count
+
+
 def strong_poincare(system: FiniteSystem):
     """First return step n <= ceil(2/density) whose overlap
     |E intersect T^-n E| / size reaches density^2 / 2 (else the maximising
-    n, which the quantitative recurrence bound guarantees qualifies).
+    n, which the quantitative recurrence bound guarantees qualifies): the
+    one-row call of poincare_returns.
     """
-    count_e = len(system.subset)
-    if count_e == 0:
-        raise ValueError("subset must be non-empty")
-    m = system.size
-    horizon = -(-2 * m // count_e)  # ceil(2 / density)
-    perm = np.array(system.mapping, dtype=np.int64)
-    in_e = np.zeros(m, dtype=bool)
-    in_e[list(system.subset)] = True
-    current = perm.copy()
-    best_n, best_count = 1, -1
-    for n in range(1, horizon + 1):
-        overlap = int(np.count_nonzero(in_e & in_e[current]))
-        if 2 * overlap * m >= count_e * count_e:
-            return n, overlap / m
-        if overlap > best_count:
-            best_n, best_count = n, overlap
-        current = perm[current]
-    return best_n, best_count / m
+    members = np.zeros((1, system.size), dtype=bool)
+    members[0, list(system.subset)] = True
+    n, count = poincare_returns(system.mapping, members)
+    return int(n[0]), int(count[0]) / system.size
 
 
 def _expand(grid: np.ndarray, axis: int) -> np.ndarray:
@@ -244,9 +262,12 @@ def digit_difference(elements, j: int, q: int, p: int):
     Procedure: shift-by-4 recurrence picks an n below ceil(2/density) with
     a dense overlap B = E intersect (E - 4n digitwise); an agreement pair
     in B then produces the difference.  Candidates are scanned in
-    deterministic order and every produced difference is verified against
+    deterministic order (the qualifying n ascending, then the other n with
+    a non-empty overlap) and every produced difference is verified against
     the digit windows before being returned; None means the scan found no
     verified difference (possible when the density hypothesis fails).
+    Qualifying overlaps are scanned as they are built and the others are
+    rebuilt for a second pass, so one grid is held at a time, whatever the horizon.
     """
     if q % 2 or q // 2 + 8 * j >= q:
         raise ValueError("digit differences need Q even with Q/2 + 8*j < Q")
@@ -257,16 +278,21 @@ def digit_difference(elements, j: int, q: int, p: int):
     if count_e == 0:
         return None
     horizon = -(-2 * (q**p) // count_e)
-    axes = tuple(range(p))
-    overlaps = []
-    for n in range(1, horizon + 1):
-        shifted = np.roll(grid, shift=(-4 * n,) * p, axis=axes)
-        overlap = grid & shifted
-        overlaps.append((n, int(overlap.sum()), overlap))
-    qualifies = lambda cnt: 2 * cnt * q**p >= count_e * count_e
-    qualifying = [row for row in overlaps if qualifies(row[1])]
-    fallback = [row for row in overlaps if row[1] > 0 and not qualifies(row[1])]
-    for n, _, overlap in qualifying + fallback:
+    overlap_at = lambda n: grid & np.roll(grid, shift=(-4 * n,) * p, axis=tuple(range(p)))
+
+    def overlaps():  # qualifying rows as they are built, then the other non-empty rows rebuilt
+        fallback = []
+        for n in range(1, horizon + 1):
+            overlap = overlap_at(n)
+            count = int(overlap.sum())
+            if 2 * count * q**p >= count_e * count_e:
+                yield n, overlap
+            elif count:
+                fallback.append(n)
+        for n in fallback:
+            yield n, overlap_at(n)
+
+    for n, overlap in overlaps():
         for x, x_prime, s in _agreement_candidates(overlap, q):
             shifted_prime = tuple((c + 4 * n) % q for c in x_prime)
             y = abs(digits_to_int(shifted_prime, q) - digits_to_int(x, q))

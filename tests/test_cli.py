@@ -340,6 +340,19 @@ def test_malformed_stage_files_are_reported(tmp_path, capsys, config, message):
     assert "FAIL completed [" in capsys.readouterr().out
 
 
+def test_tower_product_over_the_atom_budget_is_reported(tmp_path, capsys):
+    stage = {"r_set": [1], "n": 1, "max_freq": 10**9, "dilation": 10**9, "beta_weights": [0.5, 0.5]}
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps({"eps_prime": 0.3, "stages": [stage]}), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 1
+    report = load_report(out)
+    check_report_schema(report)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert "tower product of 1999999999 terms exceeds the atom budget" in report["flags"]["error"]
+    assert "FAIL completed [tower product" in capsys.readouterr().out
+
+
 def test_tower_empty_stages(tmp_path):
     path = tmp_path / "stages.json"
     path.write_text('{"eps_prime": 0.3, "stages": []}', encoding="utf-8")
@@ -621,3 +634,22 @@ def test_out_of_range_arguments_name_their_bound(tmp_path, argv, bound):
     out = tmp_path / "r.json"
     assert run(argv + ["--json-out", str(out)]) == 1
     assert bound in load_report(out)["flags"]["error"]
+
+
+def test_cached_parser_carries_no_state(tmp_path, monkeypatch):
+    reports = []
+
+    class RecordingReport(cli.RunReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            reports.append(self)
+
+    monkeypatch.setattr(cli, "RunReport", RecordingReport)
+    out = tmp_path / "r.json"
+    run(["lemma-digits", "--q", "16", "--p", "2", "--density", "0.5", "--json-out", str(out)])
+    assert load_report(out)["params"]["density"] == 0.5
+    out.unlink()
+    run(["lemma-digits", "--q", "16", "--p", "2"])
+    assert reports[1].params["density"] == 0.97
+    assert "json_out" not in reports[1].params and not out.exists()
+    assert cli.build_parser() is cli.build_parser()

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,81 @@ def test_poincare_random_permutations():
         count = int(rng.integers(1, m + 1))
         subset = frozenset(int(v) for v in rng.choice(m, size=count, replace=False))
         brute_force_poincare_bounds(cb.FiniteSystem(m, mapping, subset))
+
+
+def reference_strong_poincare(system):
+    """The one-system loop poincare_returns replaced: (n, count) with the
+    first qualifying n <= ceil(2m/|E|), else the first maximising n."""
+    m, count_e = system.size, len(system.subset)
+    perm = np.array(system.mapping, dtype=np.int64)
+    in_e = np.zeros(m, dtype=bool)
+    in_e[list(system.subset)] = True
+    current = perm.copy()
+    best_n, best_count = 1, -1
+    for n in range(1, -(-2 * m // count_e) + 1):
+        overlap = int(np.count_nonzero(in_e & in_e[current]))
+        if 2 * overlap * m >= count_e * count_e:
+            return n, overlap
+        if overlap > best_count:
+            best_n, best_count = n, overlap
+        current = perm[current]
+    return best_n, best_count
+
+
+def single_rows(mapping, members):
+    """strong_poincare on each row of members as its own FiniteSystem, each
+    checked against the one-system loop."""
+    out = []
+    for row in members:
+        system = cb.FiniteSystem(len(mapping), tuple(mapping), frozenset(np.flatnonzero(row).tolist()))
+        n, overlap = cb.strong_poincare(system)
+        out.append((n, round(overlap * system.size)))
+        assert out[-1] == reference_strong_poincare(system)
+    return out
+
+
+def all_masks(m):
+    return (np.arange(1, 1 << m)[:, None] >> np.arange(m) & 1).astype(bool)
+
+
+def assert_rows_match(mapping, members):
+    n, count = cb.poincare_returns(mapping, members)
+    assert n.dtype.kind == count.dtype.kind == "i"
+    assert list(zip(n.tolist(), count.tolist())) == single_rows(mapping, members)
+
+
+def test_poincare_returns_matches_single_rows():
+    for m in range(1, 9):  # every rotation
+        for shift in range(m):
+            assert_rows_match([(x + shift) % m for x in range(m)], all_masks(m))
+    for m in range(9, 13):  # every subset of the step-one rotation
+        assert_rows_match([(x + 1) % m for x in range(m)], all_masks(m))
+    for m in range(1, 6):  # every permutation
+        for perm in itertools.permutations(range(m)):
+            assert_rows_match(list(perm), all_masks(m))
+    rng = np.random.default_rng(6)
+    for _ in range(2000):  # random stacks
+        m = int(rng.integers(1, 65))
+        members = rng.random((int(rng.integers(1, 6)), m)) < rng.random()
+        members[np.arange(len(members)), rng.integers(0, m, len(members))] = True
+        assert_rows_match(rng.permutation(m).tolist(), members)
+
+
+def test_poincare_returns_rows_keep_their_own_horizons():
+    members = np.zeros((3, 8), dtype=bool)
+    members[0, [0, 4]] = True  # horizon 8, qualifies at n = 4
+    members[1, 0] = True  # horizon 16, first returns at n = 8
+    members[2] = True  # horizon 2
+    n, count = cb.poincare_returns([(x + 1) % 8 for x in range(8)], members)
+    assert n.tolist() == [4, 8, 1] and count.tolist() == [2, 1, 8]
+    assert_rows_match([(x + 1) % 8 for x in range(8)], members)
+
+
+def test_poincare_returns_rejects_bad_input():
+    with pytest.raises(ValueError, match="permutation"):
+        cb.poincare_returns([0, 0, 2], np.ones((1, 3), dtype=bool))
+    with pytest.raises(ValueError, match="non-empty"):
+        cb.poincare_returns([1, 2, 0], np.array([[True, False, False], [False] * 3]))
 
 
 def test_poincare_rejects_empty_subset():
@@ -143,6 +219,90 @@ def test_neighbourhood_chain_is_nested():
     assert np.array_equal(chain[3], grid)
     for s in range(3):
         assert np.all(chain[s + 1] <= chain[s])  # B_{s+1} subset of B_s
+
+
+def reference_digit_difference(elements, j, q, p):
+    """The eager scan the lazy one replaced: every overlap grid for
+    n = 1..horizon is built and kept, then the qualifying rows and then the
+    other non-empty rows are scanned."""
+    grid = cb._index_grid(elements, q, p)
+    count_e = int(grid.sum())
+    if count_e == 0:
+        return None
+    horizon = -(-2 * (q**p) // count_e)
+    overlaps = []
+    for n in range(1, horizon + 1):
+        overlap = grid & np.roll(grid, shift=(-4 * n,) * p, axis=tuple(range(p)))
+        overlaps.append((n, int(overlap.sum()), overlap))
+    qualifies = lambda cnt: 2 * cnt * q**p >= count_e * count_e
+    qualifying = [row for row in overlaps if qualifies(row[1])]
+    fallback = [row for row in overlaps if row[1] > 0 and not qualifies(row[1])]
+    for n, _, overlap in qualifying + fallback:
+        for x, x_prime, s in cb._agreement_candidates(overlap, q):
+            shifted_prime = tuple((c + 4 * n) % q for c in x_prime)
+            y = abs(cb.digits_to_int(shifted_prime, q) - cb.digits_to_int(x, q))
+            if cb.pattern_position(y, j, q, p) == s:
+                return y
+    return None
+
+
+def fallback_only_set():
+    """E = A x Z_20 with |A| = 8 and one pair a, a + 4 in A.  Only n = 1
+    yields a digit pattern, y = 4 + 14*20, and its overlap (20 cells) is
+    below the threshold |E|^2 / (2*Q^P) = 32, so the difference comes from
+    the fallback pass."""
+    rows = [0, 4, 9, 10, 11, 17, 18, 19]  # (a + 4) mod 20 in rows only for a = 0
+    return [a + 20 * t for a in rows for t in range(20)]
+
+
+def order_sensitive_set():
+    """140 members of Z_20^2 where the scan order decides the answer.  Full
+    columns x_0 = 0 and x_0 = 4 put y = 4 + 14*20 in the n = 1 overlap, a
+    fallback row (20 cells, below |E|^2 / (2*Q^P) = 24.5); the full row
+    x_1 = 12 with (10, 13) puts y = 50 in the n = 5 overlap (4n = 0 mod 20,
+    so it is E itself), which qualifies.  Further cells are added in index
+    order while neither x + (4, 4) nor x - (4, 4) is a member."""
+    cells = {(0, t) for t in range(20)} | {(4, t) for t in range(20)}
+    cells |= {(t, 12) for t in range(20)} | {(10, 13)}
+    for v in range(20 * 20):
+        x = (v % 20, v // 20)
+        shifted = {((x[0] + d) % 20, (x[1] + d) % 20) for d in (4, -4)}
+        if len(cells) < 140 and x not in cells and not shifted & cells:
+            cells.add(x)
+    return [x0 + 20 * x1 for x0, x1 in cells]
+
+
+def test_digit_difference_matches_eager_reference():
+    rng = np.random.default_rng(7)
+    cases = []
+    for q, p, density in [(64, 2, 0.97), (20, 3, 0.7), (20, 3, 0.2), (32, 2, 0.1), (18, 3, 0.05)]:
+        for _ in range(4):
+            members = rng.choice(q**p, size=int(density * q**p), replace=False)
+            cases.append((members, 1, q, p))
+    cases += [(fallback_only_set(), 1, 20, 2), (order_sensitive_set(), 1, 20, 2),
+              ({0, 5}, 1, 64, 2), (set(), 1, 64, 2),
+              ([a + 20 * t for a in (0, 1, 2, 3) for t in range(20)], 1, 20, 2)]
+    found = [cb.digit_difference(*case) for case in cases]
+    assert found == [reference_digit_difference(*case) for case in cases]
+    assert found[0] is not None and found[-1] is None and None in found[8:20]
+    assert found[-5:-3] == [4 + 14 * 20, 50]
+    for members in (fallback_only_set(), order_sensitive_set()):
+        grid = cb._index_grid(members, 20, 2)
+        overlap = int((grid & np.roll(grid, (-4, -4), axis=(0, 1))).sum())
+        assert 0 < 2 * overlap * 20**2 < int(grid.sum()) ** 2  # n = 1 is a fallback row
+
+
+def test_digit_difference_holds_one_overlap_grid():
+    q, p = 32, 3
+    members = np.random.default_rng(8).choice(q**p, size=q**p // 20, replace=False)
+    assert -(-2 * q**p // len(members)) >= 20  # the horizon
+    tracemalloc.start()
+    try:
+        cb.digit_difference(members, 1, q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * q**p  # the eager scan peaked near 49 * Q^P here
 
 
 def test_digit_difference_full_range():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vdcset import certify, cli, tower
+from vdcset import blocks, certify, cli, tower
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
@@ -232,3 +232,13 @@ def test_non_positive_floor_is_named(monkeypatch):
     monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(ValueError, match="no positive floor: -7.5"):
         tower.tower_block(stage, beta)
+
+
+def test_tower_products_are_gated_by_the_atom_budget(monkeypatch):
+    stages = [tower.TowerStage((1,), 1, 0.3, 7, 7), tower.TowerStage((1,), 1, 0.3, 7, 113)]
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(13 * 13))  # c_2 has 13 * 13 terms
+    assert len(tower.build_tower(stages, [ms.uniform(3)] * 2)[-1].freqs) == 13 * 13
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(13 * 13 - 1))
+    monkeypatch.setattr(tower, "tower_block", None)  # the gate raises before any stage is built
+    with pytest.raises(blocks.AtomBudgetError, match="169 terms exceeds the atom budget 168"):
+        tower.build_tower(stages, [ms.uniform(3)] * 2)
