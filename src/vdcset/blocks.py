@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, convolve, dirac, from_samples, scale_add
+from .measures import AtomicMeasure, convolve, from_samples
 from .reports import Check, require
 from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
@@ -282,9 +282,10 @@ def build_witness(params: WitnessParams):
     product = float(np.abs(sigma.fourier(k) - predicted).max())
     require([Check("block product identity", product <= EVAL_TOL, product, EVAL_TOL)],
             BlockBulletError, "witness spectrum")
-    total = sigma.mass()
-    norm = 1.0 / (total + 1.0)
-    mu = scale_add(norm, sigma, norm, dirac(params.order, 0))
+    norm = 1.0 / (sigma.mass() + 1.0)
+    weights = norm * sigma.weights  # a scaled copy; dirac_0 adds one atom
+    weights[0] += norm
+    mu = AtomicMeasure(params.order, weights)
     require(witness_checks(witness_residuals(mu, params)), BlockBulletError,
             f"witness (j={params.j}, Q={params.q}, P={params.p})")
     return mu, sigma

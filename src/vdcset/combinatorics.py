@@ -24,6 +24,10 @@ class GridSizeError(ValueError):
     """Q^P exceeds the explicit-bitset limit."""
 
 
+class RecurrenceBoundError(RuntimeError):
+    """A poincare_returns row passed its horizon, which Cauchy-Schwarz rules out."""
+
+
 @dataclass(frozen=True)
 class DigitVector:
     q: int
@@ -88,7 +92,9 @@ class FiniteSystem:
 def poincare_returns(mapping, members):
     """strong_poincare for one permutation T of {0..m-1} and one subset E
     per row of the bool matrix members: T is checked once and T^n stepped
-    once for all rows.  Returns int arrays (n, count = |E intersect T^-n E|).
+    once for all rows.  Returns int arrays (n, count = |E intersect T^-n E|)
+    at each row's first qualifying n, which Cauchy-Schwarz on the sum of
+    1_E(T^i x) over i < ceil(2/density) puts below that horizon.
     """
     perm = np.asarray(mapping, dtype=np.int64)
     members = np.asarray(members, dtype=bool)
@@ -102,25 +108,24 @@ def poincare_returns(mapping, members):
         raise ValueError("subset must be non-empty")
     horizon = -(-2 * m // sizes)  # ceil(2 / density)
     need = -(-sizes * sizes // (2 * m))  # the least count with 2*count*m >= |E|^2
-    best_n, best_count = np.ones_like(sizes), np.full_like(sizes, -1)
-    open_rows = np.ones(sizes.shape, dtype=bool)
+    found, count = np.zeros_like(sizes), np.zeros_like(sizes)  # found 0: no qualifying n yet
     current = perm
     for n in range(1, int(horizon.max(initial=0)) + 1):
         overlap = (members & members[:, current]).sum(axis=1)
-        better = open_rows & (overlap > best_count)  # a first qualifying n is also a new maximum
-        best_n[better], best_count[better] = n, overlap[better]
-        open_rows &= (best_count < need) & (horizon > n)
-        if not open_rows.any():
+        hit = (found == 0) & (overlap >= need)
+        found[hit], count[hit] = n, overlap[hit]
+        if found.all():
             break
         current = perm[current]
-    return best_n, best_count
+    if ((found == 0) | (found > horizon)).any():
+        raise RecurrenceBoundError("a row has no qualifying n by its horizon ceil(2/density)")
+    return found, count
 
 
 def strong_poincare(system: FiniteSystem):
     """First return step n <= ceil(2/density) whose overlap
-    |E intersect T^-n E| / size reaches density^2 / 2 (else the maximising
-    n, which the quantitative recurrence bound guarantees qualifies): the
-    one-row call of poincare_returns.
+    |E intersect T^-n E| / size reaches density^2 / 2: the one-row call of
+    poincare_returns.
     """
     members = np.zeros((1, system.size), dtype=bool)
     members[0, list(system.subset)] = True

@@ -58,9 +58,10 @@ class AtomicMeasure:
         an integer array: the half spectrum at k mod N, or its conjugate at
         N - (k mod N)."""
         k = np.asarray(k)
-        r = np.atleast_1d(k) % self.order
-        values = self.spectrum[np.minimum(r, self.order - r)]
-        np.conjugate(values, out=values, where=2 * r > self.order)
+        r = np.atleast_1d(k) % self.order  # a new array, so the caller's k is never written
+        upper = 2 * r > self.order
+        values = self.spectrum[np.subtract(self.order, r, out=r, where=upper)]  # folded in place
+        np.conjugate(values, out=values, where=upper)
         return complex(values[0]) if k.ndim == 0 else values
 
     def to_json(self) -> str:

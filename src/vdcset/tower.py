@@ -185,7 +185,8 @@ def claim_residuals(stages, products) -> list:
     """Per-stage worst deviations from the four frozen-spectrum guarantees.
 
     For the last stage the vanishing threshold is the smallest admissible
-    next dilation.
+    next dilation.  Each window |m| < threshold is one slice [lo:hi] of a
+    product's freqs, strictly ascending in the TrigPoly normal form.
     """
     out = []
     for i, (stage, c) in enumerate(zip(stages, products)):
@@ -193,29 +194,22 @@ def claim_residuals(stages, products) -> list:
             threshold = stages[i + 1].dilation
         else:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
-        inside = np.abs(c.freqs) < threshold
-        tail = float(modulus(c.values[~inside]).max(initial=0.0))
+        lo, hi = np.searchsorted(c.freqs, (1 - threshold, threshold))
+        tail = float(modulus(np.concatenate((c.values[:lo], c.values[hi:]))).max(initial=0.0))
         if i + 1 < len(products):  # the window is the union of both supports below threshold
             nxt = products[i + 1]
-            below = np.abs(nxt.freqs) < threshold
+            nlo, nhi = np.searchsorted(nxt.freqs, (1 - threshold, threshold))
             frozen = max(
-                float(modulus(c.values[inside] - nxt.coeff(c.freqs[inside])).max(initial=0.0)),
-                float(modulus(c.coeff(nxt.freqs[below]) - nxt.values[below]).max(initial=0.0)),
+                float(modulus(c.values[lo:hi] - nxt.coeff(c.freqs[lo:hi])).max(initial=0.0)),
+                float(modulus(c.coeff(nxt.freqs[nlo:nhi]) - nxt.values[nlo:nhi]).max(initial=0.0)),
             )
         else:
             frozen = 0.0
         mean_dev = abs(c.coeff(0) - 1.0)
         marked_freqs = 2 * stage.dilation * np.array(stage.r_set, dtype=np.int64)
         marked = float(modulus(c.coeff(marked_freqs) + stage.eps_prime).max(initial=0.0))
-        out.append(
-            {
-                "stage": i + 1,
-                "vanishing_tail": tail,
-                "frozen_window": frozen,
-                "mean_deviation": mean_dev,
-                "marked_frequency": marked,
-            }
-        )
+        out.append({"stage": i + 1, "vanishing_tail": tail, "frozen_window": frozen,
+                    "mean_deviation": mean_dev, "marked_frequency": marked})
     return out
 
 

@@ -210,7 +210,8 @@ def antihermitian_norm(f: TrigPoly) -> float:
     """l1 norm of the anti-Hermitian part (f - conj(f))/2, whose coefficients
     are (c_m - conj(c_-m))/2; it bounds |Im f| on the circle."""
     if np.array_equal(f.freqs, -f.freqs[::-1]):  # c_-m sits at the mirrored index
-        skew = f.values - np.conj(f.values[::-1])
+        skew = np.conj(f.values[::-1])
+        np.subtract(f.values, skew, out=skew)  # into the one temporary
     else:
         skew = add(f, scale(conjugate_reflect(f), -1.0)).values
     return float(np.abs(skew).sum()) / 2

@@ -288,3 +288,13 @@ def test_block_weights_match_scale_add_reference(ell, q, k):
     reference = ms.scale_add(1.0, pair, 1.0, ms.from_samples(s, n))
     weights = blocks.build_block(params).weights
     assert weights.tobytes() == reference.weights.tobytes()
+
+
+@pytest.mark.parametrize("q,p", [(64, 1), (64, 2), (64, 3), (128, 1), (128, 2)])
+def test_witness_mu_matches_scale_add_reference(q, p):
+    # mu = (sigma + dirac_0) / (mass + 1), both measures lifted and summed
+    params = blocks.WitnessParams(1, 0.01, q, p)
+    mu, sigma = blocks.build_witness(params)
+    norm = 1.0 / (sigma.mass() + 1.0)
+    reference = ms.scale_add(norm, sigma, norm, ms.dirac(params.order, 0))
+    assert mu.weights.tobytes() == reference.weights.tobytes()

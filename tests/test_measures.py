@@ -219,3 +219,32 @@ def test_json_round_trip_is_exact():
     back = ms.AtomicMeasure.from_json(m.to_json())
     assert back.order == 7
     assert np.array_equal(back.weights, m.weights)
+
+
+def minimum_fold_fourier(m, k):
+    """fourier as it read with the folded index np.minimum(r, N - r) as a copy:
+    the reference for the in-place fold."""
+    k = np.asarray(k)
+    r = np.atleast_1d(k) % m.order
+    values = m.spectrum[np.minimum(r, m.order - r)]
+    np.conjugate(values, out=values, where=2 * r > m.order)
+    return complex(values[0]) if k.ndim == 0 else values
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 64])
+def test_fourier_fold_matches_the_minimum_reference(n):
+    m = ms.AtomicMeasure(n, np.random.default_rng(n).random(n))
+    k = np.arange(-2 * n, 2 * n + 1)
+    before = k.copy()
+    values = m.fourier(k)
+    assert np.array_equal(k, before)  # the caller's k is not written
+    assert values.tobytes() == minimum_fold_fourier(m, k).tobytes()
+    frozen = k.copy()
+    frozen.setflags(write=False)  # e.g. a TrigPoly's freqs
+    assert m.fourier(frozen).tobytes() == values.tobytes()
+    for x in k.tolist():
+        for scalar in (x, np.int64(x), np.array(x)):
+            got = m.fourier(scalar)
+            assert type(got) is complex
+            assert got == minimum_fold_fourier(m, scalar)
+            assert np.array(got).tobytes() == np.array(minimum_fold_fourier(m, scalar)).tobytes()

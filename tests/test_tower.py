@@ -242,3 +242,73 @@ def test_tower_products_are_gated_by_the_atom_budget(monkeypatch):
     monkeypatch.setattr(tower, "tower_block", None)  # the gate raises before any stage is built
     with pytest.raises(blocks.AtomBudgetError, match="169 terms exceeds the atom budget 168"):
         tower.build_tower(stages, [ms.uniform(3)] * 2)
+
+
+def mask_claim_residuals(stages, products):
+    """claim_residuals as it read with boolean masks over |freqs|: the reference
+    that the slice windows must match bit for bit."""
+    out = []
+    for i, (stage, c) in enumerate(zip(stages, products)):
+        if i + 1 < len(stages):
+            threshold = stages[i + 1].dilation
+        else:
+            threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
+        inside = np.abs(c.freqs) < threshold
+        tail = float(tp.modulus(c.values[~inside]).max(initial=0.0))
+        frozen = 0.0
+        if i + 1 < len(products):
+            nxt = products[i + 1]
+            below = np.abs(nxt.freqs) < threshold
+            frozen = max(
+                float(tp.modulus(c.values[inside] - nxt.coeff(c.freqs[inside])).max(initial=0.0)),
+                float(tp.modulus(c.coeff(nxt.freqs[below]) - nxt.values[below]).max(initial=0.0)),
+            )
+        marked_freqs = 2 * stage.dilation * np.array(stage.r_set, dtype=np.int64)
+        out.append({
+            "stage": i + 1,
+            "vanishing_tail": tail,
+            "frozen_window": frozen,
+            "mean_deviation": abs(c.coeff(0) - 1.0),
+            "marked_frequency": float(tp.modulus(c.coeff(marked_freqs) + stage.eps_prime).max(initial=0.0)),
+        })
+    return out
+
+
+def assert_rows_bit_identical(rows, reference):
+    assert [sorted(r) for r in rows] == [sorted(r) for r in reference]
+    for row, ref in zip(rows, reference):
+        assert {key: float(v).hex() for key, v in row.items()} == {
+            key: float(v).hex() for key, v in ref.items()}
+
+
+def test_claim_windows_match_the_mask_reference_at_their_edges():
+    stages, beta = depth4_stages(), ms.uniform(3)
+    products = tower.build_tower(stages, [beta] * 4)
+    assert_rows_bit_identical(tower.claim_residuals(stages, products),
+                              mask_claim_residuals(stages, products))
+    thresholds = [s.dilation for s in stages[1:]] + [2 * 22 * stages[-1].dilation + 1]
+    for i, threshold in enumerate(thresholds):
+        # one term at a time: |m| = threshold - 1 is the window's last frequency and
+        # |m| = threshold the tail's first, in this product or (j = i + 1) the next
+        edges = [(i, m, m in (threshold, -threshold))
+                 for m in (threshold - 1, 1 - threshold, threshold, -threshold)]
+        if i + 1 < len(products):
+            edges += [(i + 1, m, False) for m in (threshold - 1, 1 - threshold)]
+        for j, m, outside in edges:
+            perturbed = list(products)
+            perturbed[j] = tp.add(products[j], tp.character(m, 3e-3))
+            rows = tower.claim_residuals(stages, perturbed)
+            assert_rows_bit_identical(rows, mask_claim_residuals(stages, perturbed))
+            assert (rows[i]["vanishing_tail"] > 1e-3) == outside
+            assert (rows[i]["frozen_window"] > 1e-3) == (not outside and i + 1 < len(products))
+
+
+def test_claim_windows_match_the_mask_reference_when_empty():
+    stages = toy_stages()
+    c1, c2 = tower.build_tower(stages, [half_beta(), half_beta()])
+    beyond = tp.TrigPoly({-500: 0.25, 500: 0.25})  # every term beyond stage 1's threshold 113
+    for products in ([beyond, c2], [c1, beyond], [tp.TrigPoly({}), c2], [beyond, beyond]):
+        rows = tower.claim_residuals(stages, products)
+        assert_rows_bit_identical(rows, mask_claim_residuals(stages, products))
+    rows = tower.claim_residuals(stages, [beyond, c2])
+    assert rows[0]["vanishing_tail"] == 0.25 and rows[0]["mean_deviation"] == 1.0
