@@ -11,31 +11,16 @@ pattern, the witness driving both certifiers.
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, convolve, from_samples
+from .measures import (DEFAULT_ATOM_BUDGET, AtomBudgetError, AtomicMeasure,  # budget re-exported
+                       atom_budget, convolve, from_samples)
 from .reports import Check, require
 from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
 MASS_CONSTANT = 320.0
-DEFAULT_ATOM_BUDGET = 1 << 26
-
-
-def atom_budget() -> int:
-    """Atom cap for builders; override with the VDC_ATOM_BUDGET env var.
-
-    A block costs about 47 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 4.6-5.2 s CPU and 746 MiB
-    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); from_samples' order-N
-    irfft of s, beside s's coefficients, sets the peak.  Both figures
-    depend on the host.  At that rate the default cap 2^26 admits blocks of
-    about 2.9 GiB.
-    """
-    raw = os.environ.get("VDC_ATOM_BUDGET")
-    return int(raw) if raw else DEFAULT_ATOM_BUDGET
 
 
 class BlockParamsError(ValueError):
@@ -44,12 +29,6 @@ class BlockParamsError(ValueError):
 
 class BlockBulletError(RuntimeError):
     """A constructed block missed one of its transform guarantees."""
-
-
-class AtomBudgetError(RuntimeError):
-    def __init__(self, message: str, max_feasible_p: int | None = None):
-        super().__init__(message)
-        self.max_feasible_p = max_feasible_p
 
 
 @dataclass(frozen=True)
@@ -119,10 +98,10 @@ def block_polynomials(params: BlockParams):
     clamp still guard the sampled weights.
 
     s is even, so it is assembled as one array of its coefficients at
-    m >= 0, then mirrored: the Fejer-weighted profile of p on m < Q^k, plus
-    p's profile added as a slice at each spike of r at m > 0 (the spike at
-    -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).  The sums run in
-    the order of the polynomial products they replace.
+    m >= 0, which TrigPoly.from_half mirrors: the Fejer-weighted profile of
+    p on m < Q^k, plus p's profile added as a slice at each spike of r at
+    m > 0 (the spike at -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).
+    The sums run in the order of the polynomial products they replace.
     """
     params.validate()
     n_total, half = params.order, params.order // 2
@@ -132,16 +111,14 @@ def block_polynomials(params: BlockParams):
     profile = 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total)
     p = convex_poly(ConvexProfile(profile[edge:]))
     spikes = np.array([edge, half - edge, half + edge])
-    r = TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
+    r = TrigPoly.from_half(spikes, [1.0, -0.5, -0.5])
 
     even = np.zeros(params.sample_degree + 2)  # s at m = 0 .. N/2 + 2*ell*Q^k
     even[:width] = 16.0 * params.ell * (profile[edge : edge + width] * (1.0 - np.arange(width) / width))
     for spike, weight in zip(spikes, (1.0, -0.5, -0.5)):
         even[spike - edge : spike + edge + 1] += weight * profile
-    at = np.flatnonzero(even[1:]) + 1
-    values = even[at]
-    s = TrigPoly.from_arrays(np.concatenate((-at[::-1], [0], at)),
-                             np.concatenate((values[::-1], even[:1], values)), real=True)
+    at = np.flatnonzero(even)
+    s = TrigPoly.from_half(at, even[at])
     return p, r, s
 
 

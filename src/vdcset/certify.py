@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import AtomicMeasure
+from .measures import AtomBudgetError, AtomicMeasure, atom_budget
 from .reports import Check, require
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
 from .trigpoly import COEFF_TOL, EVAL_TOL, TrigPoly, modulus, sample_values
@@ -225,6 +225,15 @@ def truncate_preserving(r_set, epsilon: float, n: int):
     return {r for r in cert.r_set if r < n}
 
 
+def _check_lp_size(rows: int, order: int) -> None:
+    """AtomBudgetError before an order-N LP witness allocates anything: its
+    matrix has rows * (N//2 + 1) entries, at least its N weights for rows >= 2."""
+    entries = rows * (order // 2 + 1)
+    if entries > atom_budget():
+        raise AtomBudgetError(f"LP of {rows} rows on {order // 2 + 1} orbit columns "
+                              f"({entries} entries) exceeds the atom budget {atom_budget()}")
+
+
 def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """Probability measure on the order-N roots of unity maximising the
     weight at 0 subject to a vanishing transform on r_set.
@@ -245,6 +254,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     elsewhere), so the crossover has few atoms to drop.  d = N qualifies
     unless some r is a multiple of N, where the transform equals the mass
     1: that raises LpInfeasibleError without a solve.
+    An LP over the atom budget raises AtomBudgetError before it allocates.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -255,6 +265,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
             f"r = {multiples[0]} is a multiple of the order {order}: every "
             f"probability measure has transform 1 there"
         )
+    _check_lp_size(1 + len(r_set), order)
     j = np.arange(order)
     orbit = np.minimum(j, order - j)  # root j lies in the orbit {h, N - h}
     h = np.arange(order // 2 + 1)
@@ -289,10 +300,7 @@ def reverify_witness(witness: VdcFailureWitness) -> dict:
     gap to the atom."""
     w = witness.measure.weights
     y = witness.dual
-    r = np.array(witness.r_set, dtype=np.int64)
-    half = y[1:] / 2
-    dual = TrigPoly.from_arrays(np.concatenate((-r[::-1], [0], r)),
-                                np.concatenate((half[::-1], y[:1], half)), real=True)
+    dual = TrigPoly.from_half((0, *witness.r_set), np.concatenate((y[:1], y[1:] / 2)))
     slack = sample_values(dual, witness.order)
     slack[0] -= 1.0
     return {
@@ -318,10 +326,12 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
 def lift_witness(witness: VdcFailureWitness, factor: int) -> VdcFailureWitness:
     """Push the witness onto the factor-fold cover: weights move from
     position j/N to j/(c*N), so the transform at c*r equals the old value
-    at r and the atom at 0 is unchanged.  Certifies c*R at order c*N."""
+    at r and the atom at 0 is unchanged.  Certifies c*R at order c*N,
+    within the atom budget of an order-c*N LP."""
     if factor < 1:
         raise ValueError("factor must be >= 1")
     order = witness.order * factor
+    _check_lp_size(1 + len(witness.r_set), order)
     w = np.zeros(order)
     w[np.arange(witness.order)] = witness.measure.weights
     measure = AtomicMeasure(order, w)

@@ -41,6 +41,13 @@ def cmd_verify_kernels(args, report: RunReport) -> None:
     need = KERNEL_GRID_FACTOR * args.nmax * args.nmax
     detail = f"need grid > {KERNEL_GRID_FACTOR}*nmax^2 = {need}"
     if report.add("grid_sufficient", args.grid > need, args.grid, detail=detail).passed:
+        orders, budget = range(1, args.nmax + 1), measures.atom_budget()
+        # the n*1 alone are nmax distinct orders, so the table is counted only when nmax grids fit
+        kernels = (len({n * m for n in orders for m in orders}) if args.nmax * args.grid <= budget
+                   else args.nmax)
+        if kernels * args.grid > budget:
+            raise measures.AtomBudgetError(f"Fejer table of at least {kernels} kernels on grid "
+                                           f"{args.grid} exceeds the atom budget {budget}")
         res = trigpoly.kernel_residuals(args.grid, args.nmax, np.random.default_rng(args.seed))
         report.checks += trigpoly.kernel_checks(res)
 
@@ -149,8 +156,8 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
 
 
 def cmd_lemma_digits(args, report: RunReport) -> None:
+    space = combinatorics.grid_cells(args.q, args.p)  # before the draw allocates Q^P
     rng = np.random.default_rng(args.seed)
-    space = args.q**args.p
     found, verified = 0, 0
     for _ in range(args.trials):
         size = int(np.ceil(args.density * space))
@@ -167,8 +174,8 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
 
 
 def cmd_lemma_pair(args, report: RunReport) -> None:
+    space = combinatorics.grid_cells(args.q, args.p)  # before the draw allocates Q^P
     rng = np.random.default_rng(args.seed)
-    space = args.q**args.p
     hypothesis = args.size * args.ell > space and args.p > args.q * np.log(args.ell)
     report.flags["density_hypothesis"] = bool(hypothesis)
     not_found = 0
@@ -328,7 +335,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         COMMANDS[args.command](args, report)
-    except (blocks.BlockParamsError, blocks.BlockBulletError, blocks.AtomBudgetError,
+    except (blocks.BlockParamsError, blocks.BlockBulletError, measures.AtomBudgetError,
             certify.LpInfeasibleError, certify.LpDegenerateError,
             certify.WitnessVerificationError, ValueError) as exc:
         report.flags["error"] = str(exc)

@@ -201,14 +201,20 @@ def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
     )
 
 
-def _index_grid(elements, q: int, p: int) -> np.ndarray:
-    """Grid of the members given as flat indices sum_i coord_i * Q^i."""
+def grid_cells(q: int, p: int) -> int:
+    """Q^P, the cells of an explicit grid; GridSizeError above GRID_CELL_LIMIT."""
     if q**p > GRID_CELL_LIMIT:
         raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
+    return q**p
+
+
+def _index_grid(elements, q: int, p: int) -> np.ndarray:
+    """Grid of the members given as flat indices sum_i coord_i * Q^i."""
+    cells = grid_cells(q, p)
     idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= q**p):
-        raise ValueError(f"elements must lie inside [0, {q**p})")
-    flat = np.zeros(q**p, dtype=bool)
+    if idx.size and (idx.min() < 0 or idx.max() >= cells):
+        raise ValueError(f"elements must lie inside [0, {cells})")
+    flat = np.zeros(cells, dtype=bool)
     flat[idx] = True
     return flat.reshape((q,) * p, order="F")
 

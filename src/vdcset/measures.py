@@ -10,6 +10,7 @@ new measures.
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +20,28 @@ from .trigpoly import EVAL_TOL, TrigPoly, antihermitian_norm, sample_values
 
 WEIGHT_TOL = 1e-12          # float noise clamped to zero at construction
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
-LCM_ATOM_LIMIT = 1 << 40    # hard cap on common-order lifts
+DEFAULT_ATOM_BUDGET = 1 << 26
+
+
+def atom_budget() -> int:
+    """Cap on the atoms (or array entries) one measure, lift, LP or product
+    may allocate; override with the VDC_ATOM_BUDGET env var.
+
+    A block costs about 47 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 4.6-5.2 s CPU and 746 MiB
+    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); from_samples' order-N
+    irfft of s, beside s's coefficients, sets the peak.  Both figures
+    depend on the host.  At that rate the default cap 2^26 admits blocks of
+    about 2.9 GiB.
+    """
+    raw = os.environ.get("VDC_ATOM_BUDGET")
+    return int(raw) if raw else DEFAULT_ATOM_BUDGET
+
+
+class AtomBudgetError(RuntimeError):
+    def __init__(self, message: str, max_feasible_p: int | None = None):
+        super().__init__(message)
+        self.max_feasible_p = max_feasible_p
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +118,8 @@ def _lift(m: AtomicMeasure, order: int) -> np.ndarray:
 
 def _common_order(m1: AtomicMeasure, m2: AtomicMeasure) -> int:
     common = math.lcm(m1.order, m2.order)
-    if common > LCM_ATOM_LIMIT:
-        raise ValueError(
-            f"common order {common} exceeds the {LCM_ATOM_LIMIT} atom limit"
-        )
+    if common > atom_budget():
+        raise AtomBudgetError(f"common order {common} exceeds the atom budget {atom_budget()}")
     return common
 
 

@@ -64,6 +64,17 @@ class TrigPoly:
         poly._reduce(freqs, values, real)
         return poly
 
+    @staticmethod
+    def from_half(freqs, values) -> "TrigPoly":
+        """Real polynomial: values at ascending freqs >= 0, conj(values) at -freqs (0 once)."""
+        freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values)
+        skip = int(freqs.size > 0 and freqs[0] == 0)  # 0 is not mirrored, so its value must be real
+        if skip and values[0].imag != 0 or freqs.size and freqs.min() < 0:
+            raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
+                             f"{values[0]} at the first frequency {freqs[0]}")
+        return TrigPoly.from_arrays(np.concatenate((-freqs[skip:][::-1], freqs)),
+                                    np.concatenate((values[skip:][::-1].conj(), values)), real=True)
+
     def _reduce(self, freqs, values, real) -> None:
         """The one normal form: frequencies strictly ascending (repeats
         summed in input order, starting from 0), exact zeros dropped."""
@@ -132,7 +143,7 @@ def dirichlet(n: int) -> TrigPoly:
     """Kernel with coefficient 1 on every frequency |k| <= n."""
     if n < 1:
         raise ValueError(f"dirichlet kernel needs n >= 1, got {n}")
-    return TrigPoly.from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1), real=True)
+    return TrigPoly.from_half(np.arange(n + 1), np.ones(n + 1))
 
 
 def fejer(n: int) -> TrigPoly:
@@ -142,8 +153,7 @@ def fejer(n: int) -> TrigPoly:
     """
     if n < 1:
         raise ValueError(f"fejer kernel needs n >= 1, got {n}")
-    k = np.arange(-n + 1, n)
-    return TrigPoly.from_arrays(k, 1.0 - np.abs(k) / n, real=True)
+    return TrigPoly.from_half(np.arange(n), 1.0 - np.arange(n) / n)
 
 
 def evaluate(f: TrigPoly, t: float) -> complex:
@@ -286,9 +296,7 @@ def convex_poly(profile: ConvexProfile) -> TrigPoly:
     0 <= F_n <= n.  A profile that passed its check has every second
     difference >= -3*COEFF_TOL, so p >= -3*COEFF_TOL * sum_{n <= L+1} n^2.
     """
-    values = profile.values
-    freqs = np.arange(-profile.cutoff, profile.cutoff + 1)
-    return TrigPoly.from_arrays(freqs, np.concatenate((values[:0:-1], values)), real=True)
+    return TrigPoly.from_half(np.arange(profile.cutoff + 1), profile.values)
 
 
 def domination_kernel(big_r: int, big_l: int) -> TrigPoly:
@@ -313,9 +321,7 @@ def sample_mean(f: TrigPoly, n: int) -> complex:
 def _random_real_poly(rng, degree: int) -> TrigPoly:
     """Real polynomial of the given degree with standard normal coefficients."""
     z = rng.normal(size=2 * degree + 1)
-    c = z[1::2] + 1j * z[2::2]
-    values = np.concatenate((np.conj(c[::-1]), z[:1], c))
-    return TrigPoly.from_arrays(np.arange(-degree, degree + 1), values, real=True)
+    return TrigPoly.from_half(np.arange(degree + 1), np.concatenate((z[:1], z[1::2] + 1j * z[2::2])))
 
 
 def kernel_residuals(grid: int, nmax: int, rng) -> dict:

@@ -420,3 +420,23 @@ def test_replaced_and_lifted_witnesses_recompute_their_table(monkeypatch):
     lifted = certify.lift_witness(witness, 3)
     assert all(c.passed for c in lifted.checks)
     assert calls == [32, 32, 96]
+
+
+def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
+    witness, base = certify.max_atom_lp(range(1, 9), 32), certify.max_atom_lp([1], 16)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17))  # 9 rows on 17 orbit columns
+    assert certify.max_atom_lp(range(1, 9), 32).atom == witness.atom
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(2 * 17))  # its lift to order 32: 2 rows on 17
+    assert certify.lift_witness(base, 2).order == 32
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size was refused")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17 - 1))
+    with pytest.raises(blocks.AtomBudgetError, match=r"9 rows on 17 orbit columns \(153 entries\)"):
+        certify.max_atom_lp(range(1, 9), 32)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(2 * 17 - 1))
+    with pytest.raises(blocks.AtomBudgetError, match=r"2 rows on 17 orbit columns \(34 entries\)"):
+        certify.lift_witness(base, 2)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -351,6 +352,59 @@ def test_tower_product_over_the_atom_budget_is_reported(tmp_path, capsys):
     assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
     assert "tower product of 1999999999 terms exceeds the atom budget" in report["flags"]["error"]
     assert "FAIL completed [tower product" in capsys.readouterr().out
+
+
+R1TO8 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "r1to8.txt")
+
+
+@pytest.mark.parametrize("argv, owner, name, refusal", [
+    pytest.param(["certify-vdc", "--set-file", R1TO8, "--eps", "0.1", "--order", "100000000"],
+                 cli.np, "arange",
+                 "LP of 9 rows on 50000001 orbit columns (450000009 entries) exceeds the atom budget",
+                 id="certify-vdc"),
+    pytest.param(["verify-kernels", "--grid", "400000000", "--nmax", "2"], cli.trigpoly, "kernel_residuals",
+                 "Fejer table of at least 2 kernels on grid 400000000 exceeds the atom budget",
+                 id="verify-kernels"),
+    pytest.param(["lemma-digits", "--q", "64", "--p", "5"], cli.np.random, "default_rng",
+                 "Q^P = 1073741824 exceeds the 16777216 cell limit", id="lemma-digits"),
+    pytest.param(["lemma-pair", "--q", "64", "--p", "5", "--ell", "2", "--size", "200000000"],
+                 cli.np.random, "default_rng", "Q^P = 1073741824 exceeds the 16777216 cell limit",
+                 id="lemma-pair"),
+])
+def test_oversized_inputs_are_refused_before_they_allocate(tmp_path, monkeypatch, capsys, argv,
+                                                           owner, name, refusal):
+    def refuse(*args, **kwargs):  # the allocation the refusal must come before
+        raise AssertionError(f"{name} was called before the size was refused")
+
+    monkeypatch.setattr(owner, name, refuse)
+    out = tmp_path / "r.json"
+    assert run(argv + ["--json-out", str(out)]) == 1
+    report = load_report(out)
+    check_report_schema(report)
+    assert refusal in report["flags"]["error"]
+    assert (report["checks"][-1]["name"], report["checks"][-1]["pass"]) == ("completed", False)
+    assert f"FAIL completed [{refusal}" in capsys.readouterr().out
+
+
+def test_kernel_table_budget_counts_distinct_orders(tmp_path, monkeypatch):
+    # orders n*m for n, m <= 4: {1, 2, 3, 4, 6, 8, 9, 12, 16}, nine Fejer rows of 64 points
+    argv = ["verify-kernels", "--grid", "64", "--nmax", "4", "--json-out", str(tmp_path / "r.json")]
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 64))
+    assert run(argv) == 0
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 64 - 1))
+    assert run(argv) == 1
+    assert "at least 9 kernels on grid 64" in load_report(tmp_path / "r.json")["flags"]["error"]
+
+
+def test_lemma_grids_are_refused_at_the_cell_limit(tmp_path, monkeypatch):
+    from vdcset import combinatorics
+
+    argv = ["lemma-digits", "--q", "32", "--p", "2", "--trials", "1", "--json-out", str(tmp_path / "r.json")]
+    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", 1024)
+    assert run(argv) == 0
+    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", 1023)
+    assert run(argv) == 1
+    assert "Q^P = 1024 exceeds the 1023 cell limit" in load_report(tmp_path / "r.json")["flags"]["error"]
 
 
 def test_tower_empty_stages(tmp_path):

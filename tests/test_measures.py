@@ -142,8 +142,23 @@ def test_convolve_from_cached_spectra_matches_lifts(orders):
 def test_lcm_overflow_guard():
     big = ms.dirac(1 << 21, 0)
     other = ms.dirac((1 << 21) - 1, 0)  # coprime orders, lcm ~ 2^42
-    with pytest.raises(ValueError, match="atom limit"):
+    with pytest.raises(ms.AtomBudgetError, match="exceeds the atom budget"):
         ms.convolve(big, other)
+
+
+def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
+    from vdcset import blocks, certify, tower
+
+    assert blocks.AtomBudgetError is tower.AtomBudgetError is certify.AtomBudgetError is ms.AtomBudgetError
+    assert blocks.atom_budget is ms.atom_budget and blocks.DEFAULT_ATOM_BUDGET == ms.DEFAULT_ATOM_BUDGET
+    assert not hasattr(ms, "LCM_ATOM_LIMIT")
+    a, b = ms.uniform(4), ms.uniform(6)  # common order 12
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "12")
+    assert ms.convolve(a, b).order == ms.scale_add(0.5, a, 0.5, b).order == 12
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "11")
+    for combine in (ms.convolve, lambda x, y: ms.scale_add(0.5, x, 0.5, y)):
+        with pytest.raises(ms.AtomBudgetError, match="common order 12 exceeds the atom budget 11"):
+            combine(a, b)
 
 
 def test_from_samples_constant_and_fejer():
