@@ -10,14 +10,14 @@ Library layout:
                     digit-pattern zeros
 - ``tower``         towers of dilated positive polynomials with frozen
                     spectra
-- ``combinatorics`` digit-agreement search, digit differences of dense
-                    sets, quantitative Poincare recurrence
+- ``combinatorics`` the digit-pattern set R, digit-agreement search,
+                    digit differences of dense sets, quantitative Poincare recurrence
 - ``certify``       exact avoiding-set Russian-doll search plus the LP
                     max-atom certifier (built on ``simplex``)
-- ``cli``           JSON-report command line driver
+- ``cli``           JSON-report command line driver (not imported here)
 """
 
-from . import blocks, certify, cli, combinatorics, measures, simplex, tower, trigpoly
+from . import blocks, certify, combinatorics, measures, simplex, tower, trigpoly
 from .blocks import (
     AtomBudgetError,
     BlockParams,

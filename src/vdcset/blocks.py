@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import digit_pattern_members  # re-exported: R is defined in combinatorics
 from .measures import (DEFAULT_ATOM_BUDGET, AtomBudgetError, AtomicMeasure,  # budget re-exported
                        atom_budget, convolve, from_samples)
 from .reports import Check, require
@@ -296,37 +297,6 @@ def witness_checks(res: dict) -> list:
         Check("atom_lower_bound", res["atom"] >= bound - EVAL_TOL, res["atom"], EVAL_TOL,
               f"guaranteed {bound:.6g}"),
     ]
-
-
-def digit_pattern_members(j: int, q: int, p: int) -> list:
-    """All integers whose base-Q digits are in [1, 8j) except exactly one
-    digit in [Q/2, Q/2 + 8j), listed ascending.
-
-    Count is P * 8j * (8j - 1)^(P-1); every member is a zero of the witness
-    transform.
-    """
-    if q % 2 or 16 * j >= q:
-        raise ValueError("digit patterns need Q even with Q/2 + 8*j < Q")
-    if p < 1 or j < 1:
-        raise ValueError("digit patterns need j >= 1 and P >= 1")
-    low = range(1, 8 * j)
-    high = range(q // 2, q // 2 + 8 * j)
-    members = []
-
-    def fill(position, acc, distinguished_used):
-        if position == p:
-            if distinguished_used:
-                members.append(acc)
-            return
-        scale_q = q**position
-        for d in high if not distinguished_used else ():
-            fill(position + 1, acc + d * scale_q, True)
-        for d in low:
-            fill(position + 1, acc + d * scale_q, distinguished_used)
-
-    fill(0, 0, False)
-    members.sort()
-    return members
 
 
 def zero_set(mu: AtomicMeasure, bound: int) -> set:

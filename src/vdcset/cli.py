@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import blocks, certify, combinatorics, measures, tower, trigpoly
+from . import blocks, certify, combinatorics, measures, simplex, tower, trigpoly
 from .reports import RunReport
 
 KERNEL_GRID_FACTOR = 2  # grid must exceed 2*nmax^2 to resolve the kernel products
@@ -156,6 +156,7 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
 
 
 def cmd_lemma_digits(args, report: RunReport) -> None:
+    combinatorics.digit_windows(args.j, args.q, args.p)  # refused even when no trial would run
     space = combinatorics.grid_cells(args.q, args.p)  # before the draw allocates Q^P
     rng = np.random.default_rng(args.seed)
     found, verified = 0, 0
@@ -335,9 +336,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         COMMANDS[args.command](args, report)
-    except (blocks.BlockParamsError, blocks.BlockBulletError, measures.AtomBudgetError,
-            certify.LpInfeasibleError, certify.LpDegenerateError,
-            certify.WitnessVerificationError, ValueError) as exc:
+    except (blocks.BlockBulletError, measures.AtomBudgetError, simplex.LpInfeasibleError,
+            simplex.LpDegenerateError, simplex.LpUnboundedError, certify.WitnessVerificationError,
+            combinatorics.RecurrenceBoundError, combinatorics.AgreementSearchError,
+            ValueError) as exc:
         report.flags["error"] = str(exc)
         report.add("completed", False, detail=str(exc))
     except OSError as exc:

@@ -28,6 +28,10 @@ class RecurrenceBoundError(RuntimeError):
     """A poincare_returns row passed its horizon, which Cauchy-Schwarz rules out."""
 
 
+class AgreementSearchError(RuntimeError):
+    """The agreement search broke a bullet, or found nothing where the density guarantee applies."""
+
+
 @dataclass(frozen=True)
 class DigitVector:
     q: int
@@ -83,10 +87,6 @@ class FiniteSystem:
             raise ValueError("mapping must be a permutation of {0..size-1}")
         if not all(0 <= v < self.size for v in subset):
             raise ValueError("subset must lie inside {0..size-1}")
-
-    @property
-    def density(self) -> float:
-        return len(self.subset) / self.size
 
 
 def poincare_returns(mapping, members):
@@ -232,11 +232,11 @@ def find_agreement_pair(elements, ell: int, *, q: int, p: int):
         raise ValueError("modulus Q must be even")
     for x, x_prime, s in _agreement_candidates(grid, q):
         if not bullets_hold(x, x_prime, s, q):
-            raise RuntimeError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
+            raise AgreementSearchError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
         return AgreementPair(DigitVector(q, x), DigitVector(q, x_prime), s)
     count = int(grid.sum())
     if count * ell > q**p and p > q * math.log(ell):
-        raise RuntimeError(
+        raise AgreementSearchError(
             "agreement search exhausted although the density guarantee applies"
         )
     return None
@@ -257,12 +257,36 @@ def digits_to_int(digits, q: int) -> int:
     return total
 
 
+def digit_windows(j: int, q: int, p: int):
+    """The digit windows of the pattern set R: range(1, 8j) for every digit
+    but one and range(Q/2, Q/2 + 8j) for that one.  The one check of
+    (j, Q, P): Q even with Q/2 + 8j < Q, j >= 1 and P >= 1."""
+    if q % 2 or q // 2 + 8 * j >= q:
+        raise ValueError(f"digit patterns need Q even with Q/2 + 8*j < Q, got Q={q}, j={j}")
+    if j < 1 or p < 1:
+        raise ValueError(f"digit patterns need j >= 1 and P >= 1, got j={j}, P={p}")
+    return range(1, 8 * j), range(q // 2, q // 2 + 8 * j)
+
+
+def digit_pattern_members(j: int, q: int, p: int) -> list:
+    """The pattern set R, ascending: the integers below Q^P whose base-Q
+    digits all lie in [1, 8j) except exactly one in [Q/2, Q/2 + 8j).
+
+    Count is P * 8j * (8j - 1)^(P-1); every member is a zero of the witness
+    transform.
+    """
+    low, high = digit_windows(j, q, p)
+    return sorted(digits_to_int(d, q) for marked in range(p)
+                  for d in itertools.product(*(high if i == marked else low for i in range(p))))
+
+
 def pattern_position(y: int, j: int, q: int, p: int):
     """Index of the one base-Q digit of y in [Q/2, Q/2 + 8j) when every
-    other digit lies in [1, 8j); None when y is not such a digit pattern."""
+    other digit lies in [1, 8j); None when y is not in R."""
+    low, high = digit_windows(j, q, p)
     digits = int_to_digits(y, q, p)
-    marked = [i for i, d in enumerate(digits) if q // 2 <= d < q // 2 + 8 * j]
-    rest_low = all(1 <= d < 8 * j for i, d in enumerate(digits) if i not in marked)
+    marked = [i for i, d in enumerate(digits) if d in high]
+    rest_low = all(d in low for i, d in enumerate(digits) if i not in marked)
     return marked[0] if len(marked) == 1 and rest_low and y < q**p else None
 
 
@@ -280,10 +304,7 @@ def digit_difference(elements, j: int, q: int, p: int):
     Qualifying overlaps are scanned as they are built and the others are
     rebuilt for a second pass, so one grid is held at a time, whatever the horizon.
     """
-    if q % 2 or q // 2 + 8 * j >= q:
-        raise ValueError("digit differences need Q even with Q/2 + 8*j < Q")
-    if p < 1:
-        raise ValueError(f"digit differences need P >= 1, got {p}")
+    digit_windows(j, q, p)  # refuses (j, Q, P) outside R's range before any grid is built
     grid = _index_grid(elements, q, p)
     count_e = int(grid.sum())
     if count_e == 0:

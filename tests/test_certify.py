@@ -440,3 +440,13 @@ def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(2 * 17 - 1))
     with pytest.raises(blocks.AtomBudgetError, match=r"2 rows on 17 orbit columns \(34 entries\)"):
         certify.lift_witness(base, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: certify.max_atom_lp([1], 1), "order must be >= 2", id="lp-order"),
+    pytest.param(lambda: certify.lift_witness(certify.max_atom_lp([1], 4), 0), "factor must be >= 1",
+                 id="lift-factor"),
+])
+def test_refusals_name_their_bound(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -707,3 +707,62 @@ def test_cached_parser_carries_no_state(tmp_path, monkeypatch):
     assert reports[1].params["density"] == 0.97
     assert "json_out" not in reports[1].params and not out.exists()
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("trials", ["100", "0"])
+def test_lemma_digits_refuses_j_zero_by_name(tmp_path, capsys, trials):
+    out = tmp_path / "r.json"
+    argv = ["lemma-digits", "--q", "4", "--p", "2", "--j", "0", "--trials", trials]
+    assert run(argv + ["--json-out", str(out)]) == 1
+    refusal = "digit patterns need j >= 1 and P >= 1, got j=0, P=2"
+    assert f"FAIL completed [{refusal}]" in capsys.readouterr().out
+    report = load_report(out)
+    check_report_schema(report)
+    assert report["flags"]["error"] == refusal
+    assert [c["name"] for c in report["checks"]] == ["completed"]
+
+
+def _raise(error):
+    def raising(*args, **kwargs):
+        raise error
+    return raising
+
+
+@pytest.mark.parametrize("argv, owner, name, error", [
+    pytest.param(["lemma-prt"], cli.combinatorics, "poincare_returns",
+                 cli.combinatorics.RecurrenceBoundError("a row has no qualifying n"), id="recurrence-bound"),
+    pytest.param(["certify-vdc", "--set-file", R1TO8, "--eps", "0.1", "--order", "32"], certify, "solve_lp",
+                 simplex.LpUnboundedError("objective unbounded along column 3"), id="lp-unbounded"),
+    pytest.param(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140", "--trials", "2"],
+                 cli.combinatorics, "_agreement_candidates",
+                 cli.combinatorics.AgreementSearchError("agreement candidate breaks a bullet"),
+                 id="agreement-search"),
+])
+def test_named_library_errors_end_in_a_report(tmp_path, monkeypatch, capsys, argv, owner, name, error):
+    monkeypatch.setattr(owner, name, _raise(error))
+    out = tmp_path / "r.json"
+    assert run(argv + ["--json-out", str(out)]) == 1
+    assert f"FAIL completed [{error}]" in capsys.readouterr().out
+    report = load_report(out)
+    check_report_schema(report)
+    assert report["flags"]["error"] == str(error)
+    assert (report["checks"][-1]["name"], report["checks"][-1]["pass"]) == ("completed", False)
+
+
+@pytest.mark.parametrize("p, emitted", [(2, True), (3, False)])
+def test_build_witness_emit(tmp_path, p, emitted):
+    import hashlib
+
+    out, target = tmp_path / "r.json", tmp_path / "mu.json"
+    argv = ["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", str(p)]
+    assert run(argv + ["--emit", str(target), "--json-out", str(out)]) == 0
+    report = load_report(out)
+    if emitted:
+        mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, p))
+        assert target.read_text(encoding="utf-8") == mu.to_json()
+        digest = hashlib.sha256(target.read_bytes()).hexdigest()
+        assert report["artifacts"]["witness_measure"] == {"path": str(target), "sha256": digest}
+        assert "witness_measure_not_emitted" not in report["flags"]
+    else:
+        assert not target.exists() and report["artifacts"] == {}
+        assert "262144 exceeds the 65536-atom emission gate" in report["flags"]["witness_measure_not_emitted"]

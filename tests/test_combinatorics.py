@@ -208,7 +208,7 @@ def test_bullets_hold_one_violation_per_bullet():
 
 def test_agreement_pair_raises_on_broken_bullets(monkeypatch):
     monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter([((0, 1), (0, 1), 0)]))
-    with pytest.raises(RuntimeError, match="breaks a bullet"):
+    with pytest.raises(cb.AgreementSearchError, match="breaks a bullet"):
         cb.find_agreement_pair([cb.digits_to_int((0, 1), 4)], 2, q=4, p=2)
 
 
@@ -369,14 +369,60 @@ def test_digit_difference_needs_a_depth():
         cb.digit_difference([0], 1, 64, 0)
 
 
-def test_pattern_position_matches_pattern_members():
-    from vdcset import blocks
+def reference_digit_pattern_members(j, q, p):
+    """The recursive enumeration the pattern set R was first built with, kept
+    as a reference: each position takes the marked digit or a plain one."""
+    low, high = range(1, 8 * j), range(q // 2, q // 2 + 8 * j)
+    members = []
 
-    members = set(blocks.digit_pattern_members(1, 64, 2))
-    assert {y for y in range(64**2) if cb.pattern_position(y, 1, 64, 2) is not None} == members
+    def fill(position, acc, distinguished_used):
+        if position == p:
+            if distinguished_used:
+                members.append(acc)
+            return
+        for d in high if not distinguished_used else ():
+            fill(position + 1, acc + d * q**position, True)
+        for d in low:
+            fill(position + 1, acc + d * q**position, distinguished_used)
+
+    fill(0, 0, False)
+    return sorted(members)
+
+
+@pytest.mark.parametrize("j, q, p", [(1, 64, 1), (1, 64, 2), (1, 64, 3), (1, 64, 4), (2, 64, 2),
+                                     (1, 18, 3), (3, 50, 2)])
+def test_digit_pattern_members_match_the_recursive_reference(j, q, p):
+    members = cb.digit_pattern_members(j, q, p)
+    assert members == reference_digit_pattern_members(j, q, p)
+    assert len(members) == p * 8 * j * (8 * j - 1) ** (p - 1)
+    assert all(type(y) is int for y in members)
+
+
+def test_pattern_position_matches_pattern_members():
+    for j, q, p in [(1, 64, 2), (1, 18, 3), (2, 40, 2)]:
+        members = set(cb.digit_pattern_members(j, q, p))
+        assert {y for y in range(q**p) if cb.pattern_position(y, j, q, p) is not None} == members
     assert cb.pattern_position(32 * 64 + 3, 1, 64, 2) == 1
     assert cb.pattern_position(3 * 64 + 39, 1, 64, 2) == 0
     assert cb.pattern_position(64**2 + 64 + 33, 1, 64, 2) is None  # more than P digits
+
+
+@pytest.mark.parametrize("j, q, p, message", [
+    pytest.param(1, 63, 2, "Q even with Q/2 + 8*j < Q, got Q=63, j=1", id="odd-q"),
+    pytest.param(4, 64, 2, "Q even with Q/2 + 8*j < Q, got Q=64, j=4", id="window-beyond-q"),
+    pytest.param(0, 64, 2, "j >= 1 and P >= 1, got j=0, P=2", id="j-zero"),
+    pytest.param(-1, 64, 2, "j >= 1 and P >= 1, got j=-1, P=2", id="j-negative"),
+    pytest.param(1, 64, 0, "j >= 1 and P >= 1, got j=1, P=0", id="p-zero"),
+])
+def test_pattern_set_parameters_are_checked_once(j, q, p, message):
+    calls = [lambda: cb.digit_windows(j, q, p), lambda: cb.digit_pattern_members(j, q, p),
+             lambda: cb.pattern_position(1, j, q, p), lambda: cb.digit_difference([0], j, q, p)]
+    raised = []
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        raised.append(str(exc.value))
+    assert raised == [f"digit patterns need {message}"] * len(calls)
 
 
 def test_grid_size_guard():
@@ -387,3 +433,24 @@ def test_grid_size_guard():
 def test_digits_round_trip():
     for value in (0, 1, 63, 64, 4095):
         assert cb.digits_to_int(cb.int_to_digits(value, 64, 2), 64) == value
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cb.DigitVector(1, (0,)), "modulus must be >= 2", id="digit-vector-modulus"),
+    pytest.param(lambda: cb.poincare_returns([1, 0], np.ones((1, 3), dtype=bool)),
+                 "members must hold one row of 2 cells per subset", id="members-width"),
+    pytest.param(lambda: cb.poincare_returns([1, 0], np.ones(2, dtype=bool)),
+                 "members must hold one row of 2 cells per subset", id="members-one-dimensional"),
+    pytest.param(lambda: cb.find_agreement_pair(range(25), 2, q=5, p=2), "modulus Q must be even",
+                 id="agreement-odd-q"),
+])
+def test_refusals_name_their_bound(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_agreement_search_exhausted_under_the_guarantee_is_named(monkeypatch):
+    monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter(()))
+    assert cb.find_agreement_pair(range(4**2), 2, q=4, p=2) is None  # P > Q*log(ell) fails
+    with pytest.raises(cb.AgreementSearchError, match="density guarantee"):
+        cb.find_agreement_pair(range(4**4), 2, q=4, p=4)

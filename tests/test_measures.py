@@ -263,3 +263,11 @@ def test_fourier_fold_matches_the_minimum_reference(n):
             assert type(got) is complex
             assert got == minimum_fold_fourier(m, scalar)
             assert np.array(got).tobytes() == np.array(minimum_fold_fourier(m, scalar)).tobytes()
+
+
+@pytest.mark.parametrize("orders, common", [((2, 3), 5), ((4, 6), 8), ((3, 3), 4)])
+def test_lift_to_a_non_multiple_is_refused(monkeypatch, orders, common):
+    # the lcm never misses, so a wrong common order is planted to reach _lift's check
+    monkeypatch.setattr(ms, "_common_order", lambda m1, m2: common)
+    with pytest.raises(ValueError, match="multiple of the measure order"):
+        ms.scale_add(0.5, ms.uniform(orders[0]), 0.5, ms.uniform(orders[1]))

@@ -137,3 +137,13 @@ def test_degenerate_trig_system_stays_clean():
     assert abs(res.x.sum() - 1.0) < 1e-12
     assert res.objective == pytest.approx((2 + np.sqrt(2)) / 8, abs=1e-9)
     assert res.diagnostics["basis_condition"] < 1e12
+
+
+@pytest.mark.parametrize("costs, matrix, rhs", [
+    pytest.param([1.0, 0.0], [1.0, 1.0], [1.0], id="matrix-one-dimensional"),
+    pytest.param([1.0, 0.0], [[1.0, 1.0]], [1.0, 0.0], id="rhs-rows"),
+    pytest.param([1.0, 0.0, 0.0], [[1.0, 1.0]], [1.0], id="costs-columns"),
+])
+def test_inconsistent_dimensions_are_refused(costs, matrix, rhs):
+    with pytest.raises(ValueError, match="inconsistent LP dimensions"):
+        sx.solve_lp(costs, matrix, rhs, [0.5, 0.5])

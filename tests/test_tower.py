@@ -312,3 +312,17 @@ def test_claim_windows_match_the_mask_reference_when_empty():
         assert_rows_bit_identical(rows, mask_claim_residuals(stages, products))
     rows = tower.claim_residuals(stages, [beyond, c2])
     assert rows[0]["vanishing_tail"] == 0.25 and rows[0]["mean_deviation"] == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: tower.TowerStage((1,), 1, EPS, 7, 0).validate(), "dilation must be >= 1",
+                 id="dilation"),
+    pytest.param(lambda: tower.validate_stages([tower.TowerStage((1,), 1, EPS, 7, 7),
+                                                tower.TowerStage((1,), 1, 0.25, 9, 113)]),
+                 "share one eps_prime", id="mixed-eps-prime"),
+    pytest.param(lambda: tower.build_tower(toy_stages(), [half_beta()]),
+                 "exactly one beta measure per stage", id="beta-count"),
+])
+def test_refusals_name_their_bound(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

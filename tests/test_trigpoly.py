@@ -504,3 +504,14 @@ def test_kernel_checks_at_the_tolerance():
 def test_kernel_residuals_need_an_order():
     with pytest.raises(ValueError, match="nmax >= 1"):
         tp.kernel_residuals(1024, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: tp.sample_values(tp.fejer(2), 0), "grid must be >= 1", id="sample-grid"),
+    pytest.param(lambda: tp.ConvexProfile([]), "at least f\\(0\\)", id="empty-profile"),
+    pytest.param(lambda: tp.domination_kernel(0, 3), "R, L >= 1", id="domination-r"),
+    pytest.param(lambda: tp.domination_kernel(3, 0), "R, L >= 1", id="domination-l"),
+])
+def test_refusals_name_their_bound(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
