@@ -99,7 +99,7 @@ def block_polynomials(params: BlockParams):
     clamp still guard the sampled weights.
 
     s is even, so it is assembled as one array of its coefficients at
-    m >= 0, which TrigPoly.from_half mirrors: the Fejer-weighted profile of
+    m >= 0, the half TrigPoly.from_half stores: the Fejer-weighted profile of
     p on m < Q^k, plus p's profile added as a slice at each spike of r at
     m > 0 (the spike at -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).
     The sums run in the order of the polynomial products they replace.
@@ -304,4 +304,4 @@ def zero_set(mu: AtomicMeasure, bound: int) -> set:
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
     freqs = np.arange(1, bound + 1)
-    return {int(r) for r in freqs[np.abs(mu.fourier(freqs)) < EVAL_TOL]}
+    return set(freqs[np.abs(mu.fourier(freqs)) < EVAL_TOL].tolist())

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import EVAL_TOL, TrigPoly, antihermitian_norm, sample_values
+from .trigpoly import TrigPoly, sample_values
 
 WEIGHT_TOL = 1e-12          # float noise clamped to zero at construction
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
@@ -27,12 +27,12 @@ def atom_budget() -> int:
     """Cap on the atoms (or array entries) one measure, lift, LP or product
     may allocate; override with the VDC_ATOM_BUDGET env var.
 
-    A block costs about 47 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 4.6-5.2 s CPU and 746 MiB
-    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); from_samples' order-N
-    irfft of s, beside s's coefficients, sets the peak.  Both figures
-    depend on the host.  At that rate the default cap 2^26 admits blocks of
-    about 2.9 GiB.
+    A block costs about 40 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 2.7-3.0 s CPU and 646 MiB
+    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); sample_values'
+    order-N irfft of s, beside s's half spectrum, sets the peak.  Both
+    figures depend on the host.  At that rate the default cap 2^26 admits
+    blocks of about 2.5 GiB.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -139,17 +139,13 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     """Measure with weight poly(n/order)/order placed at the point -n/order.
 
-    Requires a real-flagged polynomial, conjugate-symmetric up to EVAL_TOL
-    in the l1 norm of its anti-Hermitian part (a bound on the imaginary part
-    the real samples leave out), whose samples are non-negative up to float
+    Requires a real-flagged polynomial (its conjugate symmetry is checked
+    when it is constructed), whose samples are non-negative up to float
     noise: anything below -1e-6 signals a genuinely non-positive polynomial
     and is rejected; small negatives are clamped to zero.
     """
     if not poly.real:
         raise ValueError("from_samples needs a real-flagged polynomial")
-    skew = antihermitian_norm(poly)
-    if skew > EVAL_TOL:
-        raise ValueError(f"coefficients are not conjugate-symmetric: anti-Hermitian l1 norm {skew}")
     samples = sample_values(poly, order)
     low = float(samples.min())
     if low < -SAMPLE_REJECT_TOL:

@@ -3,10 +3,11 @@
 A polynomial represents ``t -> sum_m c_m exp(2*pi*i*m*t)`` on the unit
 circle.  It is stored as two read-only arrays: the frequencies ``freqs``
 (int64, strictly ascending) and their non-zero complex coefficients
-``values``.  One reducer brings every result to that form (sort, sum
-repeated frequencies, drop exact zeros), and every operation is a numpy
-expression on the two arrays.  Coefficients double as Fourier transform
-values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
+``values``, only at m >= 0 (c_0 real) when ``real`` flags c_-m = conj(c_m),
+as AtomicMeasure.spectrum does.  One reducer brings every result to that
+form (sort, sum repeated frequencies, drop exact zeros), and every
+operation is a numpy expression on the two arrays.  Coefficients double as
+Fourier transform values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
 
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
@@ -46,8 +47,9 @@ def modulus(z: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False, init=False)
 class TrigPoly:
     """Sparse trigonometric polynomial, from a {frequency: coefficient} map
-    or (``from_arrays``) the two arrays.  ``real`` flags polynomials with
-    coeff(-m) == conj(coeff(m)), i.e. real-valued on the circle."""
+    or (``from_arrays``) the two arrays, both signs given.  ``real`` flags
+    polynomials with coeff(-m) == conj(coeff(m)), i.e. real-valued on the
+    circle, stored as the half m >= 0 that ``from_half`` takes."""
 
     freqs: np.ndarray
     values: np.ndarray
@@ -66,18 +68,27 @@ class TrigPoly:
 
     @staticmethod
     def from_half(freqs, values) -> "TrigPoly":
-        """Real polynomial: values at ascending freqs >= 0, conj(values) at -freqs (0 once)."""
-        freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values)
-        skip = int(freqs.size > 0 and freqs[0] == 0)  # 0 is not mirrored, so its value must be real
-        if skip and values[0].imag != 0 or freqs.size and freqs.min() < 0:
+        """Real polynomial: values at freqs >= 0, conj(values) implied at -freqs (0 once)."""
+        poly = object.__new__(TrigPoly)
+        poly._reduce(freqs, values, real=True, half=True)
+        first = poly.freqs[:1]  # 0 is not mirrored, so its value must be real
+        if first.size and (first[0] < 0 or first[0] == 0 and poly.values[0].imag != 0):
             raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
                              f"{values[0]} at the first frequency {freqs[0]}")
-        return TrigPoly.from_arrays(np.concatenate((-freqs[skip:][::-1], freqs)),
-                                    np.concatenate((values[skip:][::-1].conj(), values)), real=True)
+        return poly
 
-    def _reduce(self, freqs, values, real) -> None:
+    def _reduce(self, freqs, values, real, half=False) -> None:
         """The one normal form: frequencies strictly ascending (repeats
-        summed in input order, starting from 0), exact zeros dropped."""
+        summed in input order, starting from 0), exact zeros dropped.  Real
+        input with both signs (not ``half``) keeps the half of (f + conj(f))/2
+        if (f - conj(f))/2, which bounds |Im f|, is within EVAL_TOL in l1."""
+        if real and not half:
+            f = TrigPoly.from_arrays(np.array(freqs), np.array(values))  # copies: only the half is kept
+            skew = float(np.abs(add(f, scale(conjugate_reflect(f), -1.0)).values).sum()) / 2
+            if skew > EVAL_TOL:
+                raise ValueError(f"coefficients are not conjugate-symmetric: anti-Hermitian l1 norm {skew}")
+            twice = add(f, conjugate_reflect(f))  # c_m + conj(c_-m): exactly 2*c_m when symmetric
+            freqs, values = twice.freqs[twice.freqs >= 0], twice.values[twice.freqs >= 0] / 2
         freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
         if not (freqs[1:] > freqs[:-1]).all():
             order = np.argsort(freqs, kind="stable")
@@ -97,21 +108,28 @@ class TrigPoly:
 
     @property
     def coeffs(self) -> dict:
-        """The polynomial as a {frequency: coefficient} dict, ascending."""
-        return dict(zip(self.freqs.tolist(), self.values.tolist()))
+        """The polynomial as a {frequency: coefficient} dict, ascending, both signs."""
+        freqs, values = self.freqs.tolist(), self.values.tolist()
+        negative = zip(map(operator.neg, reversed(freqs)), map(complex.conjugate, reversed(values)))
+        out = dict(negative if self.real else ())  # c_0 then replaces its conjugate in place
+        out.update(zip(freqs, values))
+        return out
 
     @property
     def degree(self) -> int:
-        return int(np.abs(self.freqs).max(initial=0))
+        return int(max(-self.freqs[0], self.freqs[-1])) if self.freqs.size else 0
 
     def coeff(self, m):
         """Coefficient at frequency m (0 if absent); elementwise for an array of m."""
         m = np.asarray(m, dtype=np.int64)
         out = np.zeros(m.shape, dtype=complex)
         if self.freqs.size:
-            i = np.minimum(np.searchsorted(self.freqs, m), self.freqs.size - 1)
-            hit = self.freqs[i] == m
+            key = np.abs(m) if self.real else m
+            i = np.minimum(np.searchsorted(self.freqs, key), self.freqs.size - 1)
+            hit = self.freqs[i] == key
             out[hit] = self.values[i[hit]]
+            if self.real:
+                np.conjugate(out, out=out, where=m < 0)  # c_-m = conj(c_m)
         return complex(out) if out.ndim == 0 else out
 
     def to_json(self) -> str:
@@ -125,6 +143,22 @@ class TrigPoly:
         return TrigPoly(coeffs, real=bool(obj["real"]))
 
 
+def _arrays(f: TrigPoly, half: bool, end=None):
+    """f's stored arrays if ``half`` (f real), else its coefficients at both
+    signs: of a real f, its first ``end`` terms mirrored (frequency 0 once)."""
+    if half or not f.real:
+        return f.freqs, f.values
+    freqs, values = f.freqs[:end], f.values[:end]
+    skip = int(freqs.size > 0 and freqs[0] == 0)
+    return (np.concatenate((-freqs[skip:][::-1], freqs)),
+            np.concatenate((values[skip:][::-1].conj(), values)))
+
+
+def _stored(real: bool, freqs, values) -> TrigPoly:
+    """A polynomial from arrays in the layout its flag stores: the half when real."""
+    return TrigPoly.from_half(freqs, values) if real else TrigPoly.from_arrays(freqs, values)
+
+
 def zero() -> TrigPoly:
     return TrigPoly({}, real=True)
 
@@ -136,7 +170,8 @@ def constant(value) -> TrigPoly:
 
 def character(m: int, coefficient=1.0) -> TrigPoly:
     """The single-frequency polynomial coefficient * exp(2*pi*i*m*t)."""
-    return TrigPoly({int(m): complex(coefficient)}, real=(m == 0))
+    c = complex(coefficient)
+    return TrigPoly({int(m): c}, real=(m == 0 and c.imag == 0.0))
 
 
 def dirichlet(n: int) -> TrigPoly:
@@ -160,7 +195,8 @@ def evaluate(f: TrigPoly, t: float) -> complex:
     """Direct summation of sum_m c_m exp(2*pi*i*m*t); m*t mod 1 is exact."""
     p, q = float(t).as_integer_ratio()
     phase = (f.freqs.astype(object) * p % q / q).astype(float)
-    return complex((f.values * np.exp(2j * np.pi * phase)).sum())
+    terms = f.values * np.exp(2j * np.pi * phase)  # of a real f: c_0 + 2*Re(terms at m > 0)
+    return complex((terms.real * np.where(f.freqs > 0, 2, 1)).sum() if f.real else terms.sum())
 
 
 def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
@@ -169,9 +205,9 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
     Frequencies are folded mod ``grid`` first, which is exact at these
     points (exp(2*pi*i*m*g/grid) depends on m only through m mod grid);
     the folded sum is one inverse FFT, grid * ifft(folded).  For a
-    ``real``-flagged ``f`` the values are real: Re f, one ``irfft`` of the
-    Hermitian part (folded[k] + conj(folded[-k]))/2 on k <= grid/2, folded
-    there directly (c_m at k = m mod grid, or conj(c_m) at grid - k).
+    ``real``-flagged ``f`` the values are real: grid * irfft of its half
+    folded onto k <= grid/2 (c_m at k = m mod grid, or conj(c_m) at grid - k),
+    where k == -k holds twice the real part of its fold, c_0 counted once.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
@@ -181,13 +217,15 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
         return np.fft.ifft(folded) * grid
     upper = at > grid // 2
     at = np.minimum(at, grid - at)
-    twice = np.empty(grid // 2 + 1, dtype=complex)  # twice the Hermitian part
-    twice.real = np.bincount(at, f.values.real, twice.size)
-    twice.imag = np.bincount(at, np.where(upper, -f.values.imag, f.values.imag), twice.size)
-    own = [0, grid // 2] if grid % 2 == 0 else [0]  # k == -k: folded + conj(folded)
-    twice[own] = 2 * twice[own].real
-    values = np.fft.irfft(twice, grid)
-    values *= grid / 2
+    fold = np.empty(grid // 2 + 1, dtype=complex)
+    fold.real = np.bincount(at, f.values.real, fold.size)
+    fold.imag = np.bincount(at, np.where(upper, -f.values.imag, f.values.imag), fold.size)
+    del at, upper  # nothing term-sized beside the irfft, which sets the peak
+    own = [0, grid // 2] if grid % 2 == 0 else [0]  # k == -k: fold + conj(fold)
+    fold[own] = 2 * fold[own].real
+    fold[0] -= f.values[0].real if f.freqs.size and f.freqs[0] == 0 else 0.0  # c_0 once
+    values = np.fft.irfft(fold, grid)
+    values *= grid
     return values
 
 
@@ -202,43 +240,55 @@ def positivity_grid(degree: int) -> int:
 
 
 def add(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    freqs, values = np.concatenate([f.freqs, g.freqs]), np.concatenate([f.values, g.values])
-    return TrigPoly.from_arrays(freqs, values, f.real and g.real)
+    real = f.real and g.real
+    (ff, fv), (gf, gv) = _arrays(f, real), _arrays(g, real)
+    return _stored(real, np.concatenate([ff, gf]), np.concatenate([fv, gv]))
 
 
 def scale(f: TrigPoly, a) -> TrigPoly:
     a = complex(a)
-    return TrigPoly.from_arrays(f.freqs, a * f.values, real=f.real and a.imag == 0.0)
+    real = f.real and a.imag == 0.0
+    freqs, values = _arrays(f, real)
+    return _stored(real, freqs, a * values)
 
 
 def conjugate_reflect(f: TrigPoly) -> TrigPoly:
     """The polynomial t -> conj(f(t)); coefficients conj(c_{-m}) at m."""
-    return TrigPoly.from_arrays(-f.freqs[::-1], np.conj(f.values[::-1]), real=f.real)
-
-
-def antihermitian_norm(f: TrigPoly) -> float:
-    """l1 norm of the anti-Hermitian part (f - conj(f))/2, whose coefficients
-    are (c_m - conj(c_-m))/2; it bounds |Im f| on the circle."""
-    if np.array_equal(f.freqs, -f.freqs[::-1]):  # c_-m sits at the mirrored index
-        skew = np.conj(f.values[::-1])
-        np.subtract(f.values, skew, out=skew)  # into the one temporary
-    else:
-        skew = add(f, scale(conjugate_reflect(f), -1.0)).values
-    return float(np.abs(skew).sum()) / 2
+    return f if f.real else TrigPoly.from_arrays(-f.freqs[::-1], np.conj(f.values[::-1]))
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    """Pointwise product; coefficients convolve over frequencies."""
+    """Pointwise product; coefficients convolve over frequencies.
+
+    For real f and g only the sums at m >= 0 are formed, into preallocated
+    arrays in the order of the full product: f's rows (both signs) within
+    degree(g) masked, then its rows above whole.  c_0 is its sum's real part.
+    """
     _fits_int64(f.degree + g.degree)
-    freqs = np.add.outer(f.freqs, g.freqs).ravel()
-    values = np.multiply.outer(f.values, g.values).ravel()
-    return TrigPoly.from_arrays(freqs, values, f.real and g.real)
+    gf, gv = _arrays(g, False)
+    if not (f.real and g.real):
+        ff, fv = _arrays(f, False)
+        return TrigPoly.from_arrays(np.add.outer(ff, gf).ravel(), np.multiply.outer(fv, gv).ravel())
+    k = np.searchsorted(f.freqs, g.degree, side="right")  # rows reaching m <= 0
+    rows, row_values = _arrays(f, False, k)
+    sums = np.add.outer(rows, gf)
+    kept = sums >= 0
+    straddle, shape = np.count_nonzero(kept), (f.freqs.size - k, gf.size)
+    freqs, values = (np.empty(straddle + shape[0] * shape[1], dtype) for dtype in (np.int64, complex))
+    freqs[:straddle] = sums[kept]
+    values[:straddle] = np.multiply.outer(row_values, gv)[kept]
+    values[:straddle].imag[freqs[:straddle] == 0] = 0.0
+    np.add.outer(f.freqs[k:], gf, out=freqs[straddle:].reshape(shape))
+    np.multiply.outer(f.values[k:], gv, out=values[straddle:].reshape(shape))
+    return TrigPoly.from_half(freqs, values)
 
 
 def convolve(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Function convolution over the circle; coefficients multiply."""
-    common, i, j = np.intersect1d(f.freqs, g.freqs, assume_unique=True, return_indices=True)
-    return TrigPoly.from_arrays(common, f.values[i] * g.values[j], f.real and g.real)
+    real = f.real and g.real
+    (ff, fv), (gf, gv) = _arrays(f, real), _arrays(g, real)
+    common, i, j = np.intersect1d(ff, gf, assume_unique=True, return_indices=True)
+    return _stored(real, common, fv[i] * gv[j])
 
 
 def dilate(f: TrigPoly, a: int) -> TrigPoly:
@@ -249,7 +299,7 @@ def dilate(f: TrigPoly, a: int) -> TrigPoly:
     if a < 1:
         raise ValueError(f"dilation factor must be >= 1, got {a}")
     _fits_int64(a * f.degree)
-    return TrigPoly.from_arrays(a * f.freqs, f.values, real=f.real)
+    return _stored(f.real, a * f.freqs, f.values)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,9 @@
 """TrigPoly.from_half against the hand-mirrored constructions it replaced.
 
 Each reference below is the expression a builder used before it called
-from_half, kept verbatim; from_half must reproduce it bit for bit."""
+from_half, kept verbatim; from_half must reproduce it bit for bit.  A
+real-flagged reference given at both signs keeps its Hermitian half, which
+is the reference itself when it is exactly conjugate-symmetric."""
 
 import numpy as np
 import pytest
@@ -18,15 +20,17 @@ def assert_same_bits(f, g):
 
 
 def assert_exactly_hermitian(f):
-    """coeff(-m) == conj(coeff(m)) with no tolerance, and coeff(0) real.  The
-    bytes agree after +0.0, which clears the sign of a zero imaginary part:
-    a real value is mirrored as it is, so its imaginary part stays +0."""
-    assert f.real and np.array_equal(f.freqs, -f.freqs[::-1])
-    m = f.freqs
-    assert np.array_equal(f.coeff(-m), np.conj(f.coeff(m)))
-    assert (f.coeff(-m) + 0.0).tobytes() == (np.conj(f.coeff(m)) + 0.0).tobytes()
+    """coeffs[-m] == conj(coeffs[m]) with no tolerance over the whole dict,
+    coeff(0) real, and only the half m >= 0 stored.  The bytes agree after
+    +0.0, which clears the sign of a zero imaginary part."""
+    coeffs = f.coeffs
+    assert f.real and (f.freqs >= 0).all() and len(coeffs) == 2 * f.freqs.size - (0 in coeffs)
+    m = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    assert np.array_equal(m, -m[::-1])
+    assert np.array_equal(values[::-1], np.conj(values))
+    assert (values[::-1] + 0.0).tobytes() == (np.conj(values) + 0.0).tobytes()
     assert np.imag(f.coeff(0)) == 0.0
-    assert tp.antihermitian_norm(f) == 0.0
 
 
 def mirrored_block_polynomials(params):
@@ -131,8 +135,9 @@ def test_stage_polynomials_match_the_mirrored_reference(beta, n, max_freq):
 
 def test_from_half_without_frequency_zero():
     poly = tp.TrigPoly.from_half([2, 5], [1.0 + 2.0j, -3.0])
-    assert poly.freqs.tolist() == [-5, -2, 2, 5]
-    assert poly.values.tolist() == [-3.0, 1.0 - 2.0j, 1.0 + 2.0j, -3.0]
+    assert poly.freqs.tolist() == [2, 5]
+    assert poly.values.tolist() == [1.0 + 2.0j, -3.0]
+    assert poly.coeffs == {-5: -3.0, -2: 1.0 - 2.0j, 2: 1.0 + 2.0j, 5: -3.0}
     assert poly.coeff(0) == 0.0
     assert_exactly_hermitian(poly)
 
@@ -146,10 +151,10 @@ def test_from_half_of_nothing_is_the_zero_polynomial():
 def test_from_half_mirrors_complex_values_and_keeps_zero_once():
     values = np.array([2.5 + 0.0j, 1.0 - 1.0j, 0.0, -0.25j])
     poly = tp.TrigPoly.from_half([0, 1, 2, 3], values)
-    assert poly.freqs.tolist() == [-3, -1, 0, 1, 3]  # the exact zero at 2 is dropped twice
+    assert poly.freqs.tolist() == [0, 1, 3]  # the exact zero at 2 is dropped, and its mirror
     assert poly.coeffs == {-3: 0.25j, -1: 1.0 + 1.0j, 0: 2.5, 1: 1.0 - 1.0j, 3: -0.25j}
     assert_exactly_hermitian(poly)
-    as_complex = tp.TrigPoly.from_arrays(poly.freqs, poly.values)  # sampled without the real fold
+    as_complex = tp.TrigPoly(poly.coeffs)  # sampled without the real fold
     assert np.allclose(tp.sample_values(as_complex, 16), tp.sample_values(poly, 16), atol=1e-15)
 
 

@@ -195,18 +195,6 @@ def test_from_samples_negative_rejection():
         ms.from_samples(tp.character(1), 8)
 
 
-def test_from_samples_rejects_coefficients_that_are_not_conjugate_symmetric():
-    # each non-negative in its real part, so only the symmetry check can refuse them
-    for poly in [tp.TrigPoly({0: 3.0, 1: 1.0 + 1e-6j, -1: 1.0 + 1e-6j}, real=True),
-                 tp.TrigPoly({0: 3.0, 1: 1.0}, real=True),
-                 tp.TrigPoly({0: 3.0 + 1e-8j}, real=True)]:
-        with pytest.raises(ValueError, match="not conjugate-symmetric"):
-            ms.from_samples(poly, 8)
-    # roundoff-level asymmetry is accepted
-    near = tp.TrigPoly({0: 3.0, 1: 1.0, -1: 1.0 + 1e-13}, real=True)
-    assert ms.from_samples(near, 8).mass() == pytest.approx(3.0, abs=1e-12)
-
-
 def test_scale_add():
     m = ms.AtomicMeasure(5, np.arange(5, dtype=float))
     same = ms.scale_add(1.0, m, 0.0, ms.dirac(5, 2))

@@ -156,28 +156,50 @@ def depth4_stages(max_freq=21):
     return [tower.TowerStage((1, 2), 2, EPS, max_freq, d) for d in dilations]
 
 
-def test_extend_order_is_presorted_and_bit_identical():
+def test_extend_order_is_presorted_and_bit_identical(monkeypatch):
     # the uniform measure on the cube roots of unity kills 1 and 2 and has atom 1/3 > eps'
     stages, beta = depth4_stages(), ms.uniform(3)
     products = tower.build_tower(stages, [beta] * 4)
     c_prev = tp.constant(1.0)
     for stage, c in zip(stages, products):
-        dilated = tp.dilate(tower.tower_block(stage, beta), 2 * stage.dilation)
-        raw = np.add.outer(dilated.freqs, c_prev.freqs).ravel()
-        assert (raw[1:] > raw[:-1]).all()  # the reducer takes its no-sort path
+        block = tower.tower_block(stage, beta)
+        dilated = tp.dilate(block, 2 * stage.dilation)
+        with monkeypatch.context() as patched:  # the reducer takes its no-sort path
+            patched.setattr(np, "argsort", None)
+            extended = tower.tower_extend(c_prev, block, stage.dilation)
+        assert extended.freqs.tobytes() == c.freqs.tobytes()
+        assert extended.values.tobytes() == c.values.tobytes()
         old_order = tp.multiply(c_prev, dilated)
         assert np.array_equal(c.freqs, old_order.freqs)
         assert np.array_equal(c.values, old_order.values)
         c_prev = c
-    assert products[-1].freqs.size == 41**4
+    # the stored half: 41^4 terms at both signs, frequency 0 once
+    assert products[-1].freqs[0] == 0 and 2 * products[-1].freqs.size - 1 == 41**4
+
+
+def both_signs(p):
+    """A product's coefficients at both signs: a real one's stored half m >= 0
+    mirrored, conj(c_m) at -m, as its coeffs reads it."""
+    if not p.real:
+        return p.freqs, p.values
+    skip = int(p.freqs.size > 0 and p.freqs[0] == 0)
+    return (np.concatenate((-p.freqs[skip:][::-1], p.freqs)),
+            np.concatenate((np.conj(p.values[skip:][::-1]), p.values)))
+
+
+def test_both_signs_reads_as_coeffs():
+    products = tower.build_tower(depth4_stages()[:3], [ms.uniform(3)] * 3)
+    for p in products + [tp.add(products[1], tp.TrigPoly({7: 2e-3}))]:
+        freqs, values = both_signs(p)
+        assert dict(zip(freqs.tolist(), values.tolist())) == p.coeffs
 
 
 def union_window_frozen(stages, products, i):
     """frozen_window over the sorted union of both products' windows."""
+    (c_freqs, _), (n_freqs, _) = both_signs(products[i]), both_signs(products[i + 1])
     c, nxt = products[i], products[i + 1]
     threshold = stages[i + 1].dilation
-    window = np.union1d(c.freqs[np.abs(c.freqs) < threshold],
-                        nxt.freqs[np.abs(nxt.freqs) < threshold])
+    window = np.union1d(c_freqs[np.abs(c_freqs) < threshold], n_freqs[np.abs(n_freqs) < threshold])
     return float(tp.modulus(c.coeff(window) - nxt.coeff(window)).max(initial=0.0))
 
 
@@ -237,7 +259,7 @@ def test_non_positive_floor_is_named(monkeypatch):
 def test_tower_products_are_gated_by_the_atom_budget(monkeypatch):
     stages = [tower.TowerStage((1,), 1, 0.3, 7, 7), tower.TowerStage((1,), 1, 0.3, 7, 113)]
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(13 * 13))  # c_2 has 13 * 13 terms
-    assert len(tower.build_tower(stages, [ms.uniform(3)] * 2)[-1].freqs) == 13 * 13
+    assert len(tower.build_tower(stages, [ms.uniform(3)] * 2)[-1].coeffs) == 13 * 13
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(13 * 13 - 1))
     monkeypatch.setattr(tower, "tower_block", None)  # the gate raises before any stage is built
     with pytest.raises(blocks.AtomBudgetError, match="169 terms exceeds the atom budget 168"):
@@ -245,23 +267,25 @@ def test_tower_products_are_gated_by_the_atom_budget(monkeypatch):
 
 
 def mask_claim_residuals(stages, products):
-    """claim_residuals as it read with boolean masks over |freqs|: the reference
-    that the slice windows must match bit for bit."""
+    """claim_residuals as it read with boolean masks over |freqs| at both
+    signs: the reference that the slice windows must match bit for bit."""
     out = []
     for i, (stage, c) in enumerate(zip(stages, products)):
         if i + 1 < len(stages):
             threshold = stages[i + 1].dilation
         else:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
-        inside = np.abs(c.freqs) < threshold
-        tail = float(tp.modulus(c.values[~inside]).max(initial=0.0))
+        c_freqs, c_values = both_signs(c)
+        inside = np.abs(c_freqs) < threshold
+        tail = float(tp.modulus(c_values[~inside]).max(initial=0.0))
         frozen = 0.0
         if i + 1 < len(products):
             nxt = products[i + 1]
-            below = np.abs(nxt.freqs) < threshold
+            n_freqs, n_values = both_signs(nxt)
+            below = np.abs(n_freqs) < threshold
             frozen = max(
-                float(tp.modulus(c.values[inside] - nxt.coeff(c.freqs[inside])).max(initial=0.0)),
-                float(tp.modulus(c.coeff(nxt.freqs[below]) - nxt.values[below]).max(initial=0.0)),
+                float(tp.modulus(c_values[inside] - nxt.coeff(c_freqs[inside])).max(initial=0.0)),
+                float(tp.modulus(c.coeff(n_freqs[below]) - n_values[below]).max(initial=0.0)),
             )
         marked_freqs = 2 * stage.dilation * np.array(stage.r_set, dtype=np.int64)
         out.append({
@@ -312,6 +336,16 @@ def test_claim_windows_match_the_mask_reference_when_empty():
         assert_rows_bit_identical(rows, mask_claim_residuals(stages, products))
     rows = tower.claim_residuals(stages, [beyond, c2])
     assert rows[0]["vanishing_tail"] == 0.25 and rows[0]["mean_deviation"] == 1.0
+
+
+def test_frozen_window_reads_the_implied_half_beside_a_full_spectrum():
+    # a real product's c_-1 is implied by its stored half; the unflagged one lacks it
+    real = tp.TrigPoly({-1: 0.5, 0: 1.0, 1: 0.5}, real=True)
+    one_sided = tp.TrigPoly({0: 1.0, 1: 0.5})
+    for products in ([real, one_sided], [one_sided, real]):
+        rows = tower.claim_residuals(toy_stages(), products)
+        assert_rows_bit_identical(rows, mask_claim_residuals(toy_stages(), products))
+        assert rows[0]["frozen_window"] == 0.5
 
 
 @pytest.mark.parametrize("call, message", [

@@ -45,6 +45,9 @@ def test_multiply_identity_and_characters():
     assert tp.multiply(tp.constant(1.0), f).coeffs == f.coeffs
     e3 = tp.multiply(tp.character(1), tp.character(2))
     assert e3.coeffs == {3: 1.0 + 0j}
+    # a complex constant is a character at 0 that is not real
+    assert tp.character(0, 2.0).real and not tp.character(0, 1j).real
+    assert tp.character(0, 1j).coeffs == {0: 1j}
 
 
 def test_multiply_fejer_factorisation():
@@ -97,7 +100,8 @@ def test_sample_values_match_single_point_eval():
 def complex_sample_reference(f, grid):
     """The complex sampling path: fold with np.add.at, one ifft of the whole fold."""
     folded = np.zeros(grid, dtype=complex)
-    np.add.at(folded, f.freqs % grid, f.values)
+    freqs, values = full_arrays(f)
+    np.add.at(folded, freqs % grid, values)
     return np.fft.ifft(folded) * grid
 
 
@@ -109,26 +113,50 @@ def test_real_sampling_is_the_real_part_of_the_complex_path(grid):
     c = rng.normal(size=12) + 1j * rng.normal(size=12)
     polys.append(tp.TrigPoly.from_arrays(np.concatenate((far, -far)),
                                          np.concatenate((c, np.conj(c))), real=True))
-    # not conjugate-symmetric although flagged real: the samples are still Re f
-    polys.append(tp.add(polys[1], tp.TrigPoly({3: 0.25j, -7: 1.0 - 0.5j}, real=True)))
+    polys.append(tp.add(polys[1], tp.TrigPoly({3: 0.25j, -3: -0.25j, -7: 1.0 - 0.5j, 7: 1.0 + 0.5j},
+                                              real=True)))
     for f in polys:
         vals = tp.sample_values(f, grid)
         reference = complex_sample_reference(f, grid)
-        bound = 1e-12 * np.abs(f.values).sum()
+        bound = 1e-12 * np.abs(full_arrays(f)[1]).sum()
         assert vals.dtype == float and vals.shape == (grid,)
         assert np.abs(vals - reference.real).max() <= bound
-        unflagged = tp.TrigPoly.from_arrays(f.freqs, f.values, real=False)
+        unflagged = tp.TrigPoly(f.coeffs, real=False)
         assert np.abs(tp.sample_values(unflagged, grid) - reference).max() <= bound
+    # flagged real but not conjugate-symmetric: refused when constructed, before any sampling
+    with pytest.raises(ValueError, match="not conjugate-symmetric"):
+        tp.TrigPoly({3: 0.25j, -7: 1.0 - 0.5j}, real=True)
 
 
 def test_antihermitian_norm():
+    # the l1 norm of (f - conj(f))/2 that refuses real-flagged input, named in the message
     rng = np.random.default_rng(8)
-    assert tp.antihermitian_norm(random_real_poly(rng, 9)) == 0.0
-    # 2i*cos: c_1 = c_-1 = i, each with anti-Hermitian part i
-    assert tp.antihermitian_norm(tp.TrigPoly({1: 1j, -1: 1j}, real=True)) == 2.0
-    # one-sided support: c_1 and its missing mirror each carry half of |c_1|
-    assert tp.antihermitian_norm(tp.TrigPoly({0: 2.0, 1: 0.5})) == 0.5
-    assert tp.antihermitian_norm(tp.TrigPoly({0: 1j})) == 1.0
+    assert random_real_poly(rng, 9).real  # exactly symmetric: norm 0, accepted
+    cases = [({1: 1j, -1: 1j}, "2.0"),  # 2i*cos: c_1 = c_-1 = i, each with anti-Hermitian part i
+             ({0: 2.0, 1: 0.5}, "0.5"),  # c_1 and its missing mirror each carry half of |c_1|
+             ({0: 1j}, "1.0")]
+    for coeffs, norm in cases:
+        with pytest.raises(ValueError, match=f"anti-Hermitian l1 norm {norm}$"):
+            tp.TrigPoly(coeffs, real=True)
+        assert tp.TrigPoly(coeffs).coeffs == coeffs  # unflagged, the same input is kept as given
+
+
+def test_real_input_is_refused_unless_conjugate_symmetric():
+    # each non-negative in its real part, so only the symmetry check can refuse them
+    for coeffs in [{0: 3.0, 1: 1.0 + 1e-6j, -1: 1.0 + 1e-6j}, {0: 3.0, 1: 1.0}, {0: 3.0 + 1e-8j}]:
+        full = tp.TrigPoly(coeffs)
+        for build in (lambda: tp.TrigPoly(coeffs, real=True),
+                      lambda: tp.TrigPoly.from_arrays(full.freqs, full.values, real=True),
+                      lambda: tp.TrigPoly.from_json(full.to_json().replace("false", "true", 1))):
+            with pytest.raises(ValueError, match="not conjugate-symmetric"):
+                build()
+    # roundoff-level asymmetry, and asymmetry exactly at EVAL_TOL, keep the Hermitian part
+    near = tp.TrigPoly({0: 3.0, 1: 1.0, -1: 1.0 + 1e-13}, real=True)
+    kept = (1.0 + (1.0 + 1e-13)) / 2  # (c_1 + conj(c_-1))/2, summed in input order
+    assert near.freqs.tolist() == [0, 1] and near.values.tolist() == [3.0, kept]
+    assert near.coeff(-1) == kept
+    edge = tp.TrigPoly({0: 3.0 + 1e-9j}, real=True)  # anti-Hermitian l1 norm 2e-9 / 2 == EVAL_TOL
+    assert edge.coeffs == {0: 3.0} and edge.values[0].imag == 0.0
 
 
 def test_normal_form_arrays_are_kept_without_copy():
@@ -328,11 +356,17 @@ def test_storage_is_two_sorted_read_only_arrays():
         f.freqs[0] = 7
     with pytest.raises(AttributeError):
         f.real = True
-    freqs, values = np.array([4, 1, 4]), np.array([1.0, 2.0, 3.0])
+    freqs, values = np.array([4, 1, -4, 4, -1]), np.array([1.0, 2.0j, 4.0, 3.0, -2.0j])
     g = tp.TrigPoly.from_arrays(freqs, values, real=True)
     freqs[0], values[1] = 9, 5.0  # the polynomial owns copies
-    assert g.coeffs == {1: 2.0 + 0j, 4: 4.0 + 0j}
+    assert g.coeffs == {-4: 4.0 + 0j, -1: -2.0j, 1: 2.0j, 4: 4.0 + 0j}
     assert g.real is True
+    # a real polynomial stores its half m >= 0, c_0 real, in the same read-only form
+    assert g.freqs.tolist() == [1, 4] and g.values.tolist() == [2.0j, 4.0]
+    h = tp.add(g, tp.constant(-0.5))
+    assert h.freqs.tolist() == [0, 1, 4] and h.values.tolist() == [-0.5, 2.0j, 4.0]
+    with pytest.raises(ValueError):
+        h.values[0] = 7.0
 
 
 # Reference implementations: the {frequency: coefficient} dict arithmetic
@@ -459,8 +493,10 @@ def test_json_matches_dict_storage_byte_for_byte():
          '{"real": false, "coeffs": [[-8589934593, 0.10000000000000001, 2.5], '
          '[-7, 1e-300, 0], [0, 0, -1], [3, 0.33333333333333331, 0], [1099511627776, 2, 0]]}'),
     ]
-    dilated = ('{"real": true, "coeffs": [[-4294967302, 0.33333333333333337, 0], '
-               '[-2147483651, 0.66666666666666674, 0], [0, 1, 0], '
+    # a real polynomial writes its implied m < 0 as the exact conjugates of
+    # its stored half, so a zero imaginary part reads -0 there
+    dilated = ('{"real": true, "coeffs": [[-4294967302, 0.33333333333333337, -0], '
+               '[-2147483651, 0.66666666666666674, -0], [0, 1, 0], '
                '[2147483651, 0.66666666666666674, 0], [4294967302, 0.33333333333333337, 0]]}')
     cases.append((tp.dilate(tp.fejer(3), 2**31 + 3), dilated, dilated))
     for poly, text, round_trip in cases:
@@ -515,3 +551,154 @@ def test_kernel_residuals_need_an_order():
 def test_refusals_name_their_bound(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# Reference: the full-layout arithmetic that real polynomials used before they
+# kept only their half m >= 0.  Each works on (freqs, values) at both signs.
+
+
+def full_arrays(f):
+    """f's coefficients at both signs, read through coeffs."""
+    coeffs = f.coeffs
+    return (np.fromiter(coeffs, dtype=np.int64, count=len(coeffs)),
+            np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs)))
+
+
+def ref_reduce(freqs, values):
+    freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
+    if not (freqs[1:] > freqs[:-1]).all():
+        order = np.argsort(freqs, kind="stable")
+        freqs, values = freqs[order], values[order]
+        first = np.concatenate(([True], freqs[1:] != freqs[:-1]))
+        if not first.all():
+            summed = np.zeros(np.count_nonzero(first), dtype=complex)
+            np.add.at(summed, np.cumsum(first) - 1, values)
+            freqs, values = freqs[first], summed
+    keep = values != 0
+    return freqs[keep], values[keep]
+
+
+def ref_from_half(freqs, values):
+    freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values)
+    skip = int(freqs.size > 0 and freqs[0] == 0)
+    return ref_reduce(np.concatenate((-freqs[skip:][::-1], freqs)),
+                      np.concatenate((values[skip:][::-1].conj(), values)))
+
+
+def ref_add(f, g):
+    return ref_reduce(np.concatenate([f[0], g[0]]), np.concatenate([f[1], g[1]]))
+
+
+def ref_scale(f, a):
+    return ref_reduce(f[0], complex(a) * f[1])
+
+
+def ref_conjugate_reflect(f):
+    return ref_reduce(-f[0][::-1], np.conj(f[1][::-1]))
+
+
+def ref_multiply(f, g):
+    return ref_reduce(np.add.outer(f[0], g[0]).ravel(), np.multiply.outer(f[1], g[1]).ravel())
+
+
+def ref_convolve(f, g):
+    common, i, j = np.intersect1d(f[0], g[0], assume_unique=True, return_indices=True)
+    return ref_reduce(common, f[1][i] * g[1][j])
+
+
+def ref_dilate(f, a):
+    return ref_reduce(a * f[0], f[1])
+
+
+def ref_coeff(f, m):
+    m = np.asarray(m, dtype=np.int64)
+    out = np.zeros(m.shape, dtype=complex)
+    if f[0].size:
+        i = np.minimum(np.searchsorted(f[0], m), f[0].size - 1)
+        hit = f[0][i] == m
+        out[hit] = f[1][i[hit]]
+    return out
+
+
+def ref_evaluate(f, t):
+    p, q = float(t).as_integer_ratio()
+    phase = (f[0].astype(object) * p % q / q).astype(float)
+    return complex((f[1] * np.exp(2j * np.pi * phase)).sum())
+
+
+def ref_sample_values(f, grid):
+    at = f[0] % grid
+    upper = at > grid // 2
+    at = np.minimum(at, grid - at)
+    twice = np.empty(grid // 2 + 1, dtype=complex)
+    twice.real = np.bincount(at, f[1].real, twice.size)
+    twice.imag = np.bincount(at, np.where(upper, -f[1].imag, f[1].imag), twice.size)
+    own = [0, grid // 2] if grid % 2 == 0 else [0]
+    twice[own] = 2 * twice[own].real
+    return np.fft.irfft(twice, grid) * (grid / 2)
+
+
+def assert_same_bits(got, want):
+    """Equal arrays, bit for bit up to the sign of a zero (cleared by + 0.0)."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert (got[1] + 0.0).tobytes() == (want[1] + 0.0).tobytes()
+
+
+def seeded_halves(rng):
+    """Half spectra (freqs >= 0, a real value at 0): the empty and the constant
+    polynomial, dense ones and sparse ones with and without frequency 0."""
+    halves = [(np.zeros(0, np.int64), np.zeros(0)), (np.array([0]), np.array([rng.normal()]))]
+    for degree in (1, 3, 8, 20):
+        z = rng.normal(size=2 * degree + 1)
+        halves.append((np.arange(degree + 1), np.concatenate((z[:1], z[1::2] + 1j * z[2::2]))))
+    for size, start in ((4, 0), (6, 1)):
+        freqs = np.unique(rng.integers(start, 30, size))
+        values = rng.normal(size=freqs.size) + 1j * rng.normal(size=freqs.size)
+        values[:1] = values[:1].real if freqs[0] == 0 else values[:1]
+        halves.append((freqs, values))
+    return halves
+
+
+def test_real_layout_matches_the_full_layout_reference():
+    rng = np.random.default_rng(53)
+    halves = seeded_halves(rng)
+    polys = [tp.TrigPoly.from_half(*half) for half in halves]
+    refs = [ref_from_half(*half) for half in halves]
+    probe = np.arange(-45, 46)
+    for f, ref in zip(polys, refs):
+        assert f.real and (f.freqs >= 0).all()
+        assert_same_bits(full_arrays(f), ref)  # coeffs
+        assert f.degree == int(np.abs(ref[0]).max(initial=0))
+        assert (f.coeff(probe) + 0.0).tobytes() == (ref_coeff(ref, probe) + 0.0).tobytes()
+        l1 = np.abs(ref[1]).sum()
+        for t in (0.0, 0.1, 1 / 3, 0.75):  # c_0 + 2*Re of the half: summed in another order
+            assert abs(tp.evaluate(f, t) - ref_evaluate(ref, t)) <= tp.COEFF_TOL * l1
+        for grid in (1, 2, 7, 16, 64):
+            vals = tp.sample_values(f, grid)
+            assert np.abs(vals - ref_sample_values(ref, grid)).max() <= tp.COEFF_TOL * l1
+        assert tp.conjugate_reflect(f) is f
+        assert_same_bits(full_arrays(tp.conjugate_reflect(f)), ref_conjugate_reflect(ref))
+        for a in (2.5, -1.0, 0.0):
+            assert_same_bits(full_arrays(tp.scale(f, a)), ref_scale(ref, a))
+        for a in (1, 3):
+            assert_same_bits(full_arrays(tp.dilate(f, a)), ref_dilate(ref, a))
+    straddled = imaginary_noise = 0
+    for (f, fref) in zip(polys, refs):
+        for (g, gref) in zip(polys, refs):
+            assert_same_bits(full_arrays(tp.add(f, g)), ref_add(fref, gref))
+            assert_same_bits(full_arrays(tp.convolve(f, g)), ref_convolve(fref, gref))
+            prod, want = tp.multiply(f, g), ref_multiply(fref, gref)
+            # m >= 0 sums in the reference's order: bit for bit, but c_0 is exactly real
+            start = np.searchsorted(want[0], 0)
+            half = want[0][start:], want[1][start:].copy()
+            if half[0].size and half[0][0] == 0:
+                imaginary_noise += half[1][0].imag != 0.0
+                half[1][0] = half[1][0].real
+            assert_same_bits((prod.freqs, prod.values), half)
+            assert prod.coeff(0).imag == 0.0
+            # m < 0: the conjugates, summed in another order than the reference's
+            bound = tp.COEFF_TOL * np.abs(fref[1]).sum() * np.abs(gref[1]).sum()
+            assert np.abs(prod.coeff(want[0]) - want[1]).max(initial=0.0) <= bound
+            k = np.searchsorted(f.freqs, g.degree, side="right")
+            straddled += 0 < k < f.freqs.size  # some rows masked, some whole
+    assert straddled > 10 and imaginary_noise > 0
