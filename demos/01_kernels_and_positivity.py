@@ -38,12 +38,9 @@ print(f"2 F_{2*rl} - F_{rl} has coefficient exactly 1 on |m| <= {rl}:")
 print("  deviations:", max(abs(kernel.coeff(m) - 1) for m in range(-rl, rl + 1)))
 
 rng = np.random.default_rng(0)
-coeffs = {0: complex(rng.normal())}
-for m in range(1, rl // 2 + 1):
-    c = complex(rng.normal(), rng.normal())
-    coeffs[m], coeffs[-m] = c, c.conjugate()
-g = tp.TrigPoly(coeffs, real=True)
-f = tp.multiply(g, tp.conjugate_reflect(g))  # |g|^2 >= 0, degree <= RL
+half = [rng.normal()] + [complex(rng.normal(), rng.normal()) for _ in range(rl // 2)]
+g = tp.TrigPoly.from_half(range(rl // 2 + 1), half)  # real: c_-m = conj(c_m)
+f = tp.multiply(g, g)  # g^2 = |g|^2 >= 0, degree <= RL
 dominated = tp.add(tp.scale(tp.convolve(f, tp.fejer(big_l)), 4 * big_r), tp.scale(f, -1))
 print(f"for random f = |g|^2 of degree {f.degree}: "
       f"min of 4R*(f conv F_L) - f on a 1024 grid = {tp.grid_min(dominated, 1024):.3e}")

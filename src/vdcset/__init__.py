@@ -46,7 +46,7 @@ from .combinatorics import (
     find_agreement_pair,
     strong_poincare,
 )
-from .measures import AtomicMeasure, dirac, from_samples, scale_add, uniform
+from .measures import AtomicMeasure, dirac, from_samples, uniform
 from .simplex import LpInfeasibleError
 from .tower import TowerStage, build_tower, eps_prime_for, tower_block, tower_extend
 from .trigpoly import (

@@ -107,15 +107,6 @@ def uniform(order: int) -> AtomicMeasure:
     return AtomicMeasure(order, np.full(order, 1.0 / order))
 
 
-def _lift(m: AtomicMeasure, order: int) -> np.ndarray:
-    step, rem = divmod(order, m.order)
-    if rem:
-        raise ValueError("lift target must be a multiple of the measure order")
-    w = np.zeros(order)
-    w[np.arange(m.order) * step] = m.weights
-    return w
-
-
 def _common_order(m1: AtomicMeasure, m2: AtomicMeasure) -> int:
     common = math.lcm(m1.order, m2.order)
     if common > atom_budget():
@@ -139,13 +130,10 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     """Measure with weight poly(n/order)/order placed at the point -n/order.
 
-    Requires a real-flagged polynomial (its conjugate symmetry is checked
-    when it is constructed), whose samples are non-negative up to float
+    The samples of the (real) polynomial must be non-negative up to float
     noise: anything below -1e-6 signals a genuinely non-positive polynomial
     and is rejected; small negatives are clamped to zero.
     """
-    if not poly.real:
-        raise ValueError("from_samples needs a real-flagged polynomial")
     samples = sample_values(poly, order)
     low = float(samples.min())
     if low < -SAMPLE_REJECT_TOL:
@@ -155,11 +143,3 @@ def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
     np.clip(samples, 0.0, None, out=samples)
     w = np.concatenate((samples[:1], samples[:0:-1])) / order  # w[j] = samples[-j mod order]
     return AtomicMeasure(order, w)
-
-
-def scale_add(a: float, m1: AtomicMeasure, b: float, m2: AtomicMeasure) -> AtomicMeasure:
-    """The measure a*m1 + b*m2 on the common (lcm) order."""
-    if a < 0 or b < 0:
-        raise ValueError("scale_add coefficients must be non-negative")
-    common = _common_order(m1, m2)
-    return AtomicMeasure(common, a * _lift(m1, common) + b * _lift(m2, common))

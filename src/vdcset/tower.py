@@ -183,9 +183,9 @@ def claim_residuals(stages, products) -> list:
     """Per-stage worst deviations from the four frozen-spectrum guarantees.
 
     For the last stage the vanishing threshold is the smallest admissible
-    next dilation.  Each window |m| < threshold is one slice [lo:hi] of a
-    product's freqs, strictly ascending in the TrigPoly normal form: the
-    prefix [0:hi] of a real product's half spectrum m >= 0.
+    next dilation.  Each window |m| < threshold is the prefix [0:hi] of a
+    product's half spectrum m >= 0, strictly ascending in the TrigPoly
+    normal form.
     """
     out = []
     for i, (stage, c) in enumerate(zip(stages, products)):
@@ -193,16 +193,12 @@ def claim_residuals(stages, products) -> list:
             threshold = stages[i + 1].dilation
         else:
             threshold = 2 * (stage.max_freq + 1) * stage.dilation + 1
-        lo, hi = np.searchsorted(c.freqs, (1 - threshold, threshold))
-        tail = float(modulus(np.concatenate((c.values[:lo], c.values[hi:]))).max(initial=0.0))
+        hi = np.searchsorted(c.freqs, threshold)
+        tail = float(modulus(c.values[hi:]).max(initial=0.0))
         if i + 1 < len(products):  # the window is the union of both supports below threshold
             nxt = products[i + 1]
-            nlo, nhi = np.searchsorted(nxt.freqs, (1 - threshold, threshold))
-            gaps = [c.values[lo:hi] - nxt.coeff(c.freqs[lo:hi]),
-                    c.coeff(nxt.freqs[nlo:nhi]) - nxt.values[nlo:nhi]]
-            if not (c.real and nxt.real):  # beside a full spectrum, a half one's m < 0 is implied
-                mirrored = -np.concatenate((c.freqs[lo:hi], nxt.freqs[nlo:nhi]))
-                gaps.append(c.coeff(mirrored) - nxt.coeff(mirrored))
+            nhi = np.searchsorted(nxt.freqs, threshold)
+            gaps = (c.values[:hi] - nxt.coeff(c.freqs[:hi]), c.coeff(nxt.freqs[:nhi]) - nxt.values[:nhi])
             frozen = max(float(modulus(gap).max(initial=0.0)) for gap in gaps)
         else:
             frozen = 0.0

@@ -1,24 +1,23 @@
-"""Trigonometric polynomials with integer frequencies.
+"""Real trigonometric polynomials with integer frequencies.
 
 A polynomial represents ``t -> sum_m c_m exp(2*pi*i*m*t)`` on the unit
-circle.  It is stored as two read-only arrays: the frequencies ``freqs``
-(int64, strictly ascending) and their non-zero complex coefficients
-``values``, only at m >= 0 (c_0 real) when ``real`` flags c_-m = conj(c_m),
-as AtomicMeasure.spectrum does.  One reducer brings every result to that
-form (sort, sum repeated frequencies, drop exact zeros), and every
-operation is a numpy expression on the two arrays.  Coefficients double as
-Fourier transform values: for ``f`` stored here, ``f_hat(m) == coeff(m)``.
+circle with c_-m = conj(c_m), so it is real-valued.  It is stored as its
+half spectrum, as AtomicMeasure.spectrum is: two read-only arrays, the
+frequencies ``freqs`` >= 0 (int64, strictly ascending) and their non-zero
+complex coefficients ``values`` (c_0 real).  ``TrigPoly.from_half`` brings
+every result to that form (sort, sum repeated frequencies, drop exact
+zeros), and every operation is a numpy expression on the two arrays.
+Coefficients double as Fourier transform values: for ``f`` stored here,
+``f_hat(m) == coeff(m)``.
 
 Everything is double precision.  Identities that hold exactly in real
 arithmetic are verified elsewhere with absolute tolerances 1e-12
 (coefficient arithmetic) and 1e-9 (evaluation).  No builder evaluates a
 positivity grid; grid minima serve only kernel_residuals as oracles.  Grid
-values come from one inverse FFT of the coefficients folded mod the grid:
-a real (``irfft``) transform of the folded half spectrum for a
-``real``-flagged polynomial, a complex one otherwise.
+values come from one real inverse FFT (``irfft``) of the half spectrum
+folded mod the grid.
 """
 
-import json
 import operator
 from dataclasses import dataclass
 
@@ -46,132 +45,80 @@ def modulus(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, init=False)
 class TrigPoly:
-    """Sparse trigonometric polynomial, from a {frequency: coefficient} map
-    or (``from_arrays``) the two arrays, both signs given.  ``real`` flags
-    polynomials with coeff(-m) == conj(coeff(m)), i.e. real-valued on the
-    circle, stored as the half m >= 0 that ``from_half`` takes."""
+    """Sparse real trigonometric polynomial: its coefficients at m >= 0,
+    with coeff(-m) == conj(coeff(m)) implied; built by ``from_half``."""
 
     freqs: np.ndarray
     values: np.ndarray
-    real: bool = False
-
-    def __init__(self, coeffs: dict, real: bool = False):
-        self._reduce(list(coeffs), list(coeffs.values()), real)
-
-    @staticmethod
-    def from_arrays(freqs, values, real: bool = False) -> "TrigPoly":
-        """The polynomial of the two arrays.  Arrays already in normal form
-        are kept without a copy and made read-only, so pass ones you own."""
-        poly = object.__new__(TrigPoly)
-        poly._reduce(freqs, values, real)
-        return poly
 
     @staticmethod
     def from_half(freqs, values) -> "TrigPoly":
-        """Real polynomial: values at freqs >= 0, conj(values) implied at -freqs (0 once)."""
-        poly = object.__new__(TrigPoly)
-        poly._reduce(freqs, values, real=True, half=True)
-        first = poly.freqs[:1]  # 0 is not mirrored, so its value must be real
-        if first.size and (first[0] < 0 or first[0] == 0 and poly.values[0].imag != 0):
-            raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
-                             f"{values[0]} at the first frequency {freqs[0]}")
-        return poly
+        """Real polynomial: values at freqs >= 0, conj(values) implied at -freqs (0 once).
 
-    def _reduce(self, freqs, values, real, half=False) -> None:
-        """The one normal form: frequencies strictly ascending (repeats
-        summed in input order, starting from 0), exact zeros dropped.  Real
-        input with both signs (not ``half``) keeps the half of (f + conj(f))/2
-        if (f - conj(f))/2, which bounds |Im f|, is within EVAL_TOL in l1."""
-        if real and not half:
-            f = TrigPoly.from_arrays(np.array(freqs), np.array(values))  # copies: only the half is kept
-            skew = float(np.abs(add(f, scale(conjugate_reflect(f), -1.0)).values).sum()) / 2
-            if skew > EVAL_TOL:
-                raise ValueError(f"coefficients are not conjugate-symmetric: anti-Hermitian l1 norm {skew}")
-            twice = add(f, conjugate_reflect(f))  # c_m + conj(c_-m): exactly 2*c_m when symmetric
-            freqs, values = twice.freqs[twice.freqs >= 0], twice.values[twice.freqs >= 0] / 2
-        freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
-        if not (freqs[1:] > freqs[:-1]).all():
-            order = np.argsort(freqs, kind="stable")
-            freqs, values = freqs[order], values[order]
-            first = np.concatenate(([True], freqs[1:] != freqs[:-1]))
+        The one normal form: frequencies strictly ascending (repeats summed
+        in input order, starting from 0), exact zeros dropped.  Arrays
+        already in normal form are kept without a copy and made read-only,
+        so pass ones you own."""
+        m, c = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
+        if not (m[1:] > m[:-1]).all():
+            order = np.argsort(m, kind="stable")
+            m, c = m[order], c[order]
+            first = np.concatenate(([True], m[1:] != m[:-1]))
             if not first.all():
                 summed = np.zeros(np.count_nonzero(first), dtype=complex)
-                np.add.at(summed, np.cumsum(first) - 1, values)
-                freqs, values = freqs[first], summed
-        keep = values != 0
+                np.add.at(summed, np.cumsum(first) - 1, c)
+                m, c = m[first], summed
+        keep = c != 0
         if not keep.all():
-            freqs, values = freqs[keep], values[keep]
-        for name, array in (("freqs", freqs), ("values", values)):
+            m, c = m[keep], c[keep]
+        if m.size and (m[0] < 0 or m[0] == 0 and c[0].imag != 0):  # 0 is not mirrored
+            raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
+                             f"{values[0]} at the first frequency {freqs[0]}")
+        poly = object.__new__(TrigPoly)
+        for name, array in (("freqs", m), ("values", c)):
             array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "real", real)
+            object.__setattr__(poly, name, array)
+        return poly
 
     @property
     def coeffs(self) -> dict:
         """The polynomial as a {frequency: coefficient} dict, ascending, both signs."""
         freqs, values = self.freqs.tolist(), self.values.tolist()
-        negative = zip(map(operator.neg, reversed(freqs)), map(complex.conjugate, reversed(values)))
-        out = dict(negative if self.real else ())  # c_0 then replaces its conjugate in place
-        out.update(zip(freqs, values))
+        out = dict(zip(map(operator.neg, reversed(freqs)), map(complex.conjugate, reversed(values))))
+        out.update(zip(freqs, values))  # c_0 replaces its conjugate in place
         return out
 
     @property
     def degree(self) -> int:
-        return int(max(-self.freqs[0], self.freqs[-1])) if self.freqs.size else 0
+        return int(self.freqs[-1]) if self.freqs.size else 0
 
     def coeff(self, m):
         """Coefficient at frequency m (0 if absent); elementwise for an array of m."""
         m = np.asarray(m, dtype=np.int64)
         out = np.zeros(m.shape, dtype=complex)
         if self.freqs.size:
-            key = np.abs(m) if self.real else m
+            key = np.abs(m)
             i = np.minimum(np.searchsorted(self.freqs, key), self.freqs.size - 1)
             hit = self.freqs[i] == key
             out[hit] = self.values[i[hit]]
-            if self.real:
-                np.conjugate(out, out=out, where=m < 0)  # c_-m = conj(c_m)
+            np.conjugate(out, out=out, where=m < 0)  # c_-m = conj(c_m)
         return complex(out) if out.ndim == 0 else out
 
-    def to_json(self) -> str:
-        rows = ", ".join(f"[{m}, {c.real:.17g}, {c.imag:.17g}]" for m, c in self.coeffs.items())
-        return f'{{"real": {"true" if self.real else "false"}, "coeffs": [{rows}]}}'
 
-    @staticmethod
-    def from_json(text: str) -> "TrigPoly":
-        obj = json.loads(text)
-        coeffs = {int(m): complex(re, im) for m, re, im in obj["coeffs"]}
-        return TrigPoly(coeffs, real=bool(obj["real"]))
-
-
-def _arrays(f: TrigPoly, half: bool, end=None):
-    """f's stored arrays if ``half`` (f real), else its coefficients at both
-    signs: of a real f, its first ``end`` terms mirrored (frequency 0 once)."""
-    if half or not f.real:
-        return f.freqs, f.values
+def _mirrored(f: TrigPoly, end=None):
+    """f's first ``end`` terms at both signs, ascending (frequency 0 once)."""
     freqs, values = f.freqs[:end], f.values[:end]
     skip = int(freqs.size > 0 and freqs[0] == 0)
     return (np.concatenate((-freqs[skip:][::-1], freqs)),
             np.concatenate((values[skip:][::-1].conj(), values)))
 
 
-def _stored(real: bool, freqs, values) -> TrigPoly:
-    """A polynomial from arrays in the layout its flag stores: the half when real."""
-    return TrigPoly.from_half(freqs, values) if real else TrigPoly.from_arrays(freqs, values)
-
-
 def zero() -> TrigPoly:
-    return TrigPoly({}, real=True)
+    return TrigPoly.from_half([], [])
 
 
-def constant(value) -> TrigPoly:
-    c = complex(value)
-    return TrigPoly({0: c}, real=(c.imag == 0.0))
-
-
-def character(m: int, coefficient=1.0) -> TrigPoly:
-    """The single-frequency polynomial coefficient * exp(2*pi*i*m*t)."""
-    c = complex(coefficient)
-    return TrigPoly({int(m): c}, real=(m == 0 and c.imag == 0.0))
+def constant(value: float) -> TrigPoly:
+    return TrigPoly.from_half([0], [float(value)])
 
 
 def dirichlet(n: int) -> TrigPoly:
@@ -195,26 +142,22 @@ def evaluate(f: TrigPoly, t: float) -> complex:
     """Direct summation of sum_m c_m exp(2*pi*i*m*t); m*t mod 1 is exact."""
     p, q = float(t).as_integer_ratio()
     phase = (f.freqs.astype(object) * p % q / q).astype(float)
-    terms = f.values * np.exp(2j * np.pi * phase)  # of a real f: c_0 + 2*Re(terms at m > 0)
-    return complex((terms.real * np.where(f.freqs > 0, 2, 1)).sum() if f.real else terms.sum())
+    terms = f.values * np.exp(2j * np.pi * phase)  # c_0 + 2*Re(terms at m > 0)
+    return complex((terms.real * np.where(f.freqs > 0, 2, 1)).sum())
 
 
 def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
-    """Values of ``f`` at the ``grid`` uniform points g/grid, g = 0..grid-1.
+    """Real values of ``f`` at the ``grid`` uniform points g/grid, g = 0..grid-1.
 
     Frequencies are folded mod ``grid`` first, which is exact at these
-    points (exp(2*pi*i*m*g/grid) depends on m only through m mod grid);
-    the folded sum is one inverse FFT, grid * ifft(folded).  For a
-    ``real``-flagged ``f`` the values are real: grid * irfft of its half
-    folded onto k <= grid/2 (c_m at k = m mod grid, or conj(c_m) at grid - k),
-    where k == -k holds twice the real part of its fold, c_0 counted once.
+    points (exp(2*pi*i*m*g/grid) depends on m only through m mod grid).
+    The half is folded onto k <= grid/2 (c_m at k = m mod grid, or
+    conj(c_m) at grid - k), where k == -k holds twice the real part of its
+    fold, c_0 counted once; the values are grid * irfft of that fold.
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
     at = f.freqs % grid
-    if not f.real:
-        folded = np.bincount(at, f.values.real, grid) + 1j * np.bincount(at, f.values.imag, grid)
-        return np.fft.ifft(folded) * grid
     upper = at > grid // 2
     at = np.minimum(at, grid - at)
     fold = np.empty(grid // 2 + 1, dtype=complex)
@@ -230,8 +173,8 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
 
 
 def grid_min(f: TrigPoly, grid: int) -> float:
-    """Minimum of Re f over the uniform grid (an oracle, not a proof of positivity)."""
-    return float(sample_values(f, grid).real.min())
+    """Minimum of f over the uniform grid (an oracle, not a proof of positivity)."""
+    return float(sample_values(f, grid).min())
 
 
 def positivity_grid(degree: int) -> int:
@@ -240,37 +183,24 @@ def positivity_grid(degree: int) -> int:
 
 
 def add(f: TrigPoly, g: TrigPoly) -> TrigPoly:
-    real = f.real and g.real
-    (ff, fv), (gf, gv) = _arrays(f, real), _arrays(g, real)
-    return _stored(real, np.concatenate([ff, gf]), np.concatenate([fv, gv]))
+    return TrigPoly.from_half(np.concatenate([f.freqs, g.freqs]), np.concatenate([f.values, g.values]))
 
 
-def scale(f: TrigPoly, a) -> TrigPoly:
-    a = complex(a)
-    real = f.real and a.imag == 0.0
-    freqs, values = _arrays(f, real)
-    return _stored(real, freqs, a * values)
-
-
-def conjugate_reflect(f: TrigPoly) -> TrigPoly:
-    """The polynomial t -> conj(f(t)); coefficients conj(c_{-m}) at m."""
-    return f if f.real else TrigPoly.from_arrays(-f.freqs[::-1], np.conj(f.values[::-1]))
+def scale(f: TrigPoly, a: float) -> TrigPoly:
+    return TrigPoly.from_half(f.freqs, float(a) * f.values)
 
 
 def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Pointwise product; coefficients convolve over frequencies.
 
-    For real f and g only the sums at m >= 0 are formed, into preallocated
-    arrays in the order of the full product: f's rows (both signs) within
-    degree(g) masked, then its rows above whole.  c_0 is its sum's real part.
+    Only the sums at m >= 0 are formed, into preallocated arrays in the
+    order of the full product: f's rows (both signs) within degree(g)
+    masked, then its rows above whole.  c_0 is its sum's real part.
     """
     _fits_int64(f.degree + g.degree)
-    gf, gv = _arrays(g, False)
-    if not (f.real and g.real):
-        ff, fv = _arrays(f, False)
-        return TrigPoly.from_arrays(np.add.outer(ff, gf).ravel(), np.multiply.outer(fv, gv).ravel())
+    gf, gv = _mirrored(g)
     k = np.searchsorted(f.freqs, g.degree, side="right")  # rows reaching m <= 0
-    rows, row_values = _arrays(f, False, k)
+    rows, row_values = _mirrored(f, k)
     sums = np.add.outer(rows, gf)
     kept = sums >= 0
     straddle, shape = np.count_nonzero(kept), (f.freqs.size - k, gf.size)
@@ -285,10 +215,8 @@ def multiply(f: TrigPoly, g: TrigPoly) -> TrigPoly:
 
 def convolve(f: TrigPoly, g: TrigPoly) -> TrigPoly:
     """Function convolution over the circle; coefficients multiply."""
-    real = f.real and g.real
-    (ff, fv), (gf, gv) = _arrays(f, real), _arrays(g, real)
-    common, i, j = np.intersect1d(ff, gf, assume_unique=True, return_indices=True)
-    return _stored(real, common, fv[i] * gv[j])
+    common, i, j = np.intersect1d(f.freqs, g.freqs, assume_unique=True, return_indices=True)
+    return TrigPoly.from_half(common, f.values[i] * g.values[j])
 
 
 def dilate(f: TrigPoly, a: int) -> TrigPoly:
@@ -299,7 +227,7 @@ def dilate(f: TrigPoly, a: int) -> TrigPoly:
     if a < 1:
         raise ValueError(f"dilation factor must be >= 1, got {a}")
     _fits_int64(a * f.degree)
-    return _stored(f.real, a * f.freqs, f.values)
+    return TrigPoly.from_half(a * f.freqs, f.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +312,7 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
     if nmax < 1:
         raise ValueError(f"kernel identities need nmax >= 1, got {nmax}")
     orders = range(1, nmax + 1)
-    fej = {k: sample_values(fejer(k), grid).real for k in {n * m for n in orders for m in orders}}
+    fej = {k: sample_values(fejer(k), grid) for k in {n * m for n in orders for m in orders}}
 
     def pointwise():
         f = _random_real_poly(rng, int(rng.integers(0, 6)))
@@ -397,7 +325,7 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
         rl = big_r * big_l
         kernel = domination_kernel(big_r, big_l)
         g = _random_real_poly(rng, rl // 2)  # |g|^2 then has degree <= RL
-        f = multiply(g, conjugate_reflect(g))
+        f = multiply(g, g)  # |g|^2, as g is real
         dominated = add(scale(convolve(f, fejer(big_l)), 4.0 * big_r), scale(f, -1.0))
         return (float(modulus(kernel.coeff(np.arange(-rl, rl + 1)) - 1.0).max()),
                 float(modulus(convolve(f, kernel).coeff(f.freqs) - f.values).max(initial=0.0)),

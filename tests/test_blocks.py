@@ -47,9 +47,10 @@ def test_block_polynomial_matches_composed_reference(ell, q, k):
     # (5, 34, 1) has 4*ell*Q^k > N/2: the spikes at ell*Q^k and N/2 - ell*Q^k overlap
     params = blocks.BlockParams(ell, q, k)
     p, r, s = blocks.block_polynomials(params)
-    reference = reference_block_polynomial(p, r, params)
-    assert s.real and np.array_equal(s.freqs, reference.freqs)
-    assert np.abs(s.values - reference.values).max() <= 1e-12
+    reference = reference_block_polynomial(p, r, params).coeffs  # both signs
+    m = np.fromiter(reference, dtype=np.int64, count=len(reference))
+    assert list(s.coeffs) == list(reference)
+    assert np.abs(s.coeff(m) - np.fromiter(reference.values(), complex, m.size)).max() <= 1e-12
     assert s.degree == params.sample_degree
 
 
@@ -178,7 +179,10 @@ def test_witness_rejects_broken_pattern_zero(monkeypatch):
 
     def tilted(params, **kwargs):  # extra mass at 1/N on block 0 moves the pattern values
         block = real(params, **kwargs)
-        return ms.scale_add(1.0, block, 1e-3, ms.dirac(block.order, 1)) if params.k == 0 else block
+        if params.k:
+            return block
+        point = ms.dirac(block.order, 1)
+        return ms.AtomicMeasure(block.order, 1.0 * block.weights + 1e-3 * point.weights)
 
     monkeypatch.setattr(blocks, "build_block", tilted)
     with pytest.raises(blocks.BlockBulletError, match="pattern_zeros_residual"):
@@ -280,21 +284,22 @@ def test_builders_evaluate_no_grid(monkeypatch):
 
 @pytest.mark.parametrize("ell,q,k", [(8, 64, 1), (2, 64, 0)])
 def test_block_weights_match_scale_add_reference(ell, q, k):
-    # the point pair added as measures, then lifted and summed with the samples
+    # the point pair added as measures, then summed with the samples
     params = blocks.BlockParams(ell, q, k)
     n = params.order
     s = blocks.block_polynomials(params)[2]
-    pair = ms.scale_add(0.5, ms.dirac(n, 1), 0.5, ms.dirac(n, n - 1))
-    reference = ms.scale_add(1.0, pair, 1.0, ms.from_samples(s, n))
+    pair = ms.AtomicMeasure(n, 0.5 * ms.dirac(n, 1).weights + 0.5 * ms.dirac(n, n - 1).weights)
+    reference = ms.AtomicMeasure(n, 1.0 * pair.weights + 1.0 * ms.from_samples(s, n).weights)
     weights = blocks.build_block(params).weights
     assert weights.tobytes() == reference.weights.tobytes()
 
 
 @pytest.mark.parametrize("q,p", [(64, 1), (64, 2), (64, 3), (128, 1), (128, 2)])
 def test_witness_mu_matches_scale_add_reference(q, p):
-    # mu = (sigma + dirac_0) / (mass + 1), both measures lifted and summed
+    # mu = (sigma + dirac_0) / (mass + 1), both measures scaled and summed
     params = blocks.WitnessParams(1, 0.01, q, p)
     mu, sigma = blocks.build_witness(params)
     norm = 1.0 / (sigma.mass() + 1.0)
-    reference = ms.scale_add(norm, sigma, norm, ms.dirac(params.order, 0))
+    point = ms.dirac(params.order, 0)
+    reference = ms.AtomicMeasure(params.order, norm * sigma.weights + norm * point.weights)
     assert mu.weights.tobytes() == reference.weights.tobytes()

@@ -1,9 +1,9 @@
 """TrigPoly.from_half against the hand-mirrored constructions it replaced.
 
 Each reference below is the expression a builder used before it called
-from_half, kept verbatim; from_half must reproduce it bit for bit.  A
-real-flagged reference given at both signs keeps its Hermitian half, which
-is the reference itself when it is exactly conjugate-symmetric."""
+from_half, kept verbatim as both-sign arrays; the polynomial's coeffs must
+reproduce it bit for bit at m >= 0 (the reference's zeros read as +0, as its
+Hermitian half was), and up to the sign of a zero at m < 0."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,21 @@ from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
 
-def assert_same_bits(f, g):
-    assert f.real and g.real
-    assert f.freqs.tobytes() == g.freqs.tobytes()
-    assert f.values.tobytes() == g.values.tobytes()
+def assert_same_coefficients(poly, freqs, values):
+    """poly.coeffs equals the both-sign reference (freqs without repeats, in
+    any order; its exact zeros dropped) up to the sign of a zero, cleared by
+    + 0.0.  At m >= 0 the polynomial's own bits must match: a half read from
+    the reference as 0 + c_m + conj(c_-m), halved, is c_m with +0 zeros."""
+    freqs, values = np.asarray(freqs, dtype=np.int64), np.asarray(values, dtype=complex)
+    order = np.argsort(freqs, kind="stable")
+    keep = values[order] != 0
+    want_m, want_c = freqs[order][keep], values[order][keep]
+    coeffs = poly.coeffs
+    m = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
+    c = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    assert m.tobytes() == want_m.tobytes()
+    assert c[m >= 0].tobytes() == (want_c[want_m >= 0] + 0.0).tobytes()
+    assert (c + 0.0).tobytes() == (want_c + 0.0).tobytes()
 
 
 def assert_exactly_hermitian(f):
@@ -24,7 +35,7 @@ def assert_exactly_hermitian(f):
     coeff(0) real, and only the half m >= 0 stored.  The bytes agree after
     +0.0, which clears the sign of a zero imaginary part."""
     coeffs = f.coeffs
-    assert f.real and (f.freqs >= 0).all() and len(coeffs) == 2 * f.freqs.size - (0 in coeffs)
+    assert (f.freqs >= 0).all() and len(coeffs) == 2 * f.freqs.size - (0 in coeffs)
     m = np.fromiter(coeffs, dtype=np.int64, count=len(coeffs))
     values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
     assert np.array_equal(m, -m[::-1])
@@ -34,25 +45,23 @@ def assert_exactly_hermitian(f):
 
 
 def mirrored_block_polynomials(params):
-    """block_polynomials with r built from both signs of its spikes and s
-    mirrored around an explicit frequency 0."""
+    """block_polynomials as both-sign (freqs, values): r from both signs of
+    its spikes and s mirrored around an explicit frequency 0."""
     n_total, half = params.order, params.order // 2
     edge, width = params.ell * params.q**params.k, params.q**params.k
     m = np.arange(-edge, edge + 1)
     profile = 1.0 - np.cos(2.0 * np.pi * (edge - np.abs(m)) / n_total)
     values = profile[edge:]
-    p = tp.TrigPoly.from_arrays(np.arange(-edge, edge + 1),
-                                np.concatenate((values[:0:-1], values)), real=True)
+    p = np.arange(-edge, edge + 1), np.concatenate((values[:0:-1], values))
     spikes = np.array([edge, half - edge, half + edge])
-    r = tp.TrigPoly.from_arrays(np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2, real=True)
+    r = np.concatenate([spikes, -spikes]), [1.0, -0.5, -0.5] * 2
     even = np.zeros(params.sample_degree + 2)
     even[:width] = 16.0 * params.ell * (profile[edge : edge + width] * (1.0 - np.arange(width) / width))
     for spike, weight in zip(spikes, (1.0, -0.5, -0.5)):
         even[spike - edge : spike + edge + 1] += weight * profile
     at = np.flatnonzero(even[1:]) + 1
     values = even[at]
-    s = tp.TrigPoly.from_arrays(np.concatenate((-at[::-1], [0], at)),
-                                np.concatenate((values[::-1], even[:1], values)), real=True)
+    s = np.concatenate((-at[::-1], [0], at)), np.concatenate((values[::-1], even[:1], values))
     return p, r, s
 
 
@@ -60,7 +69,7 @@ def mirrored_block_polynomials(params):
 def test_block_polynomials_match_the_mirrored_reference(ell, q, k):
     params = blocks.BlockParams(ell, q, k)
     for poly, reference in zip(blocks.block_polynomials(params), mirrored_block_polynomials(params)):
-        assert_same_bits(poly, reference)
+        assert_same_coefficients(poly, *reference)
         assert_exactly_hermitian(poly)
 
 
@@ -72,20 +81,19 @@ def test_lp_dual_matches_the_mirrored_reference(order, monkeypatch):
     certify.reverify_witness(witness)
     y, r = witness.dual, np.array(witness.r_set, dtype=np.int64)
     half = y[1:] / 2
-    reference = tp.TrigPoly.from_arrays(np.concatenate((-r[::-1], [0], r)),
-                                        np.concatenate((half[::-1], y[:1], half)), real=True)
+    reference = np.concatenate((-r[::-1], [0], r)), np.concatenate((half[::-1], y[:1], half))
     (dual,) = sampled
-    assert_same_bits(dual, reference)
+    assert_same_coefficients(dual, *reference)
     assert_exactly_hermitian(dual)
 
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_kernels_match_the_mirrored_reference(n):
     k = np.arange(-n + 1, n)
-    fejer = tp.TrigPoly.from_arrays(k, 1.0 - np.abs(k) / n, real=True)
-    dirichlet = tp.TrigPoly.from_arrays(np.arange(-n, n + 1), np.ones(2 * n + 1), real=True)
+    fejer = k, 1.0 - np.abs(k) / n
+    dirichlet = np.arange(-n, n + 1), np.ones(2 * n + 1)
     for poly, reference in ((tp.fejer(n), fejer), (tp.dirichlet(n), dirichlet)):
-        assert_same_bits(poly, reference)
+        assert_same_coefficients(poly, *reference)
         assert_exactly_hermitian(poly)
 
 
@@ -95,24 +103,24 @@ def test_random_real_poly_matches_the_mirrored_reference(seed):
     for degree in (0, 1, 2, 5, 17):
         z = reference_rng.normal(size=2 * degree + 1)
         c = z[1::2] + 1j * z[2::2]
-        reference = tp.TrigPoly.from_arrays(np.arange(-degree, degree + 1),
-                                            np.concatenate((np.conj(c[::-1]), z[:1], c)), real=True)
+        reference = np.arange(-degree, degree + 1), np.concatenate((np.conj(c[::-1]), z[:1], c))
         poly = tp._random_real_poly(rng, degree)
-        assert_same_bits(poly, reference)
+        assert_same_coefficients(poly, *reference)
         assert_exactly_hermitian(poly)
 
 
 def mirrored_stage_polynomials(stage, beta):
-    """(tower_correction, tower_block) with beta_hat gathered on the whole
-    window -max_freq < m < max_freq."""
+    """(tower_correction, tower_block) as both-sign (freqs, values), with
+    beta_hat gathered on the whole window -max_freq < m < max_freq; the
+    correction, on |m| <= n, is summed into the block's window."""
     m = np.arange(-stage.n, stage.n + 1)
     ripple = (beta.fourier(m) - stage.eps_prime) * np.abs(m) / stage.max_freq
-    correction = tp.TrigPoly.from_arrays(m, ripple, real=True)
     eps, big_m = stage.eps_prime, stage.max_freq
-    m = np.arange(-big_m + 1, big_m)
-    smoothed = (1.0 - np.abs(m) / big_m) * (beta.fourier(m) - eps)
+    window = np.arange(-big_m + 1, big_m)
+    smoothed = (1.0 - np.abs(window) / big_m) * (beta.fourier(window) - eps)
     smoothed[big_m - 1] += eps
-    return correction, tp.add(tp.TrigPoly.from_arrays(m, smoothed, real=True), correction)
+    smoothed[big_m - 1 - stage.n : big_m + stage.n] += ripple
+    return (m, ripple), (window, smoothed)
 
 
 @pytest.mark.parametrize("beta", [ms.uniform(3), certify.max_atom_lp((1, 2), 7).measure,
@@ -122,13 +130,11 @@ def test_stage_polynomials_match_the_mirrored_reference(beta, n, max_freq):
     r_set = tuple(r for r in (1, 2, 3) if r <= n and abs(beta.fourier(r)) < tp.EVAL_TOL)
     stage = tower.TowerStage(r_set, n, 0.3, max_freq, max_freq)
     correction, block = mirrored_stage_polynomials(stage, beta)
-    assert_same_bits(tower.tower_block(stage, beta), block)
     # the reference read beta_hat(-m) directly, which leaves +0 where the exact
-    # conjugate has -0 in the imaginary part; every other bit agrees, and the
-    # sum in tower_block starts from +0, so the block itself is identical
+    # conjugate has -0 in the imaginary part; every other bit agrees
+    assert_same_coefficients(tower.tower_block(stage, beta), *block)
     new = tower.tower_correction(stage, beta)
-    assert new.freqs.tobytes() == correction.freqs.tobytes()
-    assert (new.values + 0.0).tobytes() == (correction.values + 0.0).tobytes()
+    assert_same_coefficients(new, *correction)
     for poly in (new, tower.tower_block(stage, beta)):
         assert_exactly_hermitian(poly)
 
@@ -144,7 +150,7 @@ def test_from_half_without_frequency_zero():
 
 def test_from_half_of_nothing_is_the_zero_polynomial():
     for poly in (tp.TrigPoly.from_half([], []), tp.TrigPoly.from_half([0], [0.0])):
-        assert poly.real and poly.freqs.size == 0 and poly.values.size == 0
+        assert poly.coeffs == {} and poly.freqs.size == 0 and poly.values.size == 0
         assert poly.freqs.dtype == np.int64 and poly.values.dtype == complex
 
 
@@ -154,8 +160,9 @@ def test_from_half_mirrors_complex_values_and_keeps_zero_once():
     assert poly.freqs.tolist() == [0, 1, 3]  # the exact zero at 2 is dropped, and its mirror
     assert poly.coeffs == {-3: 0.25j, -1: 1.0 + 1.0j, 0: 2.5, 1: 1.0 - 1.0j, 3: -0.25j}
     assert_exactly_hermitian(poly)
-    as_complex = tp.TrigPoly(poly.coeffs)  # sampled without the real fold
-    assert np.allclose(tp.sample_values(as_complex, 16), tp.sample_values(poly, 16), atol=1e-15)
+    folded = np.zeros(16, dtype=complex)  # sampled without the real fold: one complex ifft
+    np.add.at(folded, np.array(list(poly.coeffs)) % 16, list(poly.coeffs.values()))
+    assert np.allclose(np.fft.ifft(folded) * 16, tp.sample_values(poly, 16), atol=1e-15)
 
 
 def test_from_half_rejects_negative_frequencies_and_a_complex_constant():

@@ -32,7 +32,7 @@ def test_uniform_orthogonality():
 
 
 def test_symmetric_pair_gives_cosine():
-    m = ms.scale_add(0.5, ms.dirac(8, 1), 0.5, ms.dirac(8, 7))
+    m = ms.AtomicMeasure(8, 0.5 * ms.dirac(8, 1).weights + 0.5 * ms.dirac(8, 7).weights)
     for k in range(-10, 11):
         assert m.fourier(k) == pytest.approx(math.cos(2 * math.pi * k / 8), abs=1e-12)
 
@@ -154,11 +154,10 @@ def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
     assert not hasattr(ms, "LCM_ATOM_LIMIT")
     a, b = ms.uniform(4), ms.uniform(6)  # common order 12
     monkeypatch.setenv("VDC_ATOM_BUDGET", "12")
-    assert ms.convolve(a, b).order == ms.scale_add(0.5, a, 0.5, b).order == 12
+    assert ms.convolve(a, b).order == 12
     monkeypatch.setenv("VDC_ATOM_BUDGET", "11")
-    for combine in (ms.convolve, lambda x, y: ms.scale_add(0.5, x, 0.5, y)):
-        with pytest.raises(ms.AtomBudgetError, match="common order 12 exceeds the atom budget 11"):
-            combine(a, b)
+    with pytest.raises(ms.AtomBudgetError, match="common order 12 exceeds the atom budget 11"):
+        ms.convolve(a, b)
 
 
 def test_from_samples_constant_and_fejer():
@@ -175,36 +174,18 @@ def test_from_samples_respects_sampling_identity():
     rng = np.random.default_rng(23)
     for _ in range(10):
         deg = int(rng.integers(0, 6))
-        coeffs = {0: complex(abs(rng.normal()) + 3.0)}
-        for m in range(1, deg + 1):
-            c = complex(rng.normal(), rng.normal()) * 0.2
-            coeffs[m] = c
-            coeffs[-m] = c.conjugate()
-        poly = tp.TrigPoly(coeffs, real=True)
+        half = [abs(rng.normal()) + 3.0] + [complex(rng.normal(), rng.normal()) * 0.2 for _ in range(deg)]
+        poly = tp.TrigPoly.from_half(range(deg + 1), half)
         order = deg + 1 + int(rng.integers(1, 5))
         measure = ms.from_samples(poly, order)
         assert measure.mass() == pytest.approx(tp.sample_mean(poly, order).real, abs=1e-9)
 
 
 def test_from_samples_negative_rejection():
-    # -cos has genuinely negative samples
-    bad = tp.TrigPoly({1: 0.5, -1: 0.5}, real=True)
+    # cos has genuinely negative samples
+    bad = tp.TrigPoly.from_half([1], [0.5])
     with pytest.raises(ValueError, match="not non-negative"):
         ms.from_samples(bad, 8)
-    with pytest.raises(ValueError, match="real-flagged"):
-        ms.from_samples(tp.character(1), 8)
-
-
-def test_scale_add():
-    m = ms.AtomicMeasure(5, np.arange(5, dtype=float))
-    same = ms.scale_add(1.0, m, 0.0, ms.dirac(5, 2))
-    assert np.allclose(same.weights, m.weights)
-    with pytest.raises(ValueError):
-        ms.scale_add(-1.0, m, 0.0, m)
-    # normalisation arithmetic: mass 3 plus a unit point over 4
-    sigma = ms.AtomicMeasure(4, np.array([1.0, 1.0, 0.5, 0.5]))
-    mu = ms.scale_add(0.25, sigma, 0.25, ms.dirac(4, 0))
-    assert mu.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -251,11 +232,3 @@ def test_fourier_fold_matches_the_minimum_reference(n):
             assert type(got) is complex
             assert got == minimum_fold_fourier(m, scalar)
             assert np.array(got).tobytes() == np.array(minimum_fold_fourier(m, scalar)).tobytes()
-
-
-@pytest.mark.parametrize("orders, common", [((2, 3), 5), ((4, 6), 8), ((3, 3), 4)])
-def test_lift_to_a_non_multiple_is_refused(monkeypatch, orders, common):
-    # the lcm never misses, so a wrong common order is planted to reach _lift's check
-    monkeypatch.setattr(ms, "_common_order", lambda m1, m2: common)
-    with pytest.raises(ValueError, match="multiple of the measure order"):
-        ms.scale_add(0.5, ms.uniform(orders[0]), 0.5, ms.uniform(orders[1]))

@@ -109,9 +109,9 @@ def test_claim_residuals_report():
 def test_claim_residuals_catch_each_broken_guarantee():
     stages = toy_stages()
     c1, c2 = tower.build_tower(stages, [half_beta(), half_beta()])
-    c1 = tp.add(c1, tp.character(-113, 2e-3))  # |m| at stage 1's vanishing threshold
+    c1 = tp.add(c1, tp.TrigPoly.from_half([113], [2e-3]))  # |m| at stage 1's vanishing threshold
     # 5 is in neither product and inside the frozen window; 226 = 2*113*1 is marked
-    c2 = tp.add(c2, tp.TrigPoly({5: 1e-3, 226: 4e-3}))
+    c2 = tp.add(c2, tp.TrigPoly.from_half([5, 226], [1e-3, 4e-3]))
     rows = tower.claim_residuals(stages, [c1, c2])
     assert rows[0]["vanishing_tail"] == pytest.approx(2e-3, abs=1e-15)
     assert rows[0]["frozen_window"] == pytest.approx(1e-3, abs=1e-15)
@@ -178,10 +178,8 @@ def test_extend_order_is_presorted_and_bit_identical(monkeypatch):
 
 
 def both_signs(p):
-    """A product's coefficients at both signs: a real one's stored half m >= 0
+    """A product's coefficients at both signs: its stored half m >= 0
     mirrored, conj(c_m) at -m, as its coeffs reads it."""
-    if not p.real:
-        return p.freqs, p.values
     skip = int(p.freqs.size > 0 and p.freqs[0] == 0)
     return (np.concatenate((-p.freqs[skip:][::-1], p.freqs)),
             np.concatenate((np.conj(p.values[skip:][::-1]), p.values)))
@@ -189,7 +187,7 @@ def both_signs(p):
 
 def test_both_signs_reads_as_coeffs():
     products = tower.build_tower(depth4_stages()[:3], [ms.uniform(3)] * 3)
-    for p in products + [tp.add(products[1], tp.TrigPoly({7: 2e-3}))]:
+    for p in products + [tp.add(products[1], tp.TrigPoly.from_half([7], [2e-3]))]:
         freqs, values = both_signs(p)
         assert dict(zip(freqs.tolist(), values.tolist())) == p.coeffs
 
@@ -209,7 +207,7 @@ def test_frozen_window_matches_the_union_reference():
     # one product perturbed: a frequency only it has, and one both have
     shared = int(products[0].freqs[3])
     # (stage 1 sees 7 only in its next product, stage 2 only in its own)
-    products[1] = tp.add(products[1], tp.TrigPoly({7: 2e-3, shared: -3e-4}))
+    products[1] = tp.add(products[1], tp.TrigPoly.from_half([7, shared], [2e-3, -3e-4]))
     rows = tower.claim_residuals(stages, products)
     for i in range(2):
         assert rows[i]["frozen_window"] == union_window_frozen(stages, products, i)
@@ -226,7 +224,9 @@ def random_betas(stage, rng, count):
         order = d * int(rng.integers(1, 9))
         noise = ms.convolve(ms.AtomicMeasure(order, rng.dirichlet(np.ones(order))), subgroup)
         share = rng.uniform((stage.eps_prime * d + 1) / 2, 1.0)
-        yield ms.scale_add(share, subgroup, 1.0 - share, noise)
+        lifted = np.zeros(order)  # the subgroup's measure on the noise's order
+        lifted[:: order // d] = subgroup.weights
+        yield ms.AtomicMeasure(order, share * lifted + (1.0 - share) * noise.weights)
 
 
 def test_stage_polynomial_stays_above_its_floor():
@@ -320,7 +320,7 @@ def test_claim_windows_match_the_mask_reference_at_their_edges():
             edges += [(i + 1, m, False) for m in (threshold - 1, 1 - threshold)]
         for j, m, outside in edges:
             perturbed = list(products)
-            perturbed[j] = tp.add(products[j], tp.character(m, 3e-3))
+            perturbed[j] = tp.add(products[j], tp.TrigPoly.from_half([abs(m)], [3e-3]))
             rows = tower.claim_residuals(stages, perturbed)
             assert_rows_bit_identical(rows, mask_claim_residuals(stages, perturbed))
             assert (rows[i]["vanishing_tail"] > 1e-3) == outside
@@ -330,22 +330,12 @@ def test_claim_windows_match_the_mask_reference_at_their_edges():
 def test_claim_windows_match_the_mask_reference_when_empty():
     stages = toy_stages()
     c1, c2 = tower.build_tower(stages, [half_beta(), half_beta()])
-    beyond = tp.TrigPoly({-500: 0.25, 500: 0.25})  # every term beyond stage 1's threshold 113
-    for products in ([beyond, c2], [c1, beyond], [tp.TrigPoly({}), c2], [beyond, beyond]):
+    beyond = tp.TrigPoly.from_half([500], [0.25])  # every term beyond stage 1's threshold 113
+    for products in ([beyond, c2], [c1, beyond], [tp.zero(), c2], [beyond, beyond]):
         rows = tower.claim_residuals(stages, products)
         assert_rows_bit_identical(rows, mask_claim_residuals(stages, products))
     rows = tower.claim_residuals(stages, [beyond, c2])
     assert rows[0]["vanishing_tail"] == 0.25 and rows[0]["mean_deviation"] == 1.0
-
-
-def test_frozen_window_reads_the_implied_half_beside_a_full_spectrum():
-    # a real product's c_-1 is implied by its stored half; the unflagged one lacks it
-    real = tp.TrigPoly({-1: 0.5, 0: 1.0, 1: 0.5}, real=True)
-    one_sided = tp.TrigPoly({0: 1.0, 1: 0.5})
-    for products in ([real, one_sided], [one_sided, real]):
-        rows = tower.claim_residuals(toy_stages(), products)
-        assert_rows_bit_identical(rows, mask_claim_residuals(toy_stages(), products))
-        assert rows[0]["frozen_window"] == 0.5
 
 
 @pytest.mark.parametrize("call, message", [
