@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import digit_pattern_members  # re-exported: R is defined in combinatorics
+from .combinatorics import digit_pattern_members, digit_windows  # R is defined in combinatorics
 from .measures import (DEFAULT_ATOM_BUDGET, AtomBudgetError, AtomicMeasure,  # budget re-exported
-                       atom_budget, convolve, from_samples)
+                       atom_budget, convolve, from_samples, require_budget)
 from .reports import Check, require
 from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
@@ -32,8 +32,21 @@ class BlockBulletError(RuntimeError):
     """A constructed block missed one of its transform guarantees."""
 
 
+class _Ledger:
+    """The one check of a parameter ledger: each row is (name, holds), and
+    validate names every failed row after the class's message head."""
+
+    def violations(self) -> list:
+        return [name for name, ok in self.ledger() if not ok]
+
+    def validate(self):
+        bad = self.violations()
+        if bad:
+            raise BlockParamsError(f"{self._head} violate: " + "; ".join(bad))
+
+
 @dataclass(frozen=True)
-class BlockParams:
+class BlockParams(_Ledger):
     """(ell, Q, k) with the 'Q sufficiently large' inequality ledger."""
 
     ell: int
@@ -54,16 +67,9 @@ class BlockParams:
             ("2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k", 3 * e < half),
         ]
 
-    def violations(self) -> list:
-        return [name for name, ok in self.ledger() if not ok]
-
-    def validate(self):
-        bad = self.violations()
-        if bad:
-            raise BlockParamsError(
-                f"block parameters (ell={self.ell}, Q={self.q}, k={self.k}) violate: "
-                + "; ".join(bad)
-            )
+    @property
+    def _head(self) -> str:
+        return f"block parameters (ell={self.ell}, Q={self.q}, k={self.k})"
 
     @property
     def order(self) -> int:
@@ -154,10 +160,7 @@ def build_block(params: BlockParams) -> AtomicMeasure:
     sampled polynomial s, with the four transform guarantees verified."""
     params.validate()
     n_total = params.order
-    if n_total > atom_budget():
-        raise AtomBudgetError(
-            f"block order {n_total} exceeds the atom budget {atom_budget()}"
-        )
+    require_budget(n_total, f"block order {n_total}")
     weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)
@@ -169,7 +172,7 @@ def build_block(params: BlockParams) -> AtomicMeasure:
 
 
 @dataclass(frozen=True)
-class WitnessParams:
+class WitnessParams(_Ledger):
     """Witness parameters (j, epsilon, Q, P).
 
     The canonical depth is floor(Q*log(2*j^2)) + 1; any smaller P is a
@@ -200,32 +203,29 @@ class WitnessParams:
         return self.q**self.p
 
     def ledger(self) -> list:
-        """The witness inequalities, then the block ledger of k = 0, which
-        stands for every k < P: for even Q each block inequality is
-        homogeneous in Q^k (2*ell*Q^k < Q^(k+1)/2 exactly when 4*ell < Q),
-        and an odd Q fails 'Q even' at every k."""
+        """R's range, as the row digit_windows decides (named by its message
+        when it refuses), the witness inequalities, then the block ledger of
+        k = 0, which stands for every k < P: for even Q each block
+        inequality is homogeneous in Q^k (2*ell*Q^k < Q^(k+1)/2 exactly when
+        4*ell < Q), and an odd Q fails 'Q even' at every k."""
+        try:
+            digit_windows(self.j, self.q, self.p)
+            pattern = ("digit_windows(j, Q, P)", True)
+        except ValueError as exc:
+            pattern = (str(exc), False)
         block = BlockParams(self.ell, self.q, 0)
         return [
-            ("j >= 1", self.j >= 1),
-            ("P >= 1", self.p >= 1),
+            pattern,
             ("0 < epsilon < 1/2", 0.0 < self.epsilon < 0.5),
-            ("Q/2 + 8*j < Q", 16 * self.j < self.q),
             ("(8*j - 1)/(Q - 1) <= 1", 8 * self.j <= self.q),
         ] + [(f"block k=0: {name}", ok) for name, ok in block.ledger()]
 
-    def violations(self) -> list:
-        return [name for name, ok in self.ledger() if not ok]
-
-    def validate(self):
-        bad = self.violations()
-        if bad:
-            raise BlockParamsError(
-                f"witness parameters (j={self.j}, Q={self.q}, P={self.p}) violate: "
-                + "; ".join(bad)
-            )
+    @property
+    def _head(self) -> str:
+        return f"witness parameters (j={self.j}, Q={self.q}, P={self.p})"
 
     def atom_lower_bound(self) -> float:
-        return 1.0 / (1.0 + (1.0 + MASS_CONSTANT * self.ell**3 / self.q**2) ** self.p)
+        return 1.0 / (1.0 + BlockParams(self.ell, self.q, 0).mass_bound ** self.p)
 
 
 def max_feasible_depth(q: int) -> int:
@@ -250,8 +250,7 @@ def build_witness(params: WitnessParams):
     if params.p > feasible:
         raise AtomBudgetError(
             f"witness order {params.q}^{params.p} exceeds the atom budget "
-            f"{atom_budget()}; maximal feasible P for Q={params.q} is {feasible}",
-            max_feasible_p=feasible,
+            f"{atom_budget()}; maximal feasible P for Q={params.q} is {feasible}"
         )
     factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)

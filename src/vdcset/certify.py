@@ -26,13 +26,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import AtomBudgetError, AtomicMeasure, atom_budget
+from .measures import AtomicMeasure, require_budget
 from .reports import Check, require
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
 from .trigpoly import COEFF_TOL, EVAL_TOL, TrigPoly, modulus, sample_values
 
 MAX_EXACT_HORIZON = 80
-RESIDUAL_TOL = EVAL_TOL  # transform residuals and dual slacks are evaluations
 
 
 class WitnessVerificationError(RuntimeError):
@@ -93,7 +92,7 @@ class VdcFailureWitness:
         the atom of every feasible measure by atom + 2*tol.  Computed once
         per witness; dataclasses.replace builds a new witness, which
         computes its own."""
-        res, tol = reverify_witness(self), RESIDUAL_TOL
+        res, tol = reverify_witness(self), EVAL_TOL  # residuals and dual slacks are evaluations
         return [
             Check("witness_mass", res["mass_error"] <= COEFF_TOL, res["mass_error"], COEFF_TOL),
             Check("witness_residual", res["residual"] < tol, res["residual"], tol),
@@ -228,10 +227,9 @@ def truncate_preserving(r_set, epsilon: float, n: int):
 def _check_lp_size(rows: int, order: int) -> None:
     """AtomBudgetError before an order-N LP witness allocates anything: its
     matrix has rows * (N//2 + 1) entries, at least its N weights for rows >= 2."""
-    entries = rows * (order // 2 + 1)
-    if entries > atom_budget():
-        raise AtomBudgetError(f"LP of {rows} rows on {order // 2 + 1} orbit columns "
-                              f"({entries} entries) exceeds the atom budget {atom_budget()}")
+    columns = order // 2 + 1
+    entries = rows * columns
+    require_budget(entries, f"LP of {rows} rows on {columns} orbit columns ({entries} entries)")
 
 
 def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
@@ -318,7 +316,7 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     not-epsilon-vdC exactly when the verified atom clears epsilon.  The
     returned witness carries the table it passed as its checks."""
     base = max_atom_lp(r_set, order)
-    witness = replace(base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + RESIDUAL_TOL)
+    witness = replace(base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + EVAL_TOL)
     require(witness.checks, WitnessVerificationError, "LP witness re-verification")
     return witness
 

@@ -45,9 +45,8 @@ def cmd_verify_kernels(args, report: RunReport) -> None:
         # the n*1 alone are nmax distinct orders, so the table is counted only when nmax grids fit
         kernels = (len({n * m for n in orders for m in orders}) if args.nmax * args.grid <= budget
                    else args.nmax)
-        if kernels * args.grid > budget:
-            raise measures.AtomBudgetError(f"Fejer table of at least {kernels} kernels on grid "
-                                           f"{args.grid} exceeds the atom budget {budget}")
+        measures.require_budget(kernels * args.grid,
+                                f"Fejer table of at least {kernels} kernels on grid {args.grid}")
         res = trigpoly.kernel_residuals(args.grid, args.nmax, np.random.default_rng(args.seed))
         report.checks += trigpoly.kernel_checks(res)
 
@@ -68,10 +67,9 @@ def _emit_measure(report: RunReport, label: str, measure, path: str) -> None:
 
 def cmd_build_block(args, report: RunReport) -> None:
     params = blocks.BlockParams(args.ell, args.q, args.k)
-    for name, ok in params.ledger():
-        report.add(f"ledger: {name}", ok)
-    if params.violations():
-        report.flags["invalid_params"] = "; ".join(params.violations())
+    bad = [name for name, ok in params.ledger() if not report.add(f"ledger: {name}", ok).passed]
+    if bad:
+        report.flags["invalid_params"] = "; ".join(bad)
         return
     report.flags["sample_poly_degree"] = params.sample_degree
     report.flags["degree_below_order"] = params.sample_degree < params.order

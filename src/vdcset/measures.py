@@ -16,9 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .trigpoly import TrigPoly, sample_values
+from .trigpoly import COEFF_TOL, TrigPoly, sample_values
 
-WEIGHT_TOL = 1e-12          # float noise clamped to zero at construction
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
 DEFAULT_ATOM_BUDGET = 1 << 26
 
@@ -39,9 +38,14 @@ def atom_budget() -> int:
 
 
 class AtomBudgetError(RuntimeError):
-    def __init__(self, message: str, max_feasible_p: int | None = None):
-        super().__init__(message)
-        self.max_feasible_p = max_feasible_p
+    """An allocation over atom_budget(), refused before it is made."""
+
+
+def require_budget(count: int, what: str) -> None:
+    """The one atom-budget gate: AtomBudgetError naming what when count > atom_budget()."""
+    budget = atom_budget()
+    if count > budget:
+        raise AtomBudgetError(f"{what} exceeds the atom budget {budget}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +63,8 @@ class AtomicMeasure:
         if bad.size:
             raise ValueError(f"weight {bad[0]} is not finite: {w[bad[0]]}")
         low = w.min()
-        if low < -WEIGHT_TOL:
-            raise ValueError(f"negative weight {low} below clamp scale {-WEIGHT_TOL}")
+        if low < -COEFF_TOL:
+            raise ValueError(f"negative weight {low} below clamp scale {-COEFF_TOL}")
         np.clip(w, 0.0, None, out=w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -107,22 +111,16 @@ def uniform(order: int) -> AtomicMeasure:
     return AtomicMeasure(order, np.full(order, 1.0 / order))
 
 
-def _common_order(m1: AtomicMeasure, m2: AtomicMeasure) -> int:
-    common = math.lcm(m1.order, m2.order)
-    if common > atom_budget():
-        raise AtomBudgetError(f"common order {common} exceeds the atom budget {atom_budget()}")
-    return common
-
-
 def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Circular convolution after lifting both measures to lcm order.
 
     Fourier transforms multiply: fourier(out, k) = fourier(m1, k) * fourier(m2, k)
     on k <= common/2, inverted by one ``irfft``.  The inverse leaves float
-    noise around zero weights, which the WEIGHT_TOL clamp of AtomicMeasure
+    noise around zero weights, which the COEFF_TOL clamp of AtomicMeasure
     absorbs.
     """
-    common = _common_order(m1, m2)
+    common = math.lcm(m1.order, m2.order)
+    require_budget(common, f"common order {common}")
     k = np.arange(common // 2 + 1)
     return AtomicMeasure(common, np.fft.irfft(m1.fourier(k) * m2.fourier(k), common))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomBudgetError, AtomicMeasure, atom_budget
+from .measures import AtomicMeasure, require_budget
 from .reports import Check
 from .trigpoly import EVAL_TOL, TrigPoly, add, constant, dilate, modulus, multiply
 
@@ -167,9 +167,8 @@ def build_tower(stages, betas) -> list:
     if len(stages) != len(betas):
         raise ValueError("need exactly one beta measure per stage")
     validate_stages(stages)
-    terms, budget = math.prod(2 * stage.max_freq - 1 for stage in stages), atom_budget()
-    if terms > budget:
-        raise AtomBudgetError(f"tower product of {terms} terms exceeds the atom budget {budget}")
+    terms = math.prod(2 * stage.max_freq - 1 for stage in stages)
+    require_budget(terms, f"tower product of {terms} terms")
     products = []
     current = constant(1.0)
     for stage, beta in zip(stages, betas):

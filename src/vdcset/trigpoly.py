@@ -73,7 +73,7 @@ class TrigPoly:
             m, c = m[keep], c[keep]
         if m.size and (m[0] < 0 or m[0] == 0 and c[0].imag != 0):  # 0 is not mirrored
             raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
-                             f"{values[0]} at the first frequency {freqs[0]}")
+                             f"{c[0].real if c[0].imag == 0 else c[0]} at the first frequency {m[0]}")
         poly = object.__new__(TrigPoly)
         for name, array in (("freqs", m), ("values", c)):
             array.setflags(write=False)

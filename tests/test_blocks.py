@@ -100,7 +100,7 @@ def test_block_spot_frequencies():
 
 def test_block_budget_guard(monkeypatch):
     monkeypatch.setenv("VDC_ATOM_BUDGET", "1000")
-    with pytest.raises(blocks.AtomBudgetError):
+    with pytest.raises(blocks.AtomBudgetError, match="^block order 4096 exceeds the atom budget 1000$"):
         blocks.build_block(blocks.BlockParams(2, 64, 1))
     monkeypatch.delenv("VDC_ATOM_BUDGET")
     assert blocks.atom_budget() == blocks.DEFAULT_ATOM_BUDGET
@@ -123,17 +123,37 @@ def test_witness_ledger_matches_per_block_reference(j):
         lengths = set()
         for p in range(1, 7):
             wp = blocks.WitnessParams(j, 0.01, q, p)
-            reference = all(ok for _, ok in wp.ledger()[:5]) and all(
+            witness_rows = [ok for name, ok in wp.ledger() if not name.startswith("block k=0")]
+            reference = all(witness_rows) and all(
                 ok for k in range(p) for _, ok in blocks.BlockParams(wp.ell, q, k).ledger())
             assert (not wp.violations()) == reference, (j, q, p)
             lengths.add(len(wp.ledger()))
         assert len(lengths) == 1
 
 
+def test_witness_ledger_reads_r_range_from_digit_windows():
+    # the one R row holds digit_windows' message exactly when digit_windows refuses (j, Q, P)
+    for j in range(4):
+        for q in range(2, 200):
+            for p in range(3):
+                try:
+                    cb.digit_windows(j, q, p)
+                    refusal = None
+                except ValueError as exc:
+                    refusal = str(exc)
+                bad = blocks.WitnessParams(j, 0.01, q, p).violations()
+                if refusal is None:
+                    assert not [name for name in bad if name.startswith("digit patterns")], (j, q, p)
+                else:
+                    assert refusal in bad, (j, q, p)
+
+
 def test_witness_depth_budget():
-    with pytest.raises(blocks.AtomBudgetError) as err:
+    budget = blocks.atom_budget()
+    with pytest.raises(blocks.AtomBudgetError,
+                       match=rf"^witness order 64\^45 exceeds the atom budget {budget}; "
+                             r"maximal feasible P for Q=64 is 4$"):
         blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 45))
-    assert err.value.max_feasible_p == 4
 
 
 @pytest.mark.parametrize("p", [1, 2])

@@ -123,11 +123,12 @@ def test_build_witness_canonical_depth_needs_a_valid_j(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(["build-witness", "--j", "0", "--eps", "0.01", "--q", "64",
                 "--json-out", str(out)]) == 1
-    assert "FAIL parameter_ledger [j >= 1" in capsys.readouterr().out
+    refusal = "digit patterns need j >= 1 and P >= 1, got j=0, P=1"  # digit_windows' message
+    assert f"FAIL parameter_ledger [{refusal}; " in capsys.readouterr().out
     report = load_report(out)
     check_report_schema(report)
     assert [(c["name"], c["pass"]) for c in report["checks"]] == [("parameter_ledger", False)]
-    assert "j >= 1" in report["flags"]["invalid_params"]
+    assert report["flags"]["invalid_params"].startswith(f"{refusal}; ")
 
 
 def test_set_file_parsing(tmp_path):
@@ -196,7 +197,7 @@ def test_certify_vdc_solver_failure_is_reported(tmp_path, monkeypatch, capsys, f
     if failure == "stall":
         monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
     else:
-        def bad_checks(witness, tol=certify.RESIDUAL_TOL):
+        def bad_checks(witness):
             return {"min_weight": 0.0, "mass_error": 0.0, "residual": 0.0,
                     "dual_bound": 1.0, "dual_min_slack": 0.0, "duality_gap": 0.5}
 

@@ -173,3 +173,11 @@ def test_from_half_rejects_negative_frequencies_and_a_complex_constant():
     with pytest.raises(ValueError, match="frequencies >= 0"):
         tp.TrigPoly.from_half([2, -3], [1.0, 1.0])  # not ascending, negative past the first
     assert tp.TrigPoly.from_half([0, 1], [1.0 + 0.0j, 1.0]).coeff(0) == 1.0
+
+
+def test_from_half_message_quotes_the_normal_form():
+    # the check reads the first entry after sorting, so the message quotes that entry
+    with pytest.raises(ValueError, match="got 1.0 at the first frequency -3$"):
+        tp.TrigPoly.from_half([2, -3], [1.0, 1.0])
+    with pytest.raises(ValueError, match="got 1j at the first frequency 0$"):
+        tp.TrigPoly.from_half([1, 0], [1.0, 1j])
