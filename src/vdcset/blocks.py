@@ -217,7 +217,6 @@ class WitnessParams(_Ledger):
         return [
             pattern,
             ("0 < epsilon < 1/2", 0.0 < self.epsilon < 0.5),
-            ("(8*j - 1)/(Q - 1) <= 1", 8 * self.j <= self.q),
         ] + [(f"block k=0: {name}", ok) for name, ok in block.ledger()]
 
     @property

@@ -5,7 +5,10 @@ every subset of {0..n-1} larger than epsilon*n contains a pair differing
 by an element of R; equivalently the maximum R-difference-avoiding subset
 has size alpha <= epsilon*n.  alpha is computed exactly by a Russian-doll
 search over the prefixes of the difference graph (Verfaillie, Lemaitre and
-Schiex; Ostergard), whose witness is some maximum set, not a fixed one.
+Schiex; Ostergard): a prefix extends the last witness when it can, and
+otherwise searches with the greedy-clique colour bound of Tomita and Seki's
+MCQ/MCS, once per node, and the reflection x -> k-1-x broken at the root.
+The witness is some maximum set, not a fixed one.
 
 Failure-of-vdC side: a probability measure on the order-N roots of unity
 whose transform vanishes on R and whose atom at 0 exceeds epsilon is a
@@ -115,42 +118,66 @@ class VdcFailureWitness:
         )
 
 
-def _clique_cover_bound(candidates: int, adjacency: list, need: int) -> int:
-    """Greedy partition of the candidate vertices into cliques, grown from
-    the highest vertex down; the number of cliques bounds any independent
-    set inside the candidates.  Counting stops once it reaches need."""
-    cliques = 0
+def _uncovered(candidates: int, adjacency: list, cliques: int) -> int:
+    """The candidates outside `cliques` greedy cliques, each grown from the
+    lowest remaining one: any larger independent set holds one of them."""
     remaining = candidates
-    while remaining and cliques < need:
-        v = remaining.bit_length() - 1
-        remaining ^= 1 << v
-        cliques += 1
-        clique_compat = adjacency[v]
+    while remaining and cliques:
+        cliques -= 1
+        low = remaining & -remaining
+        remaining ^= low
+        clique_compat = adjacency[low.bit_length() - 1]
         scan = remaining & clique_compat
         while scan:
-            u = scan.bit_length() - 1
-            remaining ^= 1 << u
-            clique_compat &= adjacency[u]
+            low = scan & -scan
+            remaining ^= low
+            clique_compat &= adjacency[low.bit_length() - 1]
             scan = remaining & clique_compat
-    return cliques
+    return remaining
+
+
+def _bounded(candidates: int, need: int, alpha: list) -> bool:
+    """Whether candidates may hold need more vertices, by popcount, by alpha
+    of the interval [lo, hi] they span and, as the chosen hold 0, of [0, hi]."""
+    hi = candidates.bit_length() - 1
+    lo = (candidates & -candidates).bit_length() - 1
+    return candidates.bit_count() >= need and alpha[hi - lo + 1] >= need and alpha[hi + 1] > need
 
 
 def _extend(candidates: int, chosen: int, need: int, alpha: list, adjacency: list):
     """Mask of chosen plus need pairwise non-adjacent candidates, or None.
-    Branches on the highest candidate hi, taken first and then dropped;
-    alpha[hi - lo + 1] bounds what candidates within [lo, hi] can add, and
-    as chosen holds 0, alpha[hi + 1] bounds them together with 0."""
+    Each solution takes a candidate outside need - 1 greedy cliques grown once
+    per node; only those are branched on, highest first, taken then dropped."""
     if not need:
         return chosen
-    while candidates.bit_count() >= need:
-        hi = candidates.bit_length() - 1
-        lo = (candidates & -candidates).bit_length() - 1
-        if (alpha[hi - lo + 1] < need or alpha[hi + 1] <= need
-                or _clique_cover_bound(candidates, adjacency, need) < need):
+    branch = _uncovered(candidates, adjacency, need - 1)
+    while branch and _bounded(candidates, need, alpha):
+        v = branch.bit_length() - 1
+        branch ^= 1 << v
+        candidates ^= 1 << v
+        found = _extend(candidates & ~adjacency[v], chosen | 1 << v, need - 1, alpha, adjacency)
+        if found is not None:
+            return found
+    return None
+
+
+def _extend_pair(k: int, need: int, alpha: list, adjacency: list):
+    """Mask of an avoiding set of need + 2 vertices holding 0 and k-1, or None.
+    The root branches on the second-highest member s from the top down, and
+    x -> k-1-x maps a set whose second-lowest member t < k-1-s to one with
+    the higher, refuted second-highest member k-1-t, so candidates below
+    k-1-s are dropped: valid only while s is the top candidate."""
+    if adjacency[k - 1] & 1:
+        return None
+    candidates = ((1 << (k - 1)) - 2) & ~adjacency[k - 1] & ~adjacency[0]
+    while candidates:
+        s = candidates.bit_length() - 1
+        candidates &= -1 << (k - 1 - s)
+        if not (candidates >> s & 1 and _bounded(candidates, need, alpha)
+                and _uncovered(candidates, adjacency, need - 1)):
             return None
-        bit = 1 << hi
-        candidates ^= bit
-        found = _extend(candidates & ~adjacency[hi], chosen | bit, need - 1, alpha, adjacency)
+        candidates ^= 1 << s
+        found = _extend(candidates & ~adjacency[s], 1 | 1 << s | 1 << (k - 1), need - 1, alpha, adjacency)
         if found is not None:
             return found
     return None
@@ -158,16 +185,20 @@ def _extend(candidates: int, chosen: int, need: int, alpha: list, adjacency: lis
 
 def max_avoiding_set(r_set, n: int):
     """Exact maximum subset of {0..n-1} whose pairwise differences avoid
-    r_set, by a Russian-doll search over prefixes of the difference graph.
+    r_set (r and -r alike), by a Russian-doll search over prefixes of the
+    difference graph.
 
     A shifted copy of an avoiding set still avoids r_set, so every interval
     of length L has the same maximum alpha_L.  alpha_k exceeds alpha_{k-1}
     (by one) when some avoiding set in {0..k-1} has that size; it contains
-    both 0 and k-1, or a shift would fit it in {0..k-2}.  A depth-first
-    search from the pair decides this, pruned by alpha of the intervals its
-    candidates span and by a greedy clique cover.  Returns (alpha,
-    witness), witness some maximum set, sorted.  Horizons above 80 are
-    refused to keep the exactness promise honest.
+    both 0 and k-1, or a shift would fit it in {0..k-2}.  The last witness
+    plus k-1 is one when k-1 is compatible with it; otherwise a depth-first
+    search from the pair decides, pruned by alpha of the intervals its
+    candidates span and by greedy cliques grown once per node (the colour
+    bound of Tomita and Seki's MCQ/MCS), with the reflection x -> k-1-x
+    broken at the root.  Returns (alpha, witness), witness some maximum
+    set, sorted.  Horizons above 80 are refused to keep the exactness
+    promise honest.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -175,7 +206,7 @@ def max_avoiding_set(r_set, n: int):
         raise ValueError(
             f"horizon {n} exceeds the exact branch-and-bound cap {MAX_EXACT_HORIZON}"
         )
-    diffs = sorted({int(r) for r in r_set if 0 < int(r) < n})
+    diffs = sorted({abs(int(r)) for r in r_set} & set(range(1, n)))
     adjacency = [0] * n
     for r in diffs:
         for v in range(n - r):
@@ -185,12 +216,11 @@ def max_avoiding_set(r_set, n: int):
     alpha = [0, 1] + [0] * (n - 1)
     best_mask = 1
     for k in range(2, n + 1):
-        bit = 1 << (k - 1)
-        found = None
-        if not adjacency[k - 1] & 1:
-            candidates = (bit - 2) & ~adjacency[k - 1] & ~adjacency[0]
-            found = _extend(candidates, bit | 1, alpha[k - 1] - 1, alpha, adjacency)
         alpha[k] = alpha[k - 1]
+        if not adjacency[k - 1] & best_mask:
+            found = best_mask | 1 << (k - 1)
+        else:
+            found = _extend_pair(k, alpha[k - 1] - 1, alpha, adjacency)
         if found is not None:
             alpha[k] += 1
             best_mask = found

@@ -148,6 +148,16 @@ def test_witness_ledger_reads_r_range_from_digit_windows():
                     assert refusal in bad, (j, q, p)
 
 
+def test_block_row_q_above_4_ell_covers_8j_at_most_q():
+    # Q > 4*ell = 32j implies 8j <= Q for j >= 1, and j < 1 fails 'ell >= 1', so no ledger
+    # needs a row for 8j <= Q
+    for j in range(-2, 6):
+        for q in range(-4, 400):
+            for p in range(-1, 4):
+                if 8 * j > q:
+                    assert blocks.WitnessParams(j, 0.01, q, p).violations(), (j, q, p)
+
+
 def test_witness_depth_budget():
     budget = blocks.atom_budget()
     with pytest.raises(blocks.AtomBudgetError,

@@ -143,12 +143,36 @@ SQUARES = tuple(k * k for k in range(1, 9))
     "r_set, n, alpha",
     [(SQUARES, 40, 12), (SQUARES, 60, 16), (SQUARES, 80, 20)]
     + [(SQUARES + (t,), 70, a) for t, a in {5: 15, 7: 17, 10: 17, 11: 18, 12: 18}.items()]
-    + [((4, 16), 80, 32)],
+    + [((4, 16), 80, 32)]
+    # most prefixes of these must prove alpha_k = alpha_{k-1} exhaustively; pinned from
+    # reference_max_avoiding_set
+    + [((8, 30, 38, 65, 68, 79, 80), 73, 24), ((7, 36, 43, 74), 69, 25), ((9, 12, 17, 20, 61), 79, 28)],
 )
 def test_avoiding_set_pinned_alpha(r_set, n, alpha):
     found, witness = certify.max_avoiding_set(r_set, n)
     assert found == alpha == len(witness)
     assert_avoiding(witness, r_set, n)
+
+
+def test_avoiding_set_extends_the_last_witness():
+    # no difference below n: every prefix extends the last witness by its top vertex
+    for n in range(1, 81):
+        assert certify.max_avoiding_set({n, n + 3, 2 * n}, n) == (n, list(range(n)))
+    for n in range(2, 81):
+        assert certify.max_avoiding_set({n - 1}, n) == (n - 1, list(range(n - 1)))
+
+
+def test_avoiding_set_reads_negative_differences():
+    # a pair that differs by -r also differs by r; 0 and |r| >= n are ignored
+    assert certify.max_avoiding_set([-3], 6) == certify.max_avoiding_set([3], 6)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        n = int(rng.integers(1, 41))
+        r_set = {int(v) for v in rng.integers(-45, 46, size=int(rng.integers(0, 6)))}
+        alpha, witness = certify.max_avoiding_set(r_set, n)
+        assert alpha == certify.max_avoiding_set({-r for r in r_set}, n)[0] == len(witness)
+        assert alpha == certify.max_avoiding_set({abs(r) for r in r_set}, n)[0]
+        assert_avoiding(witness, {abs(r) for r in r_set}, n)
 
 
 def test_avoiding_set_horizon_guard():
