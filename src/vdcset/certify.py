@@ -264,7 +264,9 @@ def _check_lp_size(rows: int, order: int) -> None:
 
 def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """Probability measure on the order-N roots of unity maximising the
-    weight at 0 subject to a vanishing transform on r_set.
+    weight at 0 subject to a vanishing transform on r_set.  The transform
+    of a real measure at -r is the conjugate of that at r, so r_set is read
+    as {|r|}, and so is the witness's r_set.
 
     The LP is solved over reflection-symmetric measures.  The reflection
     j -> -j of a feasible measure is feasible (real weights: its transform
@@ -286,7 +288,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    r_set = tuple(sorted({int(r) for r in r_set}))
+    r_set = tuple(sorted({abs(int(r)) for r in r_set}))
     multiples = [r for r in r_set if r % order == 0]
     if multiples:
         raise LpInfeasibleError(

@@ -14,14 +14,15 @@ with that few atoms) it is extended to a full basis, and phase 2
 optimises from there.  Bland's smallest-index rule picks the entering
 variable and breaks leaving-row ties, so it terminates on degenerate bases.
 
-The working tableau is refactorised from the cleaned data at every
-iteration (these programs are tiny), so roundoff never accumulates across
-pivots, and the returned vertex solves its closing basis system to
-machine precision.  The final basis also yields the dual vector
-y = B^-T c_B, mapped back to the caller's rows: A^T y >= c and b.y equal
-to the optimum certify optimality.  Callers should still re-verify
-solutions independently; the diagnostics carry the basis condition
-number for that purpose.
+Each pivot inverts the m x m basis B afresh from the cleaned data (these
+programs are tiny), so roundoff never accumulates across pivots.  That one
+inverse prices the columns through the dual y = c_B B^-1 and the reduced
+costs c - y A, forms the entering column B^-1 a_q (the only column
+formed) and the basic values B^-1 b.  The last pivot's dual, mapped back
+to the caller's rows, is returned: A^T y >= c and b.y equal to the
+optimum certify optimality.  Callers should still re-verify solutions
+independently; the diagnostics carry the basis condition number for that
+purpose.
 """
 
 from dataclasses import dataclass, field
@@ -77,37 +78,34 @@ def _orthonormal_rows(matrix, rhs):
     return vt[:rank], transform @ rhs, transform
 
 
-def _factorise(matrix, rhs, basis):
-    basis_matrix = matrix[:, basis]
-    try:
-        solved = np.linalg.solve(basis_matrix, np.column_stack([matrix, rhs]))
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.linalg.cond(basis_matrix))
-        raise LpDegenerateError(
-            f"singular working basis {basis} (condition number {cond:g})"
-        ) from exc
-    return solved[:, :-1], solved[:, -1]
-
-
 def _run_simplex(matrix, rhs, costs, basis):
-    """Bland-rule iterations on (matrix, rhs); mutates basis, returns
-    (iterations, basic values)."""
+    """Bland-rule iterations on (matrix, rhs), one basis inverse per pivot;
+    mutates basis, returns (iterations, basic values, dual)."""
     iterations = 0
     while True:
+        basis_matrix = matrix[:, basis]
         if iterations > MAX_ITERATIONS:
-            cond = float(np.linalg.cond(matrix[:, basis]))
+            cond = float(np.linalg.cond(basis_matrix))
             raise LpDegenerateError(
                 f"no convergence within {MAX_ITERATIONS} pivots "
                 f"(final basis condition number {cond:g})"
             )
-        tableau, basic_values = _factorise(matrix, rhs, basis)
-        reduced = costs - costs[basis] @ tableau
+        try:
+            inverse = np.linalg.inv(basis_matrix)
+        except np.linalg.LinAlgError as exc:
+            cond = float(np.linalg.cond(basis_matrix))
+            raise LpDegenerateError(
+                f"singular working basis {basis} (condition number {cond:g})"
+            ) from exc
+        basic_values = inverse @ rhs
+        dual = costs[basis] @ inverse
+        reduced = costs - dual @ matrix
         reduced[basis] = 0.0
         improving = np.flatnonzero(reduced > PIVOT_TOL)
         if not improving.size:
-            return iterations, basic_values
+            return iterations, basic_values, dual
         entering = int(improving[0])
-        column = tableau[:, entering]
+        column = inverse @ matrix[:, entering]
         rows = np.flatnonzero(column > PIVOT_TOL)
         if not rows.size:
             raise LpUnboundedError(f"objective unbounded along column {entering}")
@@ -179,42 +177,40 @@ def _extend_basis(matrix, columns):
 def solve_lp(costs, matrix, rhs, start) -> LpResult:
     """Maximise costs.x subject to matrix @ x = rhs, x >= 0.
 
-    ``start`` must be a feasible point: non-negative and solving the
-    system to within PIVOT_TOL.
+    Every input must be finite.  ``start`` must be a feasible point:
+    non-negative and solving the system to within PIVOT_TOL.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    costs = np.asarray(costs, dtype=float)
+    costs, matrix, rhs, start = (np.asarray(a, dtype=float) for a in (costs, matrix, rhs, start))
     if matrix.ndim != 2 or matrix.shape[0] != rhs.shape[0] or matrix.shape[1] != costs.shape[0]:
         raise ValueError("inconsistent LP dimensions")
+    for name, data in (("costs", costs), ("matrix", matrix), ("rhs", rhs), ("start", start)):
+        if not np.isfinite(data).all():
+            raise ValueError(f"non-finite LP {name}")
     matrix, rhs, transform = _orthonormal_rows(matrix, rhs)
     m, n = matrix.shape
     if m == 0:
         raise LpDegenerateError("empty constraint system after preprocessing")
 
-    start = np.array(start, dtype=float)
     if start.shape != (n,) or start.min() < -PIVOT_TOL:
         raise ValueError("start must be a non-negative point with one entry per column")
     gap = float(np.linalg.norm(matrix @ start - rhs))
     if gap > PIVOT_TOL:
         raise ValueError(f"start is not feasible: equality residual {gap} > {PIVOT_TOL}")
     basis, steps = _crossover(matrix, costs, start)
-    phase2, basic_values = _run_simplex(matrix, rhs, costs, basis)
+    phase2, basic_values, dual = _run_simplex(matrix, rhs, costs, basis)
 
     x = np.zeros(n)
     x[basis] = np.maximum(basic_values, 0.0)
-    basis_matrix = matrix[:, basis]
-    dual = transform.T @ np.linalg.solve(basis_matrix.T, costs[basis])
     diag = {
         "rows": m,
         "crossover_steps": steps,
         "phase2_pivots": phase2,
-        "basis_condition": float(np.linalg.cond(basis_matrix)),
+        "basis_condition": float(np.linalg.cond(matrix[:, basis])),
     }
     return LpResult(
         x=x,
         objective=float(costs @ x),
         iterations=phase2,
-        dual=dual,
+        dual=transform.T @ dual,
         diagnostics=diag,
     )

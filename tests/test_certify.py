@@ -321,6 +321,30 @@ def test_lp_solves_the_former_stall():
     assert witness.diagnostics["rows"] <= 5
 
 
+def test_lp_long_bland_tour_matches_pin():
+    # Bland pricing walks 6682 phase-2 pivots from the subgroup start here
+    witness = certify.certify_not_vdc((1, 2, 3, 5, 8, 13), 0.1, 4096)
+    assert witness.atom == pytest.approx(0.22423491577590188, abs=1e-12)
+    assert witness.diagnostics["phase2_pivots"] == 6682
+    assert all(c.passed for c in witness.checks)
+
+
+def test_lp_reads_negative_frequencies():
+    # a real measure's transform at -r is the conjugate of that at r
+    assert certify.certify_not_vdc([-3, 5], 0.1, 16).r_set == (3, 5)
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        order = int(rng.integers(8, 65))
+        r_set = {int(v) for v in rng.integers(1, order, size=int(rng.integers(1, 5)))}
+        base = certify.certify_not_vdc(r_set, 0.1, order)
+        assert all(c.passed for c in base.checks)
+        for variant in ({-r for r in r_set}, r_set | {-r for r in r_set}):
+            witness = certify.certify_not_vdc(variant, 0.1, order)
+            assert witness.r_set == base.r_set == tuple(sorted(r_set))
+            assert witness.atom == pytest.approx(base.atom, abs=1e-12)
+            assert all(c.passed for c in witness.checks)
+
+
 @pytest.mark.parametrize("r_set, order", [(range(1, 9), 64), ((3, 20, 37, 45), 33), ((2, 5), 10)])
 def test_lp_solution_is_reflection_symmetric(r_set, order):
     witness = certify.max_atom_lp(r_set, order)

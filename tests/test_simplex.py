@@ -147,3 +147,14 @@ def test_degenerate_trig_system_stays_clean():
 def test_inconsistent_dimensions_are_refused(costs, matrix, rhs):
     with pytest.raises(ValueError, match="inconsistent LP dimensions"):
         sx.solve_lp(costs, matrix, rhs, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("costs, matrix, rhs, start, name", [
+    pytest.param([np.nan, 0.0], [[1.0, 1.0]], [1.0], [0.5, 0.5], "costs", id="costs"),
+    pytest.param([1.0, 0.0], [[1.0, np.nan]], [1.0], [0.5, 0.5], "matrix", id="matrix"),
+    pytest.param([1.0, 0.0], [[1.0, 1.0]], [np.inf], [0.5, 0.5], "rhs", id="rhs"),
+    pytest.param([1.0, 0.0], [[1.0, 1.0]], [1.0], [np.nan, 0.5], "start", id="start"),
+])
+def test_non_finite_data_is_refused(costs, matrix, rhs, start, name):
+    with pytest.raises(ValueError, match=f"non-finite LP {name}"):
+        sx.solve_lp(costs, matrix, rhs, start)
