@@ -31,8 +31,9 @@ cert = certify.certify_recurrence([2, 4], 0.2, 6)
 print(f"R = {{2,4}}, eps=0.2, n=6: alpha={cert.alpha}, certified={cert.certified} "
       "(2 > 1.2: horizon too small)")
 
-truncated = certify.truncate_preserving(set(range(1, 8)) | {1000}, 0.2, 8)
-print(f"truncation keeps certification: {{1..7, 1000}} cap [8] -> {sorted(truncated)}")
+cert = certify.certify_recurrence([*range(1, 8), 1000], 0.2, 8)
+print(f"R = {{1..7, 1000}}, eps=0.2, n=8: alpha={cert.alpha}, certified={cert.certified} "
+      "(r >= n is no difference of {0..7})")
 
 print("\n=== vdC-failure witnesses (LP) ===")
 for order in (4, 8, 16):

@@ -49,9 +49,6 @@ class RecurrenceCertificate:
     alpha: int
     witness: tuple
     certified: bool
-    # a certificate at n extends to every multiple of n by splitting any
-    # dense subset of [k*n] into length-n windows
-    extends_to_multiples: bool
 
     def to_json(self) -> str:
         return json.dumps(
@@ -62,7 +59,6 @@ class RecurrenceCertificate:
                 "alpha": self.alpha,
                 "witness": list(self.witness),
                 "certified": self.certified,
-                "extends_to_multiples": self.extends_to_multiples,
             }
         )
 
@@ -229,29 +225,22 @@ def max_avoiding_set(r_set, n: int):
     return alpha[n], witness
 
 
+def _check_epsilon(epsilon) -> None:
+    if not 0 < epsilon < 1:  # NaN fails the comparison too
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def certify_recurrence(r_set, epsilon: float, n: int) -> RecurrenceCertificate:
+    _check_epsilon(epsilon)
     alpha, witness = max_avoiding_set(r_set, n)
-    certified = alpha <= epsilon * n
     return RecurrenceCertificate(
-        r_set=tuple(sorted({int(r) for r in r_set})),
+        r_set=tuple(sorted({abs(int(r)) for r in r_set})),
         epsilon=float(epsilon),
         n=int(n),
         alpha=alpha,
         witness=tuple(witness),
-        certified=certified,
-        extends_to_multiples=certified,
+        certified=alpha <= epsilon * n,
     )
-
-
-def truncate_preserving(r_set, epsilon: float, n: int):
-    """R intersect {0..n-1}: differences inside the horizon never exceed
-    n-1, so certification survives truncation with identical alpha."""
-    cert = certify_recurrence(r_set, epsilon, n)
-    if not cert.certified:
-        raise ValueError(
-            f"cannot truncate an uncertified set: alpha {cert.alpha} > {epsilon * n}"
-        )
-    return {r for r in cert.r_set if r < n}
 
 
 def _check_lp_size(rows: int, order: int) -> None:
@@ -347,6 +336,7 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     """LP witness with independent re-verification; the certificate claims
     not-epsilon-vdC exactly when the verified atom clears epsilon.  The
     returned witness carries the table it passed as its checks."""
+    _check_epsilon(epsilon)
     base = max_atom_lp(r_set, order)
     witness = replace(base, epsilon=float(epsilon), not_vdc=base.atom > epsilon + EVAL_TOL)
     require(witness.checks, WitnessVerificationError, "LP witness re-verification")

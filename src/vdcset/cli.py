@@ -72,7 +72,6 @@ def cmd_build_block(args, report: RunReport) -> None:
         report.flags["invalid_params"] = "; ".join(bad)
         return
     report.flags["sample_poly_degree"] = params.sample_degree
-    report.flags["degree_below_order"] = params.sample_degree < params.order
     sigma = blocks.build_block(params)
     report.checks += blocks.block_checks(blocks.block_residuals(sigma, params))
     report.flags["order"] = sigma.order
@@ -98,7 +97,6 @@ def cmd_build_witness(args, report: RunReport) -> None:
     report.checks += blocks.witness_checks(res)
     report.flags["atom"] = res["atom"]
     report.flags["atom_exceeds_eps"] = res["atom"] > args.eps
-    report.flags["eps_claim_applies"] = not params.relaxed
     if args.emit:
         _emit_measure(report, "witness_measure", mu, args.emit)
 

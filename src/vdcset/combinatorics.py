@@ -46,16 +46,6 @@ class DigitVector:
             if not 0 <= c < self.q:
                 raise ValueError(f"coordinate {c} outside [0, {self.q})")
 
-    def to_json(self) -> str:
-        return f'{{"Q": {self.q}, "coords": {list(self.coords)}}}'
-
-    @staticmethod
-    def from_json(text: str) -> "DigitVector":
-        import json
-
-        obj = json.loads(text)
-        return DigitVector(int(obj["Q"]), tuple(obj["coords"]))
-
 
 def circular_distance(a: int, b: int, q: int) -> int:
     d = abs(a - b) % q

@@ -184,29 +184,25 @@ def test_avoiding_set_horizon_guard():
 
 def test_certify_recurrence_examples():
     cert = certify.certify_recurrence(range(1, 8), 0.2, 8)
-    assert cert.certified and cert.alpha == 1 and cert.extends_to_multiples
+    assert cert.certified and cert.alpha == 1
     assert certify.certify_recurrence([2, 4], 0.5, 6).certified
     assert not certify.certify_recurrence([2, 4], 0.2, 6).certified
+    for r_set in ([-100, 1], [100, 1]):  # R is read as {|r|}, as max_avoiding_set reads it
+        assert certify.certify_recurrence(r_set, 0.6, 20).r_set == (1, 100)
 
 
 def test_certificate_json_schema():
     cert = certify.certify_recurrence(range(1, 8), 0.2, 8)
     obj = json.loads(cert.to_json())
-    assert set(obj) >= {"R", "epsilon", "n", "alpha", "witness", "certified"}
+    assert set(obj) == {"R", "epsilon", "n", "alpha", "witness", "certified"}
     assert obj["R"] == list(range(1, 8))
     assert obj["certified"] is True
 
 
-def test_truncate_preserving():
-    r_set = set(range(1, 8)) | {1000}
-    truncated = certify.truncate_preserving(r_set, 0.2, 8)
-    assert truncated == set(range(1, 8))
-    again = certify.certify_recurrence(truncated, 0.2, 8)
-    assert again.certified
-    assert again.alpha == certify.certify_recurrence(r_set, 0.2, 8).alpha
-    assert certify.truncate_preserving({2, 4}, 0.5, 6) == {2, 4}
-    with pytest.raises(ValueError, match="uncertified"):
-        certify.truncate_preserving({2, 4}, 0.2, 6)
+def test_r_past_the_horizon_changes_nothing():
+    base = certify.certify_recurrence(range(1, 8), 0.2, 8)
+    wide = certify.certify_recurrence([*range(1, 8), 1000], 0.2, 8)
+    assert (wide.alpha, wide.witness, wide.certified) == (base.alpha, base.witness, base.certified)
 
 
 def full_lp_rows(r_set, order):

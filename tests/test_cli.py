@@ -156,6 +156,16 @@ def test_certify_recurrence_cli(tmp_path):
     assert report["flags"]["certificate"]["alpha"] == 1
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1", "0", "1"])
+@pytest.mark.parametrize("command, size", [("certify-recurrence", "--n"), ("certify-vdc", "--order")])
+def test_certify_commands_refuse_epsilon_outside_the_unit_interval(tmp_path, command, size, eps):
+    setf = tmp_path / "set.txt"
+    setf.write_text("1\n2\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run([command, "--set-file", str(setf), "--eps", eps, size, "8", "--json-out", str(out)]) == 1
+    assert "epsilon" in load_report(out)["flags"]["error"]
+
+
 def test_certify_vdc_cli(tmp_path):
     setf = tmp_path / "set.txt"
     setf.write_text("\n".join(str(r) for r in range(1, 8)), encoding="utf-8")
