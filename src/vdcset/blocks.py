@@ -34,38 +34,41 @@ class BlockBulletError(RuntimeError):
 
 class _Ledger:
     """The one check of a parameter ledger: each row is (name, holds), and
-    validate names every failed row after the class's message head."""
+    construction refuses, naming every failed row after the class's message head."""
 
-    def violations(self) -> list:
-        return [name for name, ok in self.ledger() if not ok]
-
-    def validate(self):
-        bad = self.violations()
+    def __post_init__(self):
+        bad = [name for name, ok in self.ledger() if not ok]
         if bad:
             raise BlockParamsError(f"{self._head} violate: " + "; ".join(bad))
 
 
+def _block_rows(ell: int, q: int, k: int) -> list:
+    """The 'Q sufficiently large' rows of the block (ell, Q, k); a negative k
+    fails 'k >= 0' and is read as 0 by the others, so every row is an integer test."""
+    low = q ** max(k, 0)
+    e, half = ell * low, low * q // 2
+    return [
+        ("ell >= 1", ell >= 1),
+        ("k >= 0", k >= 0),
+        ("Q even", q >= 2 and q % 2 == 0),
+        ("Q > 4*ell", q > 4 * ell),
+        ("Q/2 - 2*ell > ell", q > 6 * ell),
+        ("ell*Q^k < Q^(k+1)/2 - ell*Q^k", 2 * e < half),
+        ("-Q^(k+1)/2 + ell*Q^k < -Q^k", e + low < half),
+        ("2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k", 3 * e < half),
+    ]
+
+
 @dataclass(frozen=True)
 class BlockParams(_Ledger):
-    """(ell, Q, k) with the 'Q sufficiently large' inequality ledger."""
+    """(ell, Q, k), valid by construction under the 'Q sufficiently large' ledger."""
 
     ell: int
     q: int
     k: int
 
     def ledger(self) -> list:
-        e = self.ell * self.q**self.k
-        half = self.q ** (self.k + 1) // 2
-        return [
-            ("ell >= 1", self.ell >= 1),
-            ("k >= 0", self.k >= 0),
-            ("Q even", self.q >= 2 and self.q % 2 == 0),
-            ("Q > 4*ell", self.q > 4 * self.ell),
-            ("Q/2 - 2*ell > ell", self.q > 6 * self.ell),
-            ("ell*Q^k < Q^(k+1)/2 - ell*Q^k", 2 * e < half),
-            ("-Q^(k+1)/2 + ell*Q^k < -Q^k", e + self.q**self.k < half),
-            ("2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k", 3 * e < half),
-        ]
+        return _block_rows(self.ell, self.q, self.k)
 
     @property
     def _head(self) -> str:
@@ -110,7 +113,6 @@ def block_polynomials(params: BlockParams):
     m > 0 (the spike at -ell*Q^k reaches only m = 0, where p(ell*Q^k) = 0).
     The sums run in the order of the polynomial products they replace.
     """
-    params.validate()
     n_total, half = params.order, params.order // 2
     edge, width = params.ell * params.q**params.k, params.q**params.k
 
@@ -158,7 +160,6 @@ def block_checks(res: dict) -> list:
 def build_block(params: BlockParams) -> AtomicMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
     sampled polynomial s, with the four transform guarantees verified."""
-    params.validate()
     n_total = params.order
     require_budget(n_total, f"block order {n_total}")
     weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
@@ -173,12 +174,12 @@ def build_block(params: BlockParams) -> AtomicMeasure:
 
 @dataclass(frozen=True)
 class WitnessParams(_Ledger):
-    """Witness parameters (j, epsilon, Q, P).
+    """Witness parameters (j, epsilon, Q, P), valid by construction.
 
-    The canonical depth is floor(Q*log(2*j^2)) + 1; any smaller P is a
-    desk-scale relaxation.  Digit-pattern vanishing of the witness
-    transform holds at every depth; the epsilon bound on the atom at 0 is
-    only claimed at the canonical depth.
+    The canonical depth is canonical_depth(j, Q) = floor(Q*log(2*j^2)) + 1;
+    any smaller P is a desk-scale relaxation.  Digit-pattern vanishing of
+    the witness transform holds at every depth; the epsilon bound on the
+    atom at 0 is only claimed at the canonical depth.
     """
 
     j: int
@@ -188,7 +189,7 @@ class WitnessParams(_Ledger):
 
     @property
     def canonical_p(self) -> int:
-        return math.floor(self.q * math.log(2.0 * self.j**2)) + 1
+        return canonical_depth(self.j, self.q)
 
     @property
     def relaxed(self) -> bool:
@@ -213,11 +214,10 @@ class WitnessParams(_Ledger):
             pattern = ("digit_windows(j, Q, P)", True)
         except ValueError as exc:
             pattern = (str(exc), False)
-        block = BlockParams(self.ell, self.q, 0)
         return [
             pattern,
             ("0 < epsilon < 1/2", 0.0 < self.epsilon < 0.5),
-        ] + [(f"block k=0: {name}", ok) for name, ok in block.ledger()]
+        ] + [(f"block k=0: {name}", ok) for name, ok in _block_rows(self.ell, self.q, 0)]
 
     @property
     def _head(self) -> str:
@@ -225,6 +225,10 @@ class WitnessParams(_Ledger):
 
     def atom_lower_bound(self) -> float:
         return 1.0 / (1.0 + BlockParams(self.ell, self.q, 0).mass_bound ** self.p)
+
+
+def canonical_depth(j: int, q: int) -> int:
+    return math.floor(q * math.log(2.0 * j**2)) + 1
 
 
 def max_feasible_depth(q: int) -> int:
@@ -244,7 +248,6 @@ def build_witness(params: WitnessParams):
     vanishes on the digit patterns, mu has unit mass, and its atom at 0 is
     at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
-    params.validate()
     feasible = max_feasible_depth(params.q)
     if params.p > feasible:
         raise AtomBudgetError(

@@ -193,6 +193,8 @@ def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
 
 def grid_cells(q: int, p: int) -> int:
     """Q^P, the cells of an explicit grid; GridSizeError above GRID_CELL_LIMIT."""
+    if q < 2 or p < 1:
+        raise ValueError(f"grids need Q >= 2 and P >= 1, got Q={q}, P={p}")
     if q**p > GRID_CELL_LIMIT:
         raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
     return q**p

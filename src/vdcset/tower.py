@@ -28,8 +28,8 @@ from .trigpoly import EVAL_TOL, TrigPoly, add, constant, dilate, modulus, multip
 
 @dataclass(frozen=True)
 class TowerStage:
-    """One tower stage: recurrence set inside [1, n], smoothing degree
-    max_freq (must exceed n*(n+1)/eps_prime), dilation scale."""
+    """One tower stage, valid by construction: recurrence set inside [1, n],
+    smoothing degree max_freq (must exceed n*(n+1)/eps_prime), dilation scale."""
 
     r_set: tuple
     n: int
@@ -39,8 +39,6 @@ class TowerStage:
 
     def __post_init__(self):
         object.__setattr__(self, "r_set", tuple(sorted(set(int(r) for r in self.r_set))))
-
-    def validate(self):
         if not 0.0 < self.eps_prime < 0.5:
             raise ValueError(f"eps_prime must lie in (0, 1/2), got {self.eps_prime}")
         if self.r_set and (self.r_set[0] < 1 or self.r_set[-1] > self.n):
@@ -55,16 +53,11 @@ class TowerStage:
 
 
 def validate_stages(stages) -> None:
-    """Whole-tower growth ledger: stage 1 has dilation == max_freq, later
-    stages need dilation > 2*(prev.max_freq + 1)*prev.dilation, and
-    eps_prime is shared."""
-    for stage in stages:
-        stage.validate()
-    if not stages:
-        return
-    eps = stages[0].eps_prime
+    """Whole-tower growth ledger (each stage checks itself): stage 1 has
+    dilation == max_freq, later stages need dilation > 2*(prev.max_freq +
+    1)*prev.dilation, and eps_prime is shared."""
     for i, stage in enumerate(stages):
-        if stage.eps_prime != eps:
+        if stage.eps_prime != stages[0].eps_prime:
             raise ValueError("all stages must share one eps_prime")
         if i == 0:
             if stage.dilation != stage.max_freq:
@@ -122,12 +115,11 @@ def tower_block(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
     beta_hat(m) = sum_j w_j e(-m*j/N), the smoothed part is
     sum_j w_j F_M(t - j/N) - eps'*F_M(t) + eps' >= eps', as F_M >= 0 and
     w_0 > eps' (check_beta), and tower_correction bounds the rest.
-    validate (M*eps' > n*(n+1)) and mass <= 1 + EVAL_TOL give
+    TowerStage (M*eps' > n*(n+1)) and mass <= 1 + EVAL_TOL give
     floor > eps'*(eps' - EVAL_TOL); a floor <= 0 raises.  The float
     coefficients are off by at most 1.7e-15 in l1 norm, against
     np.longdouble at the stages and betas of tests/test_tower.py (floor 0.1).
     """
-    stage.validate()
     check_beta(stage, beta)
     eps, big_m = stage.eps_prime, stage.max_freq
     floor = eps - (beta.mass() - eps) * stage.n * (stage.n + 1) / big_m

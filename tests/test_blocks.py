@@ -9,16 +9,56 @@ from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
 
+def refusal(make, *args) -> str:
+    """The message of the ValueError that make(*args) raises, '' when it returns
+    (BlockParamsError is a ValueError)."""
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def test_params_ledger_names_violations():
-    good = blocks.BlockParams(2, 64, 0)
-    assert good.violations() == []
-    bad = blocks.BlockParams(2, 8, 0)
-    names = bad.violations()
-    assert "Q > 4*ell" in names
+    assert all(ok for _, ok in blocks.BlockParams(2, 64, 0).ledger())
     with pytest.raises(blocks.BlockParamsError, match="Q > 4\\*ell"):
-        bad.validate()
-    odd = blocks.BlockParams(2, 63, 0)
-    assert "Q even" in odd.violations()
+        blocks.BlockParams(2, 8, 0)
+    with pytest.raises(blocks.BlockParamsError, match="Q even"):
+        blocks.BlockParams(2, 63, 0)
+
+
+BLOCK_HEAD = "block parameters (ell={}, Q={}, k={}) violate: "
+WITNESS_HEAD = "witness parameters (j={}, Q={}, P={}) violate: "
+
+
+@pytest.mark.parametrize("make, args, rows", [
+    pytest.param(blocks.BlockParams, (0, 64, 0), ["ell >= 1"], id="ell"),
+    pytest.param(blocks.BlockParams, (2, 64, -1), ["k >= 0"], id="k"),
+    pytest.param(blocks.BlockParams, (2, 63, 0), ["Q even"], id="q-even"),
+    # Q > 6*ell (row 5) is row 8 at every k, and implies rows 4, 6 and 7 for ell >= 1
+    pytest.param(blocks.BlockParams, (2, 12, 1), ["Q/2 - 2*ell > ell", "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"],
+                 id="q-above-6-ell"),
+    pytest.param(blocks.BlockParams, (2, 8, 0), ["Q > 4*ell", "Q/2 - 2*ell > ell",
+                                                 "ell*Q^k < Q^(k+1)/2 - ell*Q^k",
+                                                 "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"], id="q-above-4-ell"),
+    pytest.param(blocks.BlockParams, (2, 0, -1), ["k >= 0", "Q even", "Q > 4*ell", "Q/2 - 2*ell > ell",
+                                                  "ell*Q^k < Q^(k+1)/2 - ell*Q^k",
+                                                  "-Q^(k+1)/2 + ell*Q^k < -Q^k",
+                                                  "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"], id="q-zero-k-negative"),
+    pytest.param(blocks.WitnessParams, (1, 0.01, 64, 0),
+                 ["digit patterns need j >= 1 and P >= 1, got j=1, P=0"], id="witness-pattern"),
+    pytest.param(blocks.WitnessParams, (1, 0.7, 64, 1), ["0 < epsilon < 1/2"], id="witness-epsilon"),
+    pytest.param(blocks.WitnessParams, (1, 0.01, 34, 2), ["block k=0: Q/2 - 2*ell > ell",
+                                                          "block k=0: 2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"],
+                 id="witness-block"),
+])
+def test_construction_names_each_failed_row(make, args, rows):
+    # the refusal names exactly the failed rows, in ledger order; (2, 0, -1) once divided by zero
+    head = (BLOCK_HEAD.format(*args) if make is blocks.BlockParams
+            else WITNESS_HEAD.format(args[0], *args[2:]))
+    with pytest.raises(blocks.BlockParamsError) as exc:
+        make(*args)
+    assert str(exc.value) == head + "; ".join(rows)
 
 
 def test_block_polynomial_coefficients():
@@ -60,9 +100,9 @@ def test_sample_degree_closed_form():
     for ell in range(1, 9):
         for q in range(2, 130, 2):
             for k in range(3):
-                params = blocks.BlockParams(ell, q, k)
-                if params.violations() or params.order > 1 << 14:
+                if refusal(blocks.BlockParams, ell, q, k) or q ** (k + 1) > 1 << 14:
                     continue
+                params = blocks.BlockParams(ell, q, k)
                 assert blocks.block_polynomials(params)[2].degree == params.sample_degree, params
                 swept += 1
     assert swept > 800
@@ -108,27 +148,22 @@ def test_block_budget_guard(monkeypatch):
 
 def test_witness_params_ledger():
     wp = blocks.WitnessParams(1, 0.01, 64, 2)
-    assert wp.canonical_p == math.floor(64 * math.log(2)) + 1 == 45
+    assert wp.canonical_p == blocks.canonical_depth(1, 64) == math.floor(64 * math.log(2)) + 1 == 45
     assert wp.relaxed
-    wp.validate()
     with pytest.raises(blocks.BlockParamsError, match="Q/2 \\+ 8\\*j < Q"):
-        blocks.WitnessParams(1, 0.01, 16, 1).validate()
+        blocks.WitnessParams(1, 0.01, 16, 1)
 
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_witness_ledger_matches_per_block_reference(j):
     # the block inequalities are homogeneous in Q^k for even Q, and an odd Q
-    # fails 'Q even' at every k, so one block ledger decides all k < P
+    # fails 'Q even' at every k, so one block ledger decides all k < P: the witness
+    # constructs exactly when R's range holds and every block k < P constructs
     for q in range(2, 200):
-        lengths = set()
         for p in range(1, 7):
-            wp = blocks.WitnessParams(j, 0.01, q, p)
-            witness_rows = [ok for name, ok in wp.ledger() if not name.startswith("block k=0")]
-            reference = all(witness_rows) and all(
-                ok for k in range(p) for _, ok in blocks.BlockParams(wp.ell, q, k).ledger())
-            assert (not wp.violations()) == reference, (j, q, p)
-            lengths.add(len(wp.ledger()))
-        assert len(lengths) == 1
+            reference = not refusal(cb.digit_windows, j, q, p) and not any(
+                refusal(blocks.BlockParams, 8 * j, q, k) for k in range(p))
+            assert (not refusal(blocks.WitnessParams, j, 0.01, q, p)) == reference, (j, q, p)
 
 
 def test_witness_ledger_reads_r_range_from_digit_windows():
@@ -136,16 +171,12 @@ def test_witness_ledger_reads_r_range_from_digit_windows():
     for j in range(4):
         for q in range(2, 200):
             for p in range(3):
-                try:
-                    cb.digit_windows(j, q, p)
-                    refusal = None
-                except ValueError as exc:
-                    refusal = str(exc)
-                bad = blocks.WitnessParams(j, 0.01, q, p).violations()
-                if refusal is None:
-                    assert not [name for name in bad if name.startswith("digit patterns")], (j, q, p)
+                pattern = refusal(cb.digit_windows, j, q, p)
+                message = refusal(blocks.WitnessParams, j, 0.01, q, p)
+                if pattern:
+                    assert f"violate: {pattern}" in message, (j, q, p)
                 else:
-                    assert refusal in bad, (j, q, p)
+                    assert "digit patterns" not in message, (j, q, p)
 
 
 def test_block_row_q_above_4_ell_covers_8j_at_most_q():
@@ -155,7 +186,7 @@ def test_block_row_q_above_4_ell_covers_8j_at_most_q():
         for q in range(-4, 400):
             for p in range(-1, 4):
                 if 8 * j > q:
-                    assert blocks.WitnessParams(j, 0.01, q, p).violations(), (j, q, p)
+                    assert refusal(blocks.WitnessParams, j, 0.01, q, p), (j, q, p)
 
 
 def test_witness_depth_budget():

@@ -74,11 +74,15 @@ def test_build_block_pass_and_emit(tmp_path):
     assert sigma.order == 64
 
 
-def test_build_block_named_violation(tmp_path):
+def test_build_block_named_violation(tmp_path, capsys):
+    # BlockParams refuses at construction; the refusal takes main's one named-error path
     out = tmp_path / "r.json"
     assert run(["build-block", "--ell", "2", "--q", "8", "--k", "0", "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert "Q > 4*ell" in report["flags"]["invalid_params"]
+    check_report_schema(report)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert report["flags"]["error"].startswith("block parameters (ell=2, Q=8, k=0) violate: Q > 4*ell; ")
+    assert "FAIL completed [block parameters" in capsys.readouterr().out
 
 
 def test_build_block_bigger_case():
@@ -105,8 +109,7 @@ def test_build_witness_canonical_refusal(tmp_path):
                 "--json-out", str(out)]) == 1
     report = load_report(out)
     check_report_schema(report)
-    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
-        ("parameter_ledger", True), ("completed", False)]
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
     assert "maximal feasible P for Q=64 is 4" in report["flags"]["error"]
 
 
@@ -115,7 +118,8 @@ def test_build_witness_ledger_violation(tmp_path):
     assert run(["build-witness", "--j", "1", "--eps", "0.01", "--q", "18",
                 "--p", "1", "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert "Q > 4*ell" in report["flags"]["invalid_params"]
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert "block k=0: Q > 4*ell" in report["flags"]["error"]
 
 
 def test_build_witness_canonical_depth_needs_a_valid_j(tmp_path, capsys):
@@ -123,12 +127,13 @@ def test_build_witness_canonical_depth_needs_a_valid_j(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert run(["build-witness", "--j", "0", "--eps", "0.01", "--q", "64",
                 "--json-out", str(out)]) == 1
-    refusal = "digit patterns need j >= 1 and P >= 1, got j=0, P=1"  # digit_windows' message
-    assert f"FAIL parameter_ledger [{refusal}; " in capsys.readouterr().out
+    refusal = ("witness parameters (j=0, Q=64, P=1) violate: "
+               "digit patterns need j >= 1 and P >= 1, got j=0, P=1; ")  # digit_windows' message first
+    assert f"FAIL completed [{refusal}" in capsys.readouterr().out
     report = load_report(out)
     check_report_schema(report)
-    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("parameter_ledger", False)]
-    assert report["flags"]["invalid_params"].startswith(f"{refusal}; ")
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert report["flags"]["error"].startswith(refusal)
 
 
 def test_set_file_parsing(tmp_path):
@@ -233,7 +238,10 @@ def test_lemma_prt_cli(tmp_path):
     out = tmp_path / "r.json"
     assert run(["lemma-prt", "--m-max", "6", "--random-trials", "50",
                 "--json-out", str(out)]) == 0
-    assert load_report(out)["pass"] is True
+    report = load_report(out)
+    assert report["pass"] is True
+    # every non-empty subset of m points under each of the m rotations, then the random systems
+    assert report["checks"][0]["value"] == sum(m * (2**m - 1) for m in range(1, 7)) + 50
 
 
 def test_lemma_digits_cli(tmp_path):
@@ -251,6 +259,8 @@ def test_lemma_pair_cli_hypothesis_and_sparse(tmp_path):
     report = load_report(out)
     assert report["flags"]["density_hypothesis"] is True
     assert report["flags"]["not_found"] == 0
+    assert report["checks"][0] == {"name": "pairs_found", "pass": True, "value": 10,
+                                   "tolerance": None, "detail": "10 trials"}
     # far below density: NotFound is reported with a flag but exit stays 0
     out2 = tmp_path / "r2.json"
     assert run(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "2",
@@ -258,6 +268,7 @@ def test_lemma_pair_cli_hypothesis_and_sparse(tmp_path):
     report2 = load_report(out2)
     assert report2["flags"]["density_hypothesis"] is False
     assert report2["flags"]["not_found"] == 5
+    assert [(c["name"], c["pass"], c["value"]) for c in report2["checks"]] == [("pairs_found", True, 0)]
 
 
 def test_tower_cli(tmp_path):
@@ -459,8 +470,7 @@ def test_atom_budget_env_override(tmp_path, monkeypatch):
     assert run(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2",
                 "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert [(c["name"], c["pass"]) for c in report["checks"]] == [
-        ("parameter_ledger", True), ("completed", False)]
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
     assert "atom budget 100; maximal feasible P for Q=64 is 1" in report["flags"]["error"]
 
 
@@ -552,11 +562,6 @@ def test_tower_rejects_non_finite_beta_weights(tmp_path, capsys):
     assert "FAIL completed [stage 1 is malformed: weight 0 is not finite: nan" in out
 
 
-LEDGER_NAMES = [
-    "ledger: ell >= 1", "ledger: k >= 0", "ledger: Q even", "ledger: Q > 4*ell",
-    "ledger: Q/2 - 2*ell > ell", "ledger: ell*Q^k < Q^(k+1)/2 - ell*Q^k",
-    "ledger: -Q^(k+1)/2 + ell*Q^k < -Q^k", "ledger: 2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k",
-]
 TOWER_NAMES = [
     f"stage{j}_{name}"
     for j in (1, 2)
@@ -599,27 +604,26 @@ def write_readme_inputs(tmp_path, monkeypatch):
         ], id="verify-kernels"),
         pytest.param(
             ["build-block", "--ell", "2", "--q", "64", "--k", "0"],
-            LEDGER_NAMES + ["mass_excess", "plus_band_residual", "minus_band_residual"],
+            ["mass_excess", "plus_band_residual", "minus_band_residual"],
             id="build-block",
         ),
         pytest.param(
             ["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"],
-            ["parameter_ledger", "digit_pattern_count", "pattern_zeros_residual", "mass",
-             "atom_lower_bound"],
+            ["digit_pattern_count", "pattern_zeros_residual", "mass", "atom_lower_bound"],
             id="build-witness",
         ),
         pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64"],
-                     ["parameter_ledger", "completed"], id="build-witness-canonical"),
+                     ["completed"], id="build-witness-canonical"),
         pytest.param(["certify-recurrence", "--set-file", "R.txt", "--eps", "0.2", "--n", "8"],
                      ["alpha_within_budget"], id="certify-recurrence"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"],
                      ["witness_mass", "witness_residual", "dual_bound",
                       "dual_min_slack", "duality_gap"], id="certify-vdc"),
-        pytest.param(["lemma-prt"], ["poincare_failures"], id="lemma-prt"),
+        pytest.param(["lemma-prt"], ["poincare_systems"], id="lemma-prt"),
         pytest.param(["lemma-digits", "--q", "64", "--p", "2"], ["all_found", "all_verified"],
                      id="lemma-digits"),
         pytest.param(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140"],
-                     ["bullets_verified", "found_under_hypothesis"], id="lemma-pair"),
+                     ["pairs_found", "found_under_hypothesis"], id="lemma-pair"),
         pytest.param(["tower", "--stages-file", "stages.json"], TOWER_NAMES, id="tower"),
     ],
 )
@@ -645,11 +649,10 @@ def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv
             "sampling_identity": 1e-9,
         }, id="verify-kernels"),
         pytest.param(["build-block", "--ell", "2", "--q", "64", "--k", "0"], {
-            **dict.fromkeys(LEDGER_NAMES),
             "mass_excess": 1e-9, "plus_band_residual": 1e-9, "minus_band_residual": 1e-9,
         }, id="build-block"),
         pytest.param(["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"], {
-            "parameter_ledger": None, "digit_pattern_count": None,
+            "digit_pattern_count": None,
             "pattern_zeros_residual": 1e-9, "mass": 1e-9, "atom_lower_bound": 1e-9,
         }, id="build-witness"),
         pytest.param(["certify-vdc", "--set-file", "R.txt", "--eps", "0.1", "--order", "8"], {
@@ -694,6 +697,10 @@ def test_acceptance_functions_take_no_tolerance(function):
     pytest.param(["verify-kernels", "--nmax", "0"], "nmax >= 1", id="verify-kernels"),
     pytest.param(["lemma-digits", "--q", "64", "--p", "0"], "P >= 1", id="lemma-digits"),
     pytest.param(["lemma-prt", "--random-size", "1"], "--random-size >= 2", id="lemma-prt"),
+    pytest.param(["lemma-pair", "--q", "4", "--p", "0", "--ell", "2", "--size", "1"],
+                 "grids need Q >= 2 and P >= 1, got Q=4, P=0", id="lemma-pair"),
+    pytest.param(["build-witness", "--j", "1", "--eps", "0.7", "--q", "64", "--p", "1"],
+                 "violate: 0 < epsilon < 1/2", id="build-witness"),
 ])
 def test_out_of_range_arguments_name_their_bound(tmp_path, argv, bound):
     out = tmp_path / "r.json"
@@ -777,3 +784,41 @@ def test_build_witness_emit(tmp_path, p, emitted):
     else:
         assert not target.exists() and report["artifacts"] == {}
         assert "262144 exceeds the 65536-atom emission gate" in report["flags"]["witness_measure_not_emitted"]
+
+
+def test_tower_bad_second_stage_is_named(tmp_path, capsys):
+    # TowerStage refuses at construction, inside the loop that numbers the stages
+    stages = {"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7},
+                                           {"r_set": [1], "n": 1, "max_freq": 6, "dilation": 113}]}
+    path = tmp_path / "stages.json"
+    path.write_text(json.dumps(stages), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 1
+    refusal = "stage 2 is malformed: max_freq 6 must exceed n*(n+1)/eps_prime = 6.66"
+    assert f"FAIL completed [{refusal}" in capsys.readouterr().out
+    report = load_report(out)
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert report["flags"]["error"].startswith(refusal)
+
+
+@pytest.mark.parametrize("argv, row", [
+    pytest.param(["lemma-prt", "--m-max", "0", "--random-trials", "0"], "poincare_systems", id="lemma-prt"),
+    pytest.param(["lemma-digits", "--q", "64", "--p", "2", "--trials", "0"], "all_found", id="lemma-digits"),
+    pytest.param(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140", "--trials", "0"],
+                 "pairs_found", id="lemma-pair"),
+])
+def test_lemma_runs_over_no_instance_fail(tmp_path, argv, row):
+    out = tmp_path / "r.json"
+    assert run(argv + ["--json-out", str(out)]) == 1
+    checks = {c["name"]: c for c in load_report(out)["checks"]}
+    assert (checks[row]["pass"], checks[row]["value"]) == (False, 0)
+
+
+@pytest.mark.parametrize("density", ["1.5", "nan", "inf", "0", "-0.5"])
+def test_lemma_digits_refuses_density_outside_the_unit_interval(tmp_path, monkeypatch, capsys, density):
+    monkeypatch.setattr(cli.np.random, "default_rng", _raise(AssertionError("drew before the density check")))
+    out = tmp_path / "r.json"
+    assert run(["lemma-digits", "--q", "32", "--p", "2", "--density", density, "--json-out", str(out)]) == 1
+    refusal = f"density must lie in (0, 1], got {float(density)}"
+    assert f"FAIL completed [{refusal}]" in capsys.readouterr().out
+    assert load_report(out)["flags"]["error"] == refusal

@@ -442,6 +442,10 @@ def test_digits_round_trip():
                  "members must hold one row of 2 cells per subset", id="members-one-dimensional"),
     pytest.param(lambda: cb.find_agreement_pair(range(25), 2, q=5, p=2), "modulus Q must be even",
                  id="agreement-odd-q"),
+    pytest.param(lambda: cb.grid_cells(4, 0), r"^grids need Q >= 2 and P >= 1, got Q=4, P=0$",
+                 id="grid-no-digit"),
+    pytest.param(lambda: cb.find_agreement_pair([0], 2, q=1, p=3), r"^grids need Q >= 2 and P >= 1",
+                 id="grid-modulus"),
 ])
 def test_refusals_name_their_bound(call, message):
     with pytest.raises(ValueError, match=message):

@@ -21,12 +21,14 @@ def half_beta():
 
 
 def test_stage_validation():
-    with pytest.raises(ValueError, match="max_freq"):
-        tower.TowerStage((1,), 1, EPS, 6, 6).validate()
-    with pytest.raises(ValueError, match="eps_prime"):
-        tower.TowerStage((1,), 1, 0.7, 7, 7).validate()
-    with pytest.raises(ValueError, match="inside"):
-        tower.TowerStage((3,), 1, EPS, 7, 7).validate()
+    # each stage refuses at construction; validate_stages keeps the cross-stage rules
+    with pytest.raises(ValueError, match=r"^max_freq 6 must exceed n\*\(n\+1\)/eps_prime = 6.66"):
+        tower.TowerStage((1,), 1, EPS, 6, 6)
+    with pytest.raises(ValueError, match=r"^eps_prime must lie in \(0, 1/2\), got 0.7$"):
+        tower.TowerStage((1,), 1, 0.7, 7, 7)
+    with pytest.raises(ValueError, match=r"^recurrence set \(3,\) not inside \[1, 1\]$"):
+        tower.TowerStage((3,), 1, EPS, 7, 7)
+    tower.validate_stages([])
     with pytest.raises(ValueError, match="dilation == max_freq"):
         tower.validate_stages([tower.TowerStage((1,), 1, EPS, 7, 9)])
     stages = toy_stages()
@@ -339,7 +341,7 @@ def test_claim_windows_match_the_mask_reference_when_empty():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: tower.TowerStage((1,), 1, EPS, 7, 0).validate(), "dilation must be >= 1",
+    pytest.param(lambda: tower.TowerStage((1,), 1, EPS, 7, 0), "dilation must be >= 1",
                  id="dilation"),
     pytest.param(lambda: tower.validate_stages([tower.TowerStage((1,), 1, EPS, 7, 7),
                                                 tower.TowerStage((1,), 1, 0.25, 9, 113)]),
