@@ -161,7 +161,7 @@ def build_block(params: BlockParams) -> AtomicMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
     sampled polynomial s, with the four transform guarantees verified."""
     n_total = params.order
-    require_budget(n_total, f"block order {n_total}")
+    require_budget(n_total, f"block order {params.q}^{params.k + 1}")  # Q^(k+1) may pass 4300 digits
     weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
     weights[[1, -1]] += 0.5
     sigma = AtomicMeasure(n_total, weights)

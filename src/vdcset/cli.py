@@ -17,8 +17,6 @@ import numpy as np
 from . import blocks, certify, combinatorics, measures, simplex, tower, trigpoly
 from .reports import RunReport
 
-KERNEL_GRID_FACTOR = 2  # grid must exceed 2*nmax^2 to resolve the kernel products
-
 
 def read_set_file(path: str) -> list:
     """One positive integer per line; blank lines and '#' comments are ignored."""
@@ -38,17 +36,8 @@ def read_set_file(path: str) -> list:
 
 
 def cmd_verify_kernels(args, report: RunReport) -> None:
-    need = KERNEL_GRID_FACTOR * args.nmax * args.nmax
-    detail = f"need grid > {KERNEL_GRID_FACTOR}*nmax^2 = {need}"
-    if report.add("grid_sufficient", args.grid > need, args.grid, detail=detail).passed:
-        orders, budget = range(1, args.nmax + 1), measures.atom_budget()
-        # the n*1 alone are nmax distinct orders, so the table is counted only when nmax grids fit
-        kernels = (len({n * m for n in orders for m in orders}) if args.nmax * args.grid <= budget
-                   else args.nmax)
-        measures.require_budget(kernels * args.grid,
-                                f"Fejer table of at least {kernels} kernels on grid {args.grid}")
-        res = trigpoly.kernel_residuals(args.grid, args.nmax, np.random.default_rng(args.seed))
-        report.checks += trigpoly.kernel_checks(res)
+    res = trigpoly.kernel_residuals(args.grid, args.nmax, np.random.default_rng(args.seed))
+    report.checks += trigpoly.kernel_checks(res)
 
 
 EMIT_ATOM_LIMIT = 1 << 16
@@ -78,7 +67,7 @@ def cmd_build_block(args, report: RunReport) -> None:
 
 def cmd_build_witness(args, report: RunReport) -> None:
     p = args.p
-    if p is None:  # log(2*j^2) needs j >= 1; below it WitnessParams names j, with P = 1
+    if p is None:  # the canonical depth needs j >= 1; below it WitnessParams names j, with P = 1
         p = blocks.canonical_depth(args.j, args.q) if args.j >= 1 else 1
     params = blocks.WitnessParams(args.j, args.eps, args.q, p)
     report.flags["relaxed"] = params.relaxed
@@ -117,6 +106,9 @@ def cmd_certify_vdc(args, report: RunReport) -> None:
 def cmd_lemma_prt(args, report: RunReport) -> None:
     if args.random_size < 2:
         raise ValueError(f"random systems need --random-size >= 2, got {args.random_size}")
+    top = args.m_max  # the widest subset table; no budget admits 2^64 cells, so the count stops there
+    measures.require_budget((2 ** min(top, 64) - 1) * top, f"subset table of (2^{top} - 1)*{top} cells")
+    measures.require_budget(args.random_size, f"random system of {args.random_size} points")
     rng = np.random.default_rng(args.seed)
     tested = 0  # poincare_returns raises RecurrenceBoundError on any row past its horizon
     for m in range(1, args.m_max + 1):
@@ -157,17 +149,19 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
 
 def cmd_lemma_pair(args, report: RunReport) -> None:
     space = combinatorics.grid_cells(args.q, args.p)  # before the draw allocates Q^P
+    if not 1 <= args.size <= space:
+        raise ValueError(f"--size must lie in [1, Q^P] = [1, {space}], got {args.size}")
     rng = np.random.default_rng(args.seed)
-    hypothesis = args.size * args.ell > space and args.p > args.q * np.log(args.ell)
-    report.flags["density_hypothesis"] = bool(hypothesis)
-    not_found = 0  # find_agreement_pair raises AgreementSearchError on a pair that breaks a bullet
+    guarantee = combinatorics.density_guarantee(args.size, args.ell, args.q, args.p)
+    report.flags["density_hypothesis"] = guarantee
+    found = 0  # find_agreement_pair raises on a broken bullet or on a miss the guarantee rules out
     for _ in range(args.trials):
         members = rng.choice(space, size=args.size, replace=False)
-        not_found += combinatorics.find_agreement_pair(members, args.ell, q=args.q, p=args.p) is None
-    report.flags["not_found"] = not_found
-    report.add("pairs_found", args.trials > 0, args.trials - not_found, detail=f"{args.trials} trials")
-    if hypothesis:
-        report.add("found_under_hypothesis", not_found == 0, not_found)
+        found += combinatorics.find_agreement_pair(members, args.ell, q=args.q, p=args.p) is not None
+    report.add("pairs_found", args.trials > 0, found, detail=f"{args.trials} trials")
+
+
+STAGE_KEYS = ("r_set", "n", "max_freq", "dilation")
 
 
 def cmd_tower(args, report: RunReport) -> None:
@@ -181,40 +175,30 @@ def cmd_tower(args, report: RunReport) -> None:
     except (KeyError, TypeError):
         raise ValueError("the stages file needs eps or eps_prime as a number") from None
     report.flags["eps_prime"] = eps_prime
-    stages, betas = [], []
+    stages = []
     for index, entry in enumerate(config.get("stages", []), 1):
+        unknown = sorted(entry.keys() - STAGE_KEYS) if isinstance(entry, dict) else []
+        if unknown:  # a key the file gives is never silently dropped for a default, such as an LP beta
+            raise ValueError(f"stage {index} has unknown keys {unknown}; "
+                             f"a stage holds only {', '.join(STAGE_KEYS)}")
         try:
-            stage = tower.TowerStage(
-                r_set=tuple(entry["r_set"]),
-                n=int(entry["n"]),
-                eps_prime=eps_prime,
-                max_freq=int(entry["max_freq"]),
-                dilation=int(entry["dilation"]),
-            )
-            beta_order = int(entry.get("beta_order") or 0)
-            beta = None
-            if "beta_weights" in entry:  # AtomicMeasure checks the shape and every weight
-                weights = np.array(entry["beta_weights"], dtype=float)
-                beta = measures.AtomicMeasure(weights.size, weights)
+            stages.append(tower.TowerStage(
+                r_set=tuple(entry["r_set"]), n=int(entry["n"]), eps_prime=eps_prime,
+                max_freq=int(entry["max_freq"]), dilation=int(entry["dilation"])))
         except KeyError as exc:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"stage {index} is malformed: {exc}") from None
-        stages.append(stage)
-        betas.append(_beta_for_stage(stage, beta_order, index) if beta is None else beta)
-    if not stages:
-        report.flags["empty"] = True
-        return
+    betas = [_beta_for_stage(stage, index) for index, stage in enumerate(stages, 1)]
     products = tower.build_tower(stages, betas)
     report.checks += tower.claim_checks(tower.claim_residuals(stages, products))
 
 
-def _beta_for_stage(stage, beta_order, index: int) -> measures.AtomicMeasure:
+def _beta_for_stage(stage, index: int) -> measures.AtomicMeasure:
     """A probability measure killing the stage's recurrence set with atom
     above eps_prime, from the LP certifier (smallest workable order)."""
     top = max(stage.r_set) if stage.r_set else 1
-    orders = [beta_order] if beta_order else range(top + 1, 4 * top + 5)
-    for order in orders:
+    for order in range(top + 1, 4 * top + 5):
         try:
             witness = certify.max_atom_lp(stage.r_set, order)
         except certify.LpInfeasibleError:

@@ -3,7 +3,7 @@
 The central search: inside a dense subset B of Z_Q^P (Q even), find a pair
 x, x' agreeing below some coordinate s, with x_s = 0, x'_s = Q/2, and all
 higher coordinates within circular distance 2.  Existence is guaranteed
-when |B| > Q^P / ell and P > Q*log(ell); the search realises the same
+when B is dense (density_guarantee); the search realises the same
 existence constructively and simply reports NotFound (None) otherwise.
 
 Grids are boolean arrays of shape (Q,)*P with axis i holding digit i
@@ -191,6 +191,11 @@ def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
     )
 
 
+def density_guarantee(count: int, ell: int, q: int, p: int) -> bool:
+    """Whether |B| = count > Q^P/ell and P > Q*log(ell), under which B holds an agreement pair."""
+    return count * ell > q**p and p > q * math.log(ell)  # log is not reached for ell <= 0
+
+
 def grid_cells(q: int, p: int) -> int:
     """Q^P, the cells of an explicit grid; GridSizeError above GRID_CELL_LIMIT."""
     if q < 2 or p < 1:
@@ -215,9 +220,8 @@ def find_agreement_pair(elements, ell: int, *, q: int, p: int):
     """First (smallest s, lexicographically smallest) agreement pair in B,
     given as flat indices sum_i coord_i * Q^i (the digit order of int_to_digits).
 
-    Returns an AgreementPair or None.  When the density hypothesis
-    |B| > Q^P/ell together with P > Q*log(ell) holds, a pair must exist;
-    exhausting the search in that regime indicates a bug and raises.
+    Returns an AgreementPair or None.  Under density_guarantee a pair must
+    exist; exhausting the search there indicates a bug and raises.
     """
     grid = _index_grid(elements, q, p)
     if q % 2:
@@ -226,8 +230,7 @@ def find_agreement_pair(elements, ell: int, *, q: int, p: int):
         if not bullets_hold(x, x_prime, s, q):
             raise AgreementSearchError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
         return AgreementPair(DigitVector(q, x), DigitVector(q, x_prime), s)
-    count = int(grid.sum())
-    if count * ell > q**p and p > q * math.log(ell):
+    if density_guarantee(int(grid.sum()), ell, q, p):
         raise AgreementSearchError(
             "agreement search exhausted although the density guarantee applies"
         )

@@ -55,7 +55,9 @@ class TowerStage:
 def validate_stages(stages) -> None:
     """Whole-tower growth ledger (each stage checks itself): stage 1 has
     dilation == max_freq, later stages need dilation > 2*(prev.max_freq +
-    1)*prev.dilation, and eps_prime is shared."""
+    1)*prev.dilation, and eps_prime is shared.  A tower has at least one stage."""
+    if not stages:
+        raise ValueError("a tower needs at least one stage")
     for i, stage in enumerate(stages):
         if stage.eps_prime != stages[0].eps_prime:
             raise ValueError("all stages must share one eps_prime")

@@ -308,11 +308,20 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
     Over 20 random trials each: multiply against pointwise products; the
     domination kernel's unit coefficients on |m| <= RL, its fixpoint
     f conv K = f for f = |g|^2 and the grid minimum of 4R*(f conv F_L) - f;
-    convex-profile grid minima; the sampling identity mean = coeff(0)."""
+    convex-profile grid minima; the sampling identity mean = coeff(0).
+    The Fejer table, a grid per distinct n*m, passes the atom budget first."""
+    # imported at call time: measures imports this module, so a top-level import would be circular
+    from .measures import atom_budget, require_budget
+
     if nmax < 1:
         raise ValueError(f"kernel identities need nmax >= 1, got {nmax}")
+    if grid <= 2 * nmax * nmax:
+        raise ValueError(f"kernel identities need grid > 2*nmax^2 = {2 * nmax * nmax}, got {grid}")
     orders = range(1, nmax + 1)
-    fej = {k: sample_values(fejer(k), grid) for k in {n * m for n in orders for m in orders}}
+    # the n*1 alone are nmax distinct orders, so the table is counted only when nmax grids fit
+    table = {n * m for n in orders for m in orders} if nmax * grid <= atom_budget() else orders
+    require_budget(len(table) * grid, f"Fejer table of at least {len(table)} kernels on grid {grid}")
+    fej = {k: sample_values(fejer(k), grid) for k in table}
 
     def pointwise():
         f = _random_real_poly(rng, int(rng.integers(0, 6)))

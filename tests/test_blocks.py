@@ -140,7 +140,7 @@ def test_block_spot_frequencies():
 
 def test_block_budget_guard(monkeypatch):
     monkeypatch.setenv("VDC_ATOM_BUDGET", "1000")
-    with pytest.raises(blocks.AtomBudgetError, match="^block order 4096 exceeds the atom budget 1000$"):
+    with pytest.raises(blocks.AtomBudgetError, match=r"^block order 64\^2 exceeds the atom budget 1000$"):
         blocks.build_block(blocks.BlockParams(2, 64, 1))
     monkeypatch.delenv("VDC_ATOM_BUDGET")
     assert blocks.atom_budget() == blocks.DEFAULT_ATOM_BUDGET

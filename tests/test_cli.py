@@ -1,6 +1,5 @@
 import inspect
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -47,11 +46,12 @@ def test_verify_kernels_nmax_one(tmp_path):
 
 
 def test_verify_kernels_insufficient_grid(tmp_path):
+    # kernel_residuals refuses the grid by name, as it refuses --nmax 0
     out = tmp_path / "r.json"
     assert run(["verify-kernels", "--grid", "2", "--json-out", str(out)]) == 1
     report = load_report(out)
-    assert report["pass"] is False
-    assert report["checks"][0]["name"] == "grid_sufficient"
+    assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+    assert report["flags"]["error"] == "kernel identities need grid > 2*nmax^2 = 128, got 2"
 
 
 def test_build_block_pass_and_emit(tmp_path):
@@ -258,16 +258,14 @@ def test_lemma_pair_cli_hypothesis_and_sparse(tmp_path):
                 "--trials", "10", "--json-out", str(out)]) == 0
     report = load_report(out)
     assert report["flags"]["density_hypothesis"] is True
-    assert report["flags"]["not_found"] == 0
-    assert report["checks"][0] == {"name": "pairs_found", "pass": True, "value": 10,
-                                   "tolerance": None, "detail": "10 trials"}
-    # far below density: NotFound is reported with a flag but exit stays 0
+    assert report["checks"] == [{"name": "pairs_found", "pass": True, "value": 10,
+                                 "tolerance": None, "detail": "10 trials"}]
+    # far below density: no pair is found, which the library allows there, and exit stays 0
     out2 = tmp_path / "r2.json"
     assert run(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "2",
                 "--trials", "5", "--json-out", str(out2)]) == 0
     report2 = load_report(out2)
     assert report2["flags"]["density_hypothesis"] is False
-    assert report2["flags"]["not_found"] == 5
     assert [(c["name"], c["pass"], c["value"]) for c in report2["checks"]] == [("pairs_found", True, 0)]
 
 
@@ -308,8 +306,8 @@ def test_tower_growth_violation(tmp_path):
 @pytest.mark.parametrize(
     "entry, message",
     [
-        pytest.param({"r_set": list(range(1, 9)), "n": 8, "max_freq": 300, "dilation": 300,
-                      "beta_order": 9}, "stage 1: no LP witness", id="no-lp-witness"),
+        pytest.param({"r_set": [1, 2, 3], "n": 3, "max_freq": 41, "dilation": 41},  # best atom 1/4
+                     "stage 1: no LP witness with atom above 0.3 found for (1, 2, 3)", id="no-lp-witness"),
         pytest.param({"r_set": [1], "max_freq": 7, "dilation": 7}, "stage 1 lacks the key 'n'",
                      id="missing-key"),
     ],
@@ -326,6 +324,9 @@ def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
     assert f"FAIL completed [{message}" in capsys.readouterr().out
 
 
+UNKNOWN_KEY = "stage 1 has unknown keys ['{}']; a stage holds only r_set, n, max_freq, dilation"
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -340,16 +341,17 @@ def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
                      id="stages-not-a-list"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
                                                     "dilation": 7, "beta_weights": 3}]},
-                     "stage 1 is malformed", id="beta-weights-not-a-list"),
+                     UNKNOWN_KEY.format("beta_weights"), id="beta-weights-not-a-list"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
                                                     "dilation": 7, "beta_weights": [0.5, -0.5]}]},
-                     "stage 1 is malformed: negative weight", id="beta-weights-negative"),
+                     UNKNOWN_KEY.format("beta_weights"), id="beta-weights-negative"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
                                                     "dilation": 7, "beta_weights": []}]},
-                     "stage 1 is malformed: order must be >= 1", id="beta-weights-empty"),
+                     UNKNOWN_KEY.format("beta_weights"), id="beta-weights-empty"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7,
                                                     "dilation": 7, "beta_order": "x"}]},
-                     "stage 1 is malformed", id="beta-order-not-an-integer"),
+                     UNKNOWN_KEY.format("beta_order"), id="beta-order-not-an-integer"),
+        pytest.param({"eps_prime": 0.3, "stages": [3]}, "stage 1 is malformed", id="stage-not-an-object"),
     ],
 )
 def test_malformed_stage_files_are_reported(tmp_path, capsys, config, message):
@@ -364,7 +366,7 @@ def test_malformed_stage_files_are_reported(tmp_path, capsys, config, message):
 
 
 def test_tower_product_over_the_atom_budget_is_reported(tmp_path, capsys):
-    stage = {"r_set": [1], "n": 1, "max_freq": 10**9, "dilation": 10**9, "beta_weights": [0.5, 0.5]}
+    stage = {"r_set": [1], "n": 1, "max_freq": 10**9, "dilation": 10**9}
     path = tmp_path / "stages.json"
     path.write_text(json.dumps({"eps_prime": 0.3, "stages": [stage]}), encoding="utf-8")
     out = tmp_path / "r.json"
@@ -384,7 +386,7 @@ R1TO8 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "r1t
                  cli.np, "arange",
                  "LP of 9 rows on 50000001 orbit columns (450000009 entries) exceeds the atom budget",
                  id="certify-vdc"),
-    pytest.param(["verify-kernels", "--grid", "400000000", "--nmax", "2"], cli.trigpoly, "kernel_residuals",
+    pytest.param(["verify-kernels", "--grid", "400000000", "--nmax", "2"], cli.trigpoly, "sample_values",
                  "Fejer table of at least 2 kernels on grid 400000000 exceeds the atom budget",
                  id="verify-kernels"),
     pytest.param(["lemma-digits", "--q", "64", "--p", "5"], cli.np.random, "default_rng",
@@ -392,6 +394,14 @@ R1TO8 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "r1t
     pytest.param(["lemma-pair", "--q", "64", "--p", "5", "--ell", "2", "--size", "200000000"],
                  cli.np.random, "default_rng", "Q^P = 1073741824 exceeds the 16777216 cell limit",
                  id="lemma-pair"),
+    # Q^(k+1) has 5420 digits, past Python's int-to-str limit: the refusal words it as a power
+    pytest.param(["build-block", "--ell", "2", "--q", "64", "--k", "3000"], blocks, "block_polynomials",
+                 "block order 64^3001 exceeds the atom budget", id="build-block-power"),
+    pytest.param(["lemma-prt", "--m-max", "40"], cli.np.random, "default_rng",
+                 "subset table of (2^40 - 1)*40 cells exceeds the atom budget", id="lemma-prt-subsets"),
+    pytest.param(["lemma-prt", "--random-size", "1000000000", "--random-trials", "1"], cli.np.random,
+                 "default_rng", "random system of 1000000000 points exceeds the atom budget",
+                 id="lemma-prt-random"),
 ])
 def test_oversized_inputs_are_refused_before_they_allocate(tmp_path, monkeypatch, capsys, argv,
                                                            owner, name, refusal):
@@ -430,9 +440,14 @@ def test_lemma_grids_are_refused_at_the_cell_limit(tmp_path, monkeypatch):
 
 
 def test_tower_empty_stages(tmp_path):
-    path = tmp_path / "stages.json"
-    path.write_text('{"eps_prime": 0.3, "stages": []}', encoding="utf-8")
-    assert run(["tower", "--stages-file", str(path)]) == 0
+    # a tower of no stages tests nothing, so an empty or a missing list is refused rather than passed
+    path, out = tmp_path / "stages.json", tmp_path / "r.json"
+    for text in ('{"eps_prime": 0.3, "stages": []}', '{"eps_prime": 0.3}'):
+        path.write_text(text, encoding="utf-8")
+        assert run(["tower", "--stages-file", str(path), "--json-out", str(out)]) == 1
+        report = load_report(out)
+        assert [(c["name"], c["pass"]) for c in report["checks"]] == [("completed", False)]
+        assert report["flags"]["error"] == "a tower needs at least one stage"
 
 
 def test_reports_are_reproducible(tmp_path):
@@ -522,46 +537,6 @@ def test_build_block_computes_block_polynomials_once(monkeypatch, capsys):
     assert "FLAG sample_poly_degree = 639" in capsys.readouterr().out
 
 
-def beta_stage_file(tmp_path, mass):
-    """A one-stage tower file whose beta is uniform on 3 points with this mass."""
-    stages = {
-        "eps_prime": 0.3,
-        "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7,
-                    "beta_weights": [mass / 3] * 3}],
-    }
-    path = tmp_path / "stages.json"
-    path.write_text(json.dumps(stages), encoding="utf-8")
-    return str(path)
-
-
-def test_tower_beta_mass_within_tolerance(tmp_path):
-    # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage must build
-    out = tmp_path / "r.json"
-    path = beta_stage_file(tmp_path, 1.0 + 5e-10)
-    assert run(["tower", "--stages-file", path, "--json-out", str(out)]) == 0
-    checks = {c["name"]: c for c in load_report(out)["checks"]}
-    assert checks["stage1_mean"]["value"] == pytest.approx(5e-10, abs=1e-12)
-
-
-def test_tower_beta_mass_beyond_tolerance_fails(tmp_path, capsys):
-    # mass 1 + 1e-7 misses the pinned 1e-9: no option can loosen it
-    assert run(["tower", "--stages-file", beta_stage_file(tmp_path, 1.0 + 1e-7)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL completed" in out
-    assert "not 1 within 1e-09" in out
-
-
-def test_tower_rejects_non_finite_beta_weights(tmp_path, capsys):
-    # nan passed check_beta and the stage positivity test, failing only at stage1_mean
-    stages = {"eps_prime": 0.3, "stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7,
-                                            "beta_weights": [math.nan, 0.3333, 0.3333]}]}
-    path = tmp_path / "stages.json"
-    path.write_text(json.dumps(stages), encoding="utf-8")
-    assert run(["tower", "--stages-file", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL completed [stage 1 is malformed: weight 0 is not finite: nan" in out
-
-
 TOWER_NAMES = [
     f"stage{j}_{name}"
     for j in (1, 2)
@@ -597,7 +572,7 @@ def write_readme_inputs(tmp_path, monkeypatch):
     "argv, names",
     [
         pytest.param(["verify-kernels"], [
-            "grid_sufficient", "fejer_product_identity", "fejer_lower_bound",
+            "fejer_product_identity", "fejer_lower_bound",
             "fejer_upper_bound", "multiply_pointwise", "domination_kernel_coeffs",
             "domination_fixpoint", "domination_lower_bound", "convex_profile_positivity",
             "sampling_identity",
@@ -623,7 +598,7 @@ def write_readme_inputs(tmp_path, monkeypatch):
         pytest.param(["lemma-digits", "--q", "64", "--p", "2"], ["all_found", "all_verified"],
                      id="lemma-digits"),
         pytest.param(["lemma-pair", "--q", "4", "--p", "4", "--ell", "2", "--size", "140"],
-                     ["pairs_found", "found_under_hypothesis"], id="lemma-pair"),
+                     ["pairs_found"], id="lemma-pair"),
         pytest.param(["tower", "--stages-file", "stages.json"], TOWER_NAMES, id="tower"),
     ],
 )
@@ -642,7 +617,7 @@ def test_readme_commands_print_pinned_checks(tmp_path, monkeypatch, capsys, argv
     "argv, tolerances",
     [
         pytest.param(["verify-kernels"], {
-            "grid_sufficient": None, "fejer_product_identity": 1e-9, "fejer_lower_bound": 1e-12,
+            "fejer_product_identity": 1e-9, "fejer_lower_bound": 1e-12,
             "fejer_upper_bound": 1e-12, "multiply_pointwise": 1e-9,
             "domination_kernel_coeffs": 1e-12, "domination_fixpoint": 1e-12,
             "domination_lower_bound": 1e-9, "convex_profile_positivity": 1e-9,
@@ -699,6 +674,11 @@ def test_acceptance_functions_take_no_tolerance(function):
     pytest.param(["lemma-prt", "--random-size", "1"], "--random-size >= 2", id="lemma-prt"),
     pytest.param(["lemma-pair", "--q", "4", "--p", "0", "--ell", "2", "--size", "1"],
                  "grids need Q >= 2 and P >= 1, got Q=4, P=0", id="lemma-pair"),
+    *[pytest.param(["lemma-pair", "--q", "4", "--p", "2", "--ell", "2", "--size", size],
+                   f"--size must lie in [1, Q^P] = [1, 16], got {size}", id=f"lemma-pair-size-{size}")
+      for size in ("0", "-1", "17", "100")],
+    pytest.param(["verify-kernels", "--grid", "100", "--nmax", "8"],
+                 "kernel identities need grid > 2*nmax^2 = 128, got 100", id="verify-kernels-grid"),
     pytest.param(["build-witness", "--j", "1", "--eps", "0.7", "--q", "64", "--p", "1"],
                  "violate: 0 < epsilon < 1/2", id="build-witness"),
 ])

@@ -1,0 +1,97 @@
+"""Seeded argv fuzz of every subcommand: each run ends in a JSON report and exit 0 or 1.
+
+Each parameter is drawn from its range (the bounds the library or the CLI
+refuses outside of), its edges and the values just outside it.  A run that
+exits 0 must have tested something: at least one check row, all passing.
+The atom budget and the grid-cell limit are small, so every refusal of an
+oversized input shows without a large allocation.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from vdcset import cli, combinatorics
+
+RUNS_PER_COMMAND = 12
+ATOM_BUDGET = 1 << 14
+GRID_CELL_LIMIT = 1 << 12
+
+# inclusive ranges, an int range with an optional step (Q is even); a float range's edges are
+# drawn as well, whether or not it is open there
+RANGES = {
+    "verify-kernels": {"--grid": (1, 1024), "--nmax": (1, 8)},
+    "build-block": {"--ell": (1, 4), "--q": (8, 128, 2), "--k": (0, 2)},
+    "build-witness": {"--j": (1, 2), "--eps": (0.0, 0.5), "--q": (50, 128, 2), "--p": (1, 2)},
+    "certify-recurrence": {"--eps": (0.0, 1.0), "--n": (1, 80)},
+    "certify-vdc": {"--eps": (0.0, 1.0), "--order": (1, 256)},
+    "lemma-prt": {"--m-max": (0, 8), "--random-size": (2, 64), "--random-trials": (0, 20)},
+    "lemma-digits": {"--j": (1, 2), "--q": (18, 64, 2), "--p": (1, 2), "--trials": (0, 4),
+                     "--density": (0.0, 1.0)},
+    "lemma-pair": {"--q": (2, 8, 2), "--p": (1, 4), "--ell": (1, 4), "--size": (1, 4096), "--trials": (0, 4)},
+}
+SET_FILE = {"certify-recurrence", "certify-vdc"}
+
+
+def draw(rng, lo, hi, step=1):
+    """A value inside the range half the time, else an edge or a value just outside it."""
+    if isinstance(lo, float):
+        inside, off = rng.uniform(lo, hi), [lo, hi, lo - 0.01, hi + 0.01, math.nan]
+    else:
+        inside, off = lo + step * int(rng.integers(0, (hi - lo) // step + 1)), [lo, hi, lo - 1, hi + 1]
+    return inside if rng.random() < 0.5 else off[int(rng.integers(len(off)))]
+
+
+def stage_entries(rng, eps_prime):
+    """Zero to two stages; each field is valid three times in four, else one step outside its ledger."""
+    valid = lambda good, bad: good if rng.random() < 0.75 else bad
+    entries, prev = [], None
+    for _ in range(int(rng.integers(0, 3))):
+        n = int(rng.integers(1, 4))
+        r_set = sorted({int(r) for r in rng.integers(1, n + 1, size=int(rng.integers(1, 3)))})
+        need = math.floor(n * (n + 1) / eps_prime) + 1
+        max_freq = valid(need, need - 1)
+        grown = max_freq if prev is None else 2 * (prev["max_freq"] + 1) * prev["dilation"] + 1
+        prev = {"r_set": valid(r_set, r_set + [n + 1]), "n": n, "max_freq": max_freq,
+                "dilation": valid(grown, grown - 1)}
+        entries.append(prev)
+    return entries
+
+
+def fuzz_argv(rng, command, tmp_path):
+    if command == "tower":
+        eps_prime = float(draw(rng, 0.0, 0.5))
+        path = tmp_path / "stages.json"
+        stages = stage_entries(rng, eps_prime if 0 < eps_prime < 0.5 else 0.3)
+        path.write_text(json.dumps({"eps_prime": eps_prime, "stages": stages}), encoding="utf-8")
+        return ["tower", "--stages-file", str(path)]
+    argv = [command, "--seed", str(int(rng.integers(0, 1 << 16)))]
+    for flag, bounds in RANGES[command].items():
+        argv += [flag, str(draw(rng, *bounds))]
+    if command in SET_FILE:
+        path = tmp_path / "set.txt"
+        path.write_text("\n".join(map(str, sorted({int(r) for r in rng.integers(1, 9, size=3)}))),
+                        encoding="utf-8")
+        argv += ["--set-file", str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_fuzzed_argv_ends_in_a_report(tmp_path, monkeypatch, command):
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(ATOM_BUDGET))
+    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", GRID_CELL_LIMIT)
+    rng = np.random.default_rng(sorted(cli.COMMANDS).index(command))
+    out = tmp_path / "r.json"
+    for _ in range(RUNS_PER_COMMAND):
+        argv = fuzz_argv(rng, command, tmp_path)
+        out.unlink(missing_ok=True)
+        code = cli.main(argv + ["--json-out", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert code in (0, 1), argv
+        assert report["pass"] is (code == 0), argv
+        if code == 0:
+            assert report["checks"] and all(c["pass"] for c in report["checks"]), argv
+        else:
+            assert not all(c["pass"] for c in report["checks"]), argv

@@ -147,8 +147,7 @@ def test_lcm_overflow_guard():
 
 
 def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
-    from vdcset import blocks, certify, cli, tower
-    from vdcset.reports import RunReport
+    from vdcset import blocks, certify, tower
 
     assert blocks.AtomBudgetError is ms.AtomBudgetError
     assert blocks.atom_budget is ms.atom_budget and blocks.DEFAULT_ATOM_BUDGET == ms.DEFAULT_ATOM_BUDGET
@@ -159,15 +158,14 @@ def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
     witness = certify.max_atom_lp([1], 8)  # 2 rows on 5 orbit columns
     monkeypatch.setenv("VDC_ATOM_BUDGET", "11")
     stage = tower.TowerStage((1,), 1, 0.3, 7, 7)  # 13 terms
-    kernels = cli.build_parser().parse_args(["verify-kernels", "--grid", "64", "--nmax", "2"])
     refusals = [
         ("common order 12", lambda: ms.convolve(a, b)),
-        ("block order 64", lambda: blocks.build_block(blocks.BlockParams(2, 64, 0))),
+        ("block order 64^1", lambda: blocks.build_block(blocks.BlockParams(2, 64, 0))),
         ("tower product of 13 terms", lambda: tower.build_tower([stage], [ms.uniform(3)])),
         ("LP of 2 rows on 17 orbit columns (34 entries)", lambda: certify.max_atom_lp([1], 32)),
         ("LP of 2 rows on 17 orbit columns (34 entries)", lambda: certify.lift_witness(witness, 4)),
         ("Fejer table of at least 2 kernels on grid 64",
-         lambda: cli.cmd_verify_kernels(kernels, RunReport("verify-kernels", {}))),
+         lambda: tp.kernel_residuals(64, 2, np.random.default_rng(0))),
     ]
     for what, refuse in refusals:  # every module's refusal is the one gate's error and wording
         with pytest.raises(ms.AtomBudgetError) as err:

@@ -28,13 +28,38 @@ def test_stage_validation():
         tower.TowerStage((1,), 1, 0.7, 7, 7)
     with pytest.raises(ValueError, match=r"^recurrence set \(3,\) not inside \[1, 1\]$"):
         tower.TowerStage((3,), 1, EPS, 7, 7)
-    tower.validate_stages([])
+    with pytest.raises(ValueError, match="^a tower needs at least one stage$"):
+        tower.validate_stages([])
     with pytest.raises(ValueError, match="dilation == max_freq"):
         tower.validate_stages([tower.TowerStage((1,), 1, EPS, 7, 9)])
     stages = toy_stages()
     stages[1] = tower.TowerStage((1,), 1, EPS, 7, 112)  # needs > 112
     with pytest.raises(ValueError, match="must exceed"):
         tower.validate_stages(stages)
+
+
+def uniform_beta(mass):
+    """Uniform on 3 points with this mass: its transform vanishes at 1 and its atom is mass/3."""
+    return ms.AtomicMeasure(3, np.full(3, mass / 3))
+
+
+def test_tower_beta_mass_within_tolerance():
+    # mass 1 + 5e-10 passes check_beta at tol 1e-9, so the stage builds and its mean carries the excess
+    stage = toy_stages()[0]
+    products = tower.build_tower([stage], [uniform_beta(1.0 + 5e-10)])
+    assert tower.claim_residuals([stage], products)[0]["mean_deviation"] == pytest.approx(5e-10, abs=1e-12)
+
+
+def test_tower_beta_mass_beyond_tolerance_fails():
+    # mass 1 + 1e-7 misses the pinned 1e-9: no option can loosen it
+    with pytest.raises(ValueError, match="not 1 within 1e-09"):
+        tower.check_beta(toy_stages()[0], uniform_beta(1.0 + 1e-7))
+
+
+def test_tower_rejects_non_finite_beta_weights():
+    # a nan weight would pass check_beta's comparisons; the measure refuses it first
+    with pytest.raises(ValueError, match="^weight 0 is not finite: nan$"):
+        tower.check_beta(toy_stages()[0], ms.AtomicMeasure(3, np.array([np.nan, 0.3333, 0.3333])))
 
 
 def test_beta_preconditions():
@@ -235,7 +260,7 @@ def test_stage_polynomial_stays_above_its_floor():
     # grid oracle for the closed-form floor eps' - (mass - eps')*n*(n+1)/max_freq
     rng = np.random.default_rng(5)
     for stage in (toy_stages()[0], depth4_stages()[0]):  # the dilation plays no part
-        lp = cli._beta_for_stage(stage, 0, 1)  # as cmd_tower picks it
+        lp = cli._beta_for_stage(stage, 1)  # as cmd_tower picks it
         for beta in [ms.uniform(3), lp, *random_betas(stage, rng, 20)]:
             eps, n = stage.eps_prime, stage.n
             floor = eps - (beta.mass() - eps) * n * (n + 1) / stage.max_freq

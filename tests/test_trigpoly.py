@@ -473,6 +473,23 @@ def test_kernel_residuals_need_an_order():
         tp.kernel_residuals(1024, 0, np.random.default_rng(0))
 
 
+def test_kernel_residuals_refuse_before_they_allocate(monkeypatch):
+    # the grid must resolve the products F_n(t)*F_m(n*t), and the Fejer table must fit the atom budget
+    with pytest.raises(ValueError, match=r"^kernel identities need grid > 2\*nmax\^2 = 128, got 128$"):
+        tp.kernel_residuals(128, 8, np.random.default_rng(0))
+    assert all(c.passed for c in tp.kernel_checks(tp.kernel_residuals(129, 8, np.random.default_rng(0))))
+    from vdcset.measures import AtomBudgetError
+
+    def refuse(*args):
+        raise AssertionError("the Fejer table was sampled before the budget was checked")
+
+    monkeypatch.delenv("VDC_ATOM_BUDGET", raising=False)
+    monkeypatch.setattr(tp, "sample_values", refuse)
+    with pytest.raises(AtomBudgetError, match="^Fejer table of at least 2 kernels on grid 400000000 "
+                                              "exceeds the atom budget 67108864$"):
+        tp.kernel_residuals(400_000_000, 2, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: tp.sample_values(tp.fejer(2), 0), "grid must be >= 1", id="sample-grid"),
     pytest.param(lambda: tp.ConvexProfile([]), "at least f\\(0\\)", id="empty-profile"),
