@@ -151,8 +151,8 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
     space = combinatorics.grid_cells(args.q, args.p)  # before the draw allocates Q^P
     if not 1 <= args.size <= space:
         raise ValueError(f"--size must lie in [1, Q^P] = [1, {space}], got {args.size}")
+    guarantee = combinatorics.density_guarantee(args.size, args.ell, args.q, args.p)  # refuses ell < 1
     rng = np.random.default_rng(args.seed)
-    guarantee = combinatorics.density_guarantee(args.size, args.ell, args.q, args.p)
     report.flags["density_hypothesis"] = guarantee
     found = 0  # find_agreement_pair raises on a broken bullet or on a miss the guarantee rules out
     for _ in range(args.trials):

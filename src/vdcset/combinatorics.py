@@ -193,7 +193,9 @@ def bullets_hold(x: tuple, x_prime: tuple, s: int, q: int) -> bool:
 
 def density_guarantee(count: int, ell: int, q: int, p: int) -> bool:
     """Whether |B| = count > Q^P/ell and P > Q*log(ell), under which B holds an agreement pair."""
-    return count * ell > q**p and p > q * math.log(ell)  # log is not reached for ell <= 0
+    if ell < 1:
+        raise ValueError(f"ell must be >= 1, got {ell}")
+    return count * ell > q**p and p > q * math.log(ell)
 
 
 def grid_cells(q: int, p: int) -> int:
@@ -226,11 +228,12 @@ def find_agreement_pair(elements, ell: int, *, q: int, p: int):
     grid = _index_grid(elements, q, p)
     if q % 2:
         raise ValueError("modulus Q must be even")
+    guaranteed = density_guarantee(int(grid.sum()), ell, q, p)  # refuses ell < 1 before the search
     for x, x_prime, s in _agreement_candidates(grid, q):
         if not bullets_hold(x, x_prime, s, q):
             raise AgreementSearchError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
         return AgreementPair(DigitVector(q, x), DigitVector(q, x_prime), s)
-    if density_guarantee(int(grid.sum()), ell, q, p):
+    if guaranteed:
         raise AgreementSearchError(
             "agreement search exhausted although the density guarantee applies"
         )

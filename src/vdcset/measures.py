@@ -8,7 +8,6 @@ the one reader of that layout.  Measures are immutable; operations return
 new measures.
 """
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -93,18 +92,6 @@ class AtomicMeasure:
     def to_json(self) -> str:
         body = ", ".join(f"{w:.17g}" for w in self.weights)
         return f'{{"order": {self.order}, "weights": [{body}]}}'
-
-    @staticmethod
-    def from_json(text: str) -> "AtomicMeasure":
-        obj = json.loads(text)
-        return AtomicMeasure(int(obj["order"]), np.array(obj["weights"], dtype=float))
-
-
-def dirac(order: int, position: int) -> AtomicMeasure:
-    """Unit mass at the point position/order."""
-    w = np.zeros(order)
-    w[position % order] = 1.0
-    return AtomicMeasure(order, w)
 
 
 def uniform(order: int) -> AtomicMeasure:

@@ -201,12 +201,12 @@ def solve_lp(costs, matrix, rhs, start) -> LpResult:
 
     x = np.zeros(n)
     x[basis] = np.maximum(basic_values, 0.0)
-    diag = {
-        "rows": m,
-        "crossover_steps": steps,
-        "phase2_pivots": phase2,
-        "basis_condition": float(np.linalg.cond(matrix[:, basis])),
-    }
+    cond = float(np.linalg.cond(matrix[:, basis]))
+    residual = float(np.linalg.norm(matrix @ x - rhs))
+    if residual > PIVOT_TOL:  # the clamp moved a basic value by more than roundoff
+        raise LpDegenerateError(f"final basis misses the constraints: equality residual {residual:g} "
+                                f"> {PIVOT_TOL} (basis condition number {cond:g})")
+    diag = {"rows": m, "crossover_steps": steps, "phase2_pivots": phase2, "basis_condition": cond}
     return LpResult(
         x=x,
         objective=float(costs @ x),

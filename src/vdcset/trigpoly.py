@@ -19,6 +19,7 @@ folded mod the grid.
 """
 
 import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,12 +82,9 @@ class TrigPoly:
         return poly
 
     @property
-    def coeffs(self) -> dict:
-        """The polynomial as a {frequency: coefficient} dict, ascending, both signs."""
-        freqs, values = self.freqs.tolist(), self.values.tolist()
-        out = dict(zip(map(operator.neg, reversed(freqs)), map(complex.conjugate, reversed(values))))
-        out.update(zip(freqs, values))  # c_0 replaces its conjugate in place
-        return out
+    def coeffs(self) -> "_Coeffs":
+        """Read-only {frequency: coefficient} mapping, ascending over both signs, viewing the half."""
+        return _Coeffs(self)
 
     @property
     def degree(self) -> int:
@@ -103,6 +101,53 @@ class TrigPoly:
             out[hit] = self.values[i[hit]]
             np.conjugate(out, out=out, where=m < 0)  # c_-m = conj(c_m)
         return complex(out) if out.ndim == 0 else out
+
+
+class _Coeffs(Mapping):
+    """TrigPoly.coeffs, read from the half: Python int keys ascending over both signs (a float or
+    bool is no key), conj(c_m) at -m; O(1) len, binary-search lookups, iteration 2^14 terms at a time."""
+
+    def __init__(self, poly: TrigPoly):
+        self._poly, self._zero = poly, int(poly.freqs.size > 0 and poly.freqs[0] == 0)
+
+    def __len__(self) -> int:
+        return 2 * self._poly.freqs.size - self._zero  # frequency 0 once
+
+    def __getitem__(self, m) -> complex:
+        key = abs(int(m)) if isinstance(m, (int, np.integer)) and not isinstance(m, bool) else -1
+        freqs, values = self._poly.freqs, self._poly.values
+        i = freqs.searchsorted(key) if 0 <= key <= self._poly.degree else freqs.size
+        if i < freqs.size and freqs[i] == key:
+            return complex(values[i].conjugate() if m < 0 else values[i])
+        raise KeyError(m)
+
+    def _chunks(self):
+        """Aligned (frequencies, coefficients) arrays of at most 2^14 terms, ascending."""
+        freqs, values, step = self._poly.freqs, self._poly.values, 1 << 14
+        for end in range(freqs.size, self._zero, -step):  # the mirrored half m < 0 first
+            part = slice(max(end - step, self._zero), end)
+            yield -freqs[part][::-1], values[part][::-1].conj()
+        for start in range(0, freqs.size, step):
+            yield freqs[start:start + step], values[start:start + step]
+
+    def __iter__(self):
+        return (m for freqs, _ in self._chunks() for m in freqs.tolist())
+
+    def values(self):
+        return _CoeffValues(self)
+
+    def items(self):
+        return _CoeffItems(self)
+
+
+class _CoeffValues(ValuesView):  # the stock views would look up every key
+    def __iter__(self):
+        return (c for _, values in self._mapping._chunks() for c in values.tolist())
+
+
+class _CoeffItems(ItemsView):
+    def __iter__(self):
+        return (item for f, c in self._mapping._chunks() for item in zip(f.tolist(), c.tolist()))
 
 
 def _mirrored(f: TrigPoly, end=None):

@@ -8,6 +8,8 @@ from vdcset import combinatorics as cb
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
+from measure_helpers import dirac
+
 
 def refusal(make, *args) -> str:
     """The message of the ValueError that make(*args) raises, '' when it returns
@@ -242,7 +244,7 @@ def test_witness_rejects_broken_pattern_zero(monkeypatch):
         block = real(params, **kwargs)
         if params.k:
             return block
-        point = ms.dirac(block.order, 1)
+        point = dirac(block.order, 1)
         return ms.AtomicMeasure(block.order, 1.0 * block.weights + 1e-3 * point.weights)
 
     monkeypatch.setattr(blocks, "build_block", tilted)
@@ -275,7 +277,7 @@ def test_digit_pattern_members_small():
 
 def test_zero_set_basics():
     assert blocks.zero_set(ms.uniform(8), 7) == set(range(1, 8))
-    assert blocks.zero_set(ms.dirac(8, 0), 8) == set()
+    assert blocks.zero_set(dirac(8, 0), 8) == set()
     with pytest.raises(ValueError):
         blocks.zero_set(ms.uniform(8), 9)
 
@@ -349,7 +351,7 @@ def test_block_weights_match_scale_add_reference(ell, q, k):
     params = blocks.BlockParams(ell, q, k)
     n = params.order
     s = blocks.block_polynomials(params)[2]
-    pair = ms.AtomicMeasure(n, 0.5 * ms.dirac(n, 1).weights + 0.5 * ms.dirac(n, n - 1).weights)
+    pair = ms.AtomicMeasure(n, 0.5 * dirac(n, 1).weights + 0.5 * dirac(n, n - 1).weights)
     reference = ms.AtomicMeasure(n, 1.0 * pair.weights + 1.0 * ms.from_samples(s, n).weights)
     weights = blocks.build_block(params).weights
     assert weights.tobytes() == reference.weights.tobytes()
@@ -361,6 +363,6 @@ def test_witness_mu_matches_scale_add_reference(q, p):
     params = blocks.WitnessParams(1, 0.01, q, p)
     mu, sigma = blocks.build_witness(params)
     norm = 1.0 / (sigma.mass() + 1.0)
-    point = ms.dirac(params.order, 0)
+    point = dirac(params.order, 0)
     reference = ms.AtomicMeasure(params.order, norm * sigma.weights + norm * point.weights)
     assert mu.weights.tobytes() == reference.weights.tobytes()

@@ -6,6 +6,8 @@ import pytest
 
 from vdcset import blocks, certify, cli, simplex, tower
 
+from measure_helpers import measure_from_json
+
 
 def run(argv):
     return cli.main(argv)
@@ -68,9 +70,7 @@ def test_build_block_pass_and_emit(tmp_path):
     check_report_schema(report)
     assert report["artifacts"]["measure"]["path"] == str(measure_path)
     assert len(report["artifacts"]["measure"]["sha256"]) == 64
-    from vdcset.measures import AtomicMeasure
-
-    sigma = AtomicMeasure.from_json(measure_path.read_text())
+    sigma = measure_from_json(measure_path.read_text())
     assert sigma.order == 64
 
 
@@ -677,6 +677,8 @@ def test_acceptance_functions_take_no_tolerance(function):
     *[pytest.param(["lemma-pair", "--q", "4", "--p", "2", "--ell", "2", "--size", size],
                    f"--size must lie in [1, Q^P] = [1, 16], got {size}", id=f"lemma-pair-size-{size}")
       for size in ("0", "-1", "17", "100")],
+    *[pytest.param(["lemma-pair", "--q", "2", "--p", "1", "--ell", ell, "--size", "1", "--trials", "4"],
+                   f"ell must be >= 1, got {ell}", id=f"lemma-pair-ell-{ell}") for ell in ("0", "-1")],
     pytest.param(["verify-kernels", "--grid", "100", "--nmax", "8"],
                  "kernel identities need grid > 2*nmax^2 = 128, got 100", id="verify-kernels-grid"),
     pytest.param(["build-witness", "--j", "1", "--eps", "0.7", "--q", "64", "--p", "1"],

@@ -446,6 +446,10 @@ def test_digits_round_trip():
                  id="grid-no-digit"),
     pytest.param(lambda: cb.find_agreement_pair([0], 2, q=1, p=3), r"^grids need Q >= 2 and P >= 1",
                  id="grid-modulus"),
+    pytest.param(lambda: cb.density_guarantee(1, 0, 2, 1), r"^ell must be >= 1, got 0$",
+                 id="guarantee-ell"),
+    pytest.param(lambda: cb.find_agreement_pair(range(16), -1, q=4, p=2), r"^ell must be >= 1, got -1$",
+                 id="agreement-ell"),  # refused although the full cube holds a pair
 ])
 def test_refusals_name_their_bound(call, message):
     with pytest.raises(ValueError, match=message):

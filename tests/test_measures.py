@@ -8,6 +8,8 @@ import pytest
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
+from measure_helpers import dirac, measure_from_json
+
 
 def direct_circular_convolution(w1, w2):
     n = len(w1)
@@ -19,10 +21,10 @@ def direct_circular_convolution(w1, w2):
 
 
 def test_dirac_transform():
-    assert ms.dirac(4, 0).fourier(7) == pytest.approx(1.0)
-    assert ms.dirac(4, 1).fourier(1) == pytest.approx(-1j)
+    assert dirac(4, 0).fourier(7) == pytest.approx(1.0)
+    assert dirac(4, 1).fourier(1) == pytest.approx(-1j)
     # periodicity with period 4
-    assert ms.dirac(4, 1).fourier(5) == pytest.approx(-1j)
+    assert dirac(4, 1).fourier(5) == pytest.approx(-1j)
 
 
 def test_uniform_orthogonality():
@@ -32,7 +34,7 @@ def test_uniform_orthogonality():
 
 
 def test_symmetric_pair_gives_cosine():
-    m = ms.AtomicMeasure(8, 0.5 * ms.dirac(8, 1).weights + 0.5 * ms.dirac(8, 7).weights)
+    m = ms.AtomicMeasure(8, 0.5 * dirac(8, 1).weights + 0.5 * dirac(8, 7).weights)
     for k in range(-10, 11):
         assert m.fourier(k) == pytest.approx(math.cos(2 * math.pi * k / 8), abs=1e-12)
 
@@ -63,10 +65,10 @@ def test_periodicity_random():
 def test_convolution_identity_translation_uniform():
     rng = np.random.default_rng(17)
     m = ms.AtomicMeasure(6, rng.random(6))
-    out = ms.convolve(m, ms.dirac(6, 0))
+    out = ms.convolve(m, dirac(6, 0))
     assert np.allclose(out.weights, m.weights, atol=1e-12)
-    shifted = ms.convolve(ms.dirac(4, 1), ms.dirac(4, 2))
-    assert np.allclose(shifted.weights, ms.dirac(4, 3).weights, atol=1e-12)
+    shifted = ms.convolve(dirac(4, 1), dirac(4, 2))
+    assert np.allclose(shifted.weights, dirac(4, 3).weights, atol=1e-12)
     flat = ms.convolve(ms.uniform(4), ms.uniform(4))
     assert np.allclose(flat.weights, ms.uniform(4).weights, atol=1e-12)
 
@@ -140,8 +142,8 @@ def test_convolve_from_cached_spectra_matches_lifts(orders):
 
 
 def test_lcm_overflow_guard():
-    big = ms.dirac(1 << 21, 0)
-    other = ms.dirac((1 << 21) - 1, 0)  # coprime orders, lcm ~ 2^42
+    big = dirac(1 << 21, 0)
+    other = dirac((1 << 21) - 1, 0)  # coprime orders, lcm ~ 2^42
     with pytest.raises(ms.AtomBudgetError, match="exceeds the atom budget"):
         ms.convolve(big, other)
 
@@ -181,7 +183,7 @@ def test_from_samples_constant_and_fejer():
     assert flat.mass() == pytest.approx(1.0, abs=1e-12)
     # F_n vanishes at every non-zero n-th root: the sampled measure is dirac
     point = ms.from_samples(tp.fejer(n), n)
-    assert np.allclose(point.weights, ms.dirac(n, 0).weights, atol=1e-9)
+    assert np.allclose(point.weights, dirac(n, 0).weights, atol=1e-9)
 
 
 def test_from_samples_respects_sampling_identity():
@@ -208,13 +210,13 @@ def test_non_finite_weights_rejected(bad):
     with pytest.raises(ValueError, match="weight 1 is not finite"):
         ms.AtomicMeasure(3, np.array([0.5, bad, 0.5]))
     with pytest.raises(ValueError, match="weight 0 is not finite: nan"):
-        ms.AtomicMeasure.from_json('{"order": 3, "weights": [NaN, 0.5, 0.5]}')
+        measure_from_json('{"order": 3, "weights": [NaN, 0.5, 0.5]}')
 
 
 def test_json_round_trip_is_exact():
     rng = np.random.default_rng(29)
     m = ms.AtomicMeasure(7, rng.random(7))
-    back = ms.AtomicMeasure.from_json(m.to_json())
+    back = measure_from_json(m.to_json())
     assert back.order == 7
     assert np.array_equal(back.weights, m.weights)
 

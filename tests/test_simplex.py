@@ -158,3 +158,16 @@ def test_inconsistent_dimensions_are_refused(costs, matrix, rhs):
 def test_non_finite_data_is_refused(costs, matrix, rhs, start, name):
     with pytest.raises(ValueError, match=f"non-finite LP {name}"):
         sx.solve_lp(costs, matrix, rhs, start)
+
+
+def test_a_basis_the_clamp_would_hide_is_refused(monkeypatch):
+    # x0 + x1 = 1, x0 + x2 = 2: the basis {x0, x1} solves it with x1 = -1, which the final
+    # clamp to x >= 0 would turn into the non-solution x = (2, 0, 0)
+    def planted(matrix, rhs, costs, basis):
+        basis[:] = [0, 1]
+        inverse = np.linalg.inv(matrix[:, basis])
+        return 0, inverse @ rhs, costs[basis] @ inverse
+
+    monkeypatch.setattr(sx, "_run_simplex", planted)
+    with pytest.raises(sx.LpDegenerateError, match=r"equality residual \S+ > 1e-09 \(basis condition number"):
+        sx.solve_lp([1.0, 0.0, 0.0], [[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]], [1.0, 2.0], [0.5, 0.5, 1.5])

@@ -5,6 +5,8 @@ from vdcset import blocks, certify, cli, tower
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
+from measure_helpers import dirac
+
 EPS = 0.3
 
 
@@ -65,7 +67,7 @@ def test_tower_rejects_non_finite_beta_weights():
 def test_beta_preconditions():
     stage = toy_stages()[0]
     with pytest.raises(ValueError, match="transform at 1"):
-        tower.tower_block(stage, ms.dirac(2, 0))
+        tower.tower_block(stage, dirac(2, 0))
     low_atom = ms.AtomicMeasure(4, np.array([0.25, 0.25, 0.25, 0.25]))
     with pytest.raises(ValueError, match="atom at 0"):
         tower.tower_block(stage, low_atom)
