@@ -133,15 +133,14 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
         raise ValueError(f"density must lie in (0, 1], got {args.density}")
     rng = np.random.default_rng(args.seed)
     found, verified = 0, 0
+    size = int(np.ceil(args.density * space))
     for _ in range(args.trials):
-        size = int(np.ceil(args.density * space))
-        members = rng.choice(space, size=size, replace=False)
+        members = combinatorics.random_mask(rng, space, size)
         y = combinatorics.digit_difference(members, args.j, args.q, args.p)
         if y is None:
             continue
         found += 1
-        present = np.bincount(members, minlength=space).astype(bool)  # is y = e' - e in E - E?
-        verified += bool((present[: space - y] & present[y:]).any())
+        verified += bool((members[: space - y] & members[y:]).any())  # is y = e' - e in E - E?
     report.add("all_found", 0 < found == args.trials, found, detail=f"{args.trials} trials")
     report.add("all_verified", verified == found, verified)
     report.flags["density"] = args.density
@@ -156,7 +155,7 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
     report.flags["density_hypothesis"] = guarantee
     found = 0  # find_agreement_pair raises on a broken bullet or on a miss the guarantee rules out
     for _ in range(args.trials):
-        members = rng.choice(space, size=args.size, replace=False)
+        members = combinatorics.random_mask(rng, space, args.size)
         found += combinatorics.find_agreement_pair(members, args.ell, q=args.q, p=args.p) is not None
     report.add("pairs_found", args.trials > 0, found, detail=f"{args.trials} trials")
 

@@ -207,10 +207,27 @@ def grid_cells(q: int, p: int) -> int:
     return q**p
 
 
+def random_mask(rng, cells: int, size: int) -> np.ndarray:
+    """A uniform random size-subset of the cells as a bool mask.  The smaller
+    of the subset and its complement is drawn (the complement of a uniform
+    k-subset is uniform), so a size up to cells/2 gives the set of
+    rng.choice(cells, size, replace=False)."""
+    dense = 2 * size > cells
+    mask = np.full(cells, dense)
+    mask[rng.choice(cells, min(size, cells - size), replace=False)] = not dense
+    return mask
+
+
 def _index_grid(elements, q: int, p: int) -> np.ndarray:
-    """Grid of the members given as flat indices sum_i coord_i * Q^i."""
+    """Grid of the members given as flat indices sum_i coord_i * Q^i, or as
+    a bool mask of the Q^P cells in that order (reshaped, not copied)."""
     cells = grid_cells(q, p)
-    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements), dtype=np.int64)
+    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
+    if idx.dtype == bool:
+        if idx.shape != (cells,):
+            raise ValueError(f"a membership mask must have shape ({cells},), got {idx.shape}")
+        return idx.reshape((q,) * p, order="F")
+    idx = idx.astype(np.int64, copy=False)
     if idx.size and (idx.min() < 0 or idx.max() >= cells):
         raise ValueError(f"elements must lie inside [0, {cells})")
     flat = np.zeros(cells, dtype=bool)
@@ -220,7 +237,8 @@ def _index_grid(elements, q: int, p: int) -> np.ndarray:
 
 def find_agreement_pair(elements, ell: int, *, q: int, p: int):
     """First (smallest s, lexicographically smallest) agreement pair in B,
-    given as flat indices sum_i coord_i * Q^i (the digit order of int_to_digits).
+    given as flat indices sum_i coord_i * Q^i (the digit order of int_to_digits)
+    or as a bool mask of the Q^P cells in that order.
 
     Returns an AgreementPair or None.  Under density_guarantee a pair must
     exist; exhausting the search there indicates a bug and raises.
@@ -228,7 +246,8 @@ def find_agreement_pair(elements, ell: int, *, q: int, p: int):
     grid = _index_grid(elements, q, p)
     if q % 2:
         raise ValueError("modulus Q must be even")
-    guaranteed = density_guarantee(int(grid.sum()), ell, q, p)  # refuses ell < 1 before the search
+    count = int(np.count_nonzero(grid))  # a Python int, so an ell past int64 cannot overflow the product
+    guaranteed = density_guarantee(count, ell, q, p)  # refuses ell < 1 before the search
     for x, x_prime, s in _agreement_candidates(grid, q):
         if not bullets_hold(x, x_prime, s, q):
             raise AgreementSearchError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
@@ -289,8 +308,9 @@ def pattern_position(y: int, j: int, q: int, p: int):
 
 
 def digit_difference(elements, j: int, q: int, p: int):
-    """A positive difference of two members of E whose base-Q digits all
-    lie in [1, 8j) except one digit in [Q/2, Q/2 + 8j).
+    """A positive difference of two members of E (flat indices or a bool
+    mask, as for find_agreement_pair) whose base-Q digits all lie in
+    [1, 8j) except one digit in [Q/2, Q/2 + 8j).
 
     Procedure: shift-by-4 recurrence picks an n below ceil(2/density) with
     a dense overlap B = E intersect (E - 4n digitwise); an agreement pair
@@ -304,7 +324,7 @@ def digit_difference(elements, j: int, q: int, p: int):
     """
     digit_windows(j, q, p)  # refuses (j, Q, P) outside R's range before any grid is built
     grid = _index_grid(elements, q, p)
-    count_e = int(grid.sum())
+    count_e = int(np.count_nonzero(grid))
     if count_e == 0:
         return None
     horizon = -(-2 * (q**p) // count_e)
@@ -314,7 +334,7 @@ def digit_difference(elements, j: int, q: int, p: int):
         fallback = []
         for n in range(1, horizon + 1):
             overlap = overlap_at(n)
-            count = int(overlap.sum())
+            count = int(np.count_nonzero(overlap))
             if 2 * count * q**p >= count_e * count_e:
                 yield n, overlap
             elif count:

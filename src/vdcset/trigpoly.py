@@ -401,8 +401,8 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
     means = [sampling() for _ in range(20)]
     return {
         "fejer_product_identity": max(
-            float(np.abs(fej[n] * fej[m][n * np.arange(grid) % grid] - fej[n * m]).max())
-            for n in orders for m in orders
+            float(np.abs(fej[n] * fej[m][dilated] - fej[n * m]).max())
+            for n in orders for dilated in [n * np.arange(grid) % grid] for m in orders  # n*t once per n
         ),
         "fejer_lower_bound": min(float(fej[n].min()) for n in orders),
         "fejer_upper_bound": max(float((fej[n] - n).max()) for n in orders),

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -170,6 +171,82 @@ def test_index_grid_matches_digit_vectors():
     assert all(grid[v.coords] for v in vectors) and grid.sum() == 50
     with pytest.raises(ValueError, match="inside"):
         cb._index_grid(np.array([6**3]), 6, 3)
+
+
+def test_index_grid_reads_a_bool_mask_as_membership():
+    mask = np.zeros(16, dtype=bool)
+    mask[[5, 9, 14]] = True
+    grid = cb._index_grid(mask, 4, 2)
+    assert np.array_equal(grid, cb._index_grid([5, 9, 14], 4, 2))  # not the indices 0 and 1
+    assert np.shares_memory(grid, mask)  # the mask is the grid, reshaped without a copy
+
+
+@pytest.mark.parametrize("search, q", [
+    (lambda mask: cb.find_agreement_pair(mask, 2, q=4, p=2), 4),
+    (lambda mask: cb.digit_difference(mask, 1, 20, 2), 20),
+], ids=["find_agreement_pair", "digit_difference"])
+def test_a_mask_of_another_shape_is_refused_by_name(search, q):
+    for shape in [(q * q - 1,), (q * q + 1,), (q, q)]:
+        with pytest.raises(ValueError, match=re.escape(f"membership mask must have shape ({q * q},), got {shape}")):
+            search(np.ones(shape, dtype=bool))
+
+
+@pytest.mark.parametrize("q, p", [(4, 4), (20, 2), (64, 2)])
+@pytest.mark.parametrize("density", [0.05, 0.97])
+def test_mask_and_its_indices_give_the_same_results(q, p, density):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        mask = rng.random(q**p) < density
+        members = np.flatnonzero(mask)
+        assert np.array_equal(cb._index_grid(mask, q, p), cb._index_grid(members, q, p))
+        assert cb.find_agreement_pair(mask, 2, q=q, p=p) == cb.find_agreement_pair(members, 2, q=q, p=p)
+        if q > 16:  # the digit windows of j = 1 need Q > 16
+            assert cb.digit_difference(mask, 1, q, p) == cb.digit_difference(members, 1, q, p)
+
+
+def test_agreement_pair_of_a_mask_takes_an_ell_past_int64():
+    # the member count stays a Python int, so count * ell cannot overflow
+    pair = cb.find_agreement_pair(np.ones(16, dtype=bool), 10**30, q=4, p=2)
+    assert pair is not None and pair == cb.find_agreement_pair(range(16), 10**30, q=4, p=2)
+
+
+@pytest.mark.parametrize("cells", [1, 2, 1000, 4096])
+def test_random_mask_has_exactly_size_members(cells):
+    half = cells // 2
+    for size in sorted({0, 1, half, half + 1, cells - 1, cells} & set(range(cells + 1))):
+        mask = cb.random_mask(np.random.default_rng(size), cells, size)
+        assert mask.dtype == bool and mask.shape == (cells,)
+        assert np.count_nonzero(mask) == size
+
+
+@pytest.mark.parametrize("cells", [16, 1000, 4096, 40000])
+def test_random_mask_draws_as_rng_choice_up_to_half(cells):
+    for size in (0, 1, cells // 7, cells // 2):
+        mask = cb.random_mask(np.random.default_rng(size + 3), cells, size)
+        drawn = np.random.default_rng(size + 3).choice(cells, size, replace=False)
+        assert np.array_equal(np.flatnonzero(mask), np.sort(drawn))
+
+
+def test_random_mask_draws_the_smaller_of_the_set_and_its_complement():
+    drawn = []
+
+    class RecordingRng:
+        def choice(self, cells, size, replace):
+            drawn.append(size)
+            return np.random.default_rng(0).choice(cells, size, replace=replace)
+
+    for size in (3, 50, 51, 97):
+        assert np.count_nonzero(cb.random_mask(RecordingRng(), 100, size)) == size
+    assert drawn == [3, 50, 49, 3]
+
+
+def test_random_mask_dense_draws_are_uniform():
+    # each cell's inclusion frequency over 2000 seeded draws of 45 of 50 cells is about 0.9:
+    # the standard deviation of a frequency is sqrt(0.9 * 0.1 / 2000) = 0.0067, so 0.04 is six of them
+    rng = np.random.default_rng(12)
+    cells, size, draws = 50, 45, 2000
+    frequency = sum(cb.random_mask(rng, cells, size).astype(int) for _ in range(draws)) / draws
+    assert np.abs(frequency - size / cells).max() < 0.04
 
 
 def test_agreement_pair_rejects_members_outside_the_cube():

@@ -455,6 +455,16 @@ def test_kernel_residuals_samples_each_polynomial_once(monkeypatch):
     assert len(calls) == 30 + 20 + 20 + 20
 
 
+def test_fejer_product_identity_equals_the_pairwise_loop():
+    # the dilated index n*t mod grid, built once per n, gives the pairwise loop's value exactly
+    grid, nmax = 1024, 8
+    orders = range(1, nmax + 1)
+    fej = {k: tp.sample_values(tp.fejer(k), grid) for k in {n * m for n in orders for m in orders}}
+    pairwise = max(float(np.abs(fej[n] * fej[m][n * np.arange(grid) % grid] - fej[n * m]).max())
+                   for n in orders for m in orders)
+    assert tp.kernel_residuals(grid, nmax, np.random.default_rng(0))["fejer_product_identity"] == pairwise
+
+
 def test_kernel_checks_at_the_tolerance():
     # each residual exactly at its tolerance (minus it for the floors): strict
     # identities fail, the Fejer upper bound and the floors pass
