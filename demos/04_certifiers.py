@@ -63,6 +63,6 @@ lp = certify.certify_not_vdc(zeros, 0.05, 64)
 print(f"constructive atom {float(mu.weights[0]):.9f} <= LP optimum {lp.atom:.9f}")
 cert = certify.certify_recurrence(zeros, 0.5, 64)
 print(f"avoiding-set size of the zero set at horizon 64: alpha = {cert.alpha}")
-lifted = certify.lift_witness(lp, 3)
-print(f"witness lifts to 3*R at order {lifted.order}: atom {lifted.atom:.9f}, "
+lifted = certify.certify_not_vdc([3 * r for r in zeros], 0.05, 192)
+print(f"3*R at order {lifted.order} keeps the atom: {lifted.atom:.9f}, "
       f"residual {lifted.residual:.1e}")

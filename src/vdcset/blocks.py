@@ -145,28 +145,32 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     }
 
 
-def block_checks(res: dict) -> list:
-    """The acceptance table of a block, from block_residuals (min_weight has
-    no row: AtomicMeasure already rejects or clips negative weights)."""
-    return [
-        Check("mass_excess", res["mass_excess"] <= EVAL_TOL, res["mass_excess"], EVAL_TOL),
-        Check("plus_band_residual", res["plus_band_residual"] < EVAL_TOL,
-              res["plus_band_residual"], EVAL_TOL),
-        Check("minus_band_residual", res["minus_band_residual"] < EVAL_TOL,
-              res["minus_band_residual"], EVAL_TOL),
-    ]
+@dataclass(frozen=True, eq=False)
+class BlockMeasure(AtomicMeasure):
+    """A block measure with its parameters; checks is the table build_block required."""
+
+    params: BlockParams
+
+    @functools.cached_property
+    def checks(self) -> list:
+        """The acceptance table of a block, from block_residuals (min_weight has
+        no row: AtomicMeasure already rejects or clips negative weights)."""
+        res = block_residuals(self, self.params)
+        return [Check("mass_excess", res["mass_excess"] <= EVAL_TOL, res["mass_excess"], EVAL_TOL)] + [
+            Check(name, res[name] < EVAL_TOL, res[name], EVAL_TOL)
+            for name in ("plus_band_residual", "minus_band_residual")]
 
 
-def build_block(params: BlockParams) -> AtomicMeasure:
+def build_block(params: BlockParams) -> BlockMeasure:
     """Block measure of order Q^(k+1): the point-pair at +-1/N plus the
-    sampled polynomial s, with the four transform guarantees verified."""
+    sampled polynomial s, every row of its checks (the guarantees) passed."""
     n_total = params.order
     require_budget(n_total, f"block order {params.q}^{params.k + 1}")  # Q^(k+1) may pass 4300 digits
     weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
     weights[[1, -1]] += 0.5
-    sigma = AtomicMeasure(n_total, weights)
+    sigma = BlockMeasure(n_total, weights, params)
     del weights  # sigma holds its own copy: one order-N array through the residuals
-    require(block_checks(block_residuals(sigma, params)), BlockBulletError,
+    require(sigma.checks, BlockBulletError,
             f"block (ell={params.ell}, Q={params.q}, k={params.k}; a "
             f"'sufficiently large Q' condition is marginal)")
     return sigma
@@ -242,11 +246,11 @@ def build_witness(params: WitnessParams):
     """Convolve the depth-P tower of blocks and normalise with a point mass.
 
     Returns (mu, sigma): sigma is the convolution of the blocks for
-    k = 0..P-1 (order Q^P) and mu = (sigma + dirac_0) / (sigma_mass + 1).
-    Verified before returning: sigma_hat(y) = prod_k block_k_hat(y mod Q^(k+1))
-    at every frequency, and every row of witness_checks: mu_hat
-    vanishes on the digit patterns, mu has unit mass, and its atom at 0 is
-    at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
+    k = 0..P-1 (order Q^P) and the WitnessMeasure mu = (sigma + dirac_0) /
+    (sigma_mass + 1).  Verified before returning: sigma_hat(y) =
+    prod_k block_k_hat(y mod Q^(k+1)) at every frequency, and every row of
+    mu.checks: mu_hat vanishes on the digit patterns, mu has unit mass, and
+    its atom at 0 is at least 1/(1 + (1 + 320*(8j)^3/Q^2)^P).
     """
     feasible = max_feasible_depth(params.q)
     if params.p > feasible:
@@ -264,8 +268,8 @@ def build_witness(params: WitnessParams):
     norm = 1.0 / (sigma.mass() + 1.0)
     weights = norm * sigma.weights  # a scaled copy; dirac_0 adds one atom
     weights[0] += norm
-    mu = AtomicMeasure(params.order, weights)
-    require(witness_checks(witness_residuals(mu, params)), BlockBulletError,
+    mu = WitnessMeasure(params.order, weights, params)
+    require(mu.checks, BlockBulletError,
             f"witness (j={params.j}, Q={params.q}, P={params.p})")
     return mu, sigma
 
@@ -286,18 +290,26 @@ def witness_residuals(mu: AtomicMeasure, params: WitnessParams) -> dict:
     }
 
 
-def witness_checks(res: dict) -> list:
-    """The acceptance table of a witness, from its witness_residuals."""
-    bound = res["atom_lower_bound"]
-    return [
-        Check("digit_pattern_count", res["pattern_count"] == res["expected_pattern_count"],
-              res["pattern_count"]),
-        Check("pattern_zeros_residual", res["pattern_zeros_residual"] < EVAL_TOL,
-              res["pattern_zeros_residual"], EVAL_TOL),
-        Check("mass", abs(res["mass"] - 1.0) < EVAL_TOL, res["mass"], EVAL_TOL),
-        Check("atom_lower_bound", res["atom"] >= bound - EVAL_TOL, res["atom"], EVAL_TOL,
-              f"guaranteed {bound:.6g}"),
-    ]
+@dataclass(frozen=True, eq=False)
+class WitnessMeasure(AtomicMeasure):
+    """A witness measure with its parameters; checks is the table build_witness required."""
+
+    params: WitnessParams
+
+    @functools.cached_property
+    def checks(self) -> list:
+        """The acceptance table of a witness, from its witness_residuals."""
+        res = witness_residuals(self, self.params)
+        bound = res["atom_lower_bound"]
+        return [
+            Check("digit_pattern_count", res["pattern_count"] == res["expected_pattern_count"],
+                  res["pattern_count"]),
+            Check("pattern_zeros_residual", res["pattern_zeros_residual"] < EVAL_TOL,
+                  res["pattern_zeros_residual"], EVAL_TOL),
+            Check("mass", abs(res["mass"] - 1.0) < EVAL_TOL, res["mass"], EVAL_TOL),
+            Check("atom_lower_bound", res["atom"] >= bound - EVAL_TOL, res["atom"], EVAL_TOL,
+                  f"guaranteed {bound:.6g}"),
+        ]
 
 
 def zero_set(mu: AtomicMeasure, bound: int) -> set:

@@ -80,7 +80,7 @@ class VdcFailureWitness:
     @property
     def residual(self) -> float:
         """Worst |measure_hat(r)| over r_set, straight from the weights."""
-        values = self.measure.fourier(np.array(self.r_set, dtype=np.int64))
+        values = self.measure.fourier(_residues(self.r_set, self.order))
         return float(modulus(values).max(initial=0.0))
 
     @cached_property
@@ -243,12 +243,9 @@ def certify_recurrence(r_set, epsilon: float, n: int) -> RecurrenceCertificate:
     )
 
 
-def _check_lp_size(rows: int, order: int) -> None:
-    """AtomBudgetError before an order-N LP witness allocates anything: its
-    matrix has rows * (N//2 + 1) entries, at least its N weights for rows >= 2."""
-    columns = order // 2 + 1
-    entries = rows * columns
-    require_budget(entries, f"LP of {rows} rows on {columns} orbit columns ({entries} entries)")
+def _residues(r_set, order: int) -> np.ndarray:
+    """Each r mod N, reduced in Python ints since r may pass int64; the order-N roots see only that."""
+    return np.array([r % order for r in r_set], dtype=np.int64)
 
 
 def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
@@ -284,11 +281,13 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
             f"r = {multiples[0]} is a multiple of the order {order}: every "
             f"probability measure has transform 1 there"
         )
-    _check_lp_size(1 + len(r_set), order)
+    rows, columns = 1 + len(r_set), order // 2 + 1
+    entries = rows * columns  # >= N for rows >= 2, so the gate covers the measure too
+    require_budget(entries, f"LP of {rows} rows on {columns} orbit columns ({entries} entries)")
     j = np.arange(order)
     orbit = np.minimum(j, order - j)  # root j lies in the orbit {h, N - h}
-    h = np.arange(order // 2 + 1)
-    residues = np.array(r_set, dtype=np.int64)[:, None] % order
+    h = np.arange(columns)
+    residues = _residues(r_set, order)[:, None]
     matrix = np.vstack((np.ones(h.size), np.cos(2.0 * np.pi * residues * h / order)))
     rhs = np.zeros(matrix.shape[0])
     rhs[0] = 1.0
@@ -319,7 +318,8 @@ def reverify_witness(witness: VdcFailureWitness) -> dict:
     gap to the atom."""
     w = witness.measure.weights
     y = witness.dual
-    dual = TrigPoly.from_half((0, *witness.r_set), np.concatenate((y[:1], y[1:] / 2)))
+    dual = TrigPoly.from_half(np.append(0, _residues(witness.r_set, witness.order)),
+                              np.concatenate((y[:1], y[1:] / 2)))
     slack = sample_values(dual, witness.order)
     slack[0] -= 1.0
     return {
@@ -342,23 +342,3 @@ def certify_not_vdc(r_set, epsilon: float, order: int) -> VdcFailureWitness:
     require(witness.checks, WitnessVerificationError, "LP witness re-verification")
     return witness
 
-
-def lift_witness(witness: VdcFailureWitness, factor: int) -> VdcFailureWitness:
-    """Push the witness onto the factor-fold cover: weights move from
-    position j/N to j/(c*N), so the transform at c*r equals the old value
-    at r and the atom at 0 is unchanged.  Certifies c*R at order c*N,
-    within the atom budget of an order-c*N LP."""
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    order = witness.order * factor
-    _check_lp_size(1 + len(witness.r_set), order)
-    w = np.zeros(order)
-    w[np.arange(witness.order)] = witness.measure.weights
-    measure = AtomicMeasure(order, w)
-    return replace(
-        witness,
-        r_set=tuple(factor * r for r in witness.r_set),
-        order=order,
-        measure=measure,
-        atom=float(measure.weights[0]),
-    )

@@ -55,10 +55,9 @@ def _emit_measure(report: RunReport, label: str, measure, path: str) -> None:
 
 
 def cmd_build_block(args, report: RunReport) -> None:
-    params = blocks.BlockParams(args.ell, args.q, args.k)
-    sigma = blocks.build_block(params)
-    report.flags["sample_poly_degree"] = params.sample_degree
-    report.checks += blocks.block_checks(blocks.block_residuals(sigma, params))
+    sigma = blocks.build_block(blocks.BlockParams(args.ell, args.q, args.k))
+    report.flags["sample_poly_degree"] = sigma.params.sample_degree
+    report.checks += sigma.checks
     report.flags["order"] = sigma.order
     report.flags["mass"] = sigma.mass()
     if args.emit_measure:
@@ -73,10 +72,9 @@ def cmd_build_witness(args, report: RunReport) -> None:
     report.flags["relaxed"] = params.relaxed
     report.flags["canonical_p"] = params.canonical_p
     mu, _ = blocks.build_witness(params)
-    res = blocks.witness_residuals(mu, params)
-    report.checks += blocks.witness_checks(res)
-    report.flags["atom"] = res["atom"]
-    report.flags["atom_exceeds_eps"] = res["atom"] > args.eps
+    report.checks += mu.checks
+    report.flags["atom"] = float(mu.weights[0])
+    report.flags["atom_exceeds_eps"] = report.flags["atom"] > args.eps
     if args.emit:
         _emit_measure(report, "witness_measure", mu, args.emit)
 
@@ -84,12 +82,8 @@ def cmd_build_witness(args, report: RunReport) -> None:
 def cmd_certify_recurrence(args, report: RunReport) -> None:
     r_set = read_set_file(args.set_file)
     cert = certify.certify_recurrence(r_set, args.eps, args.n)
-    report.add(
-        "alpha_within_budget",
-        cert.certified,
-        cert.alpha,
-        detail=f"alpha {cert.alpha} vs eps*n = {args.eps * args.n}",
-    )
+    report.add("alpha_within_budget", cert.certified, cert.alpha,
+               detail=f"alpha {cert.alpha} vs eps*n = {args.eps * args.n}")
     report.flags["certificate"] = json.loads(cert.to_json())
 
 
@@ -188,25 +182,14 @@ def cmd_tower(args, report: RunReport) -> None:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"stage {index} is malformed: {exc}") from None
-    betas = [_beta_for_stage(stage, index) for index, stage in enumerate(stages, 1)]
+    betas = []
+    for index, stage in enumerate(stages, 1):
+        try:
+            betas.append(tower.lp_beta(stage))
+        except ValueError as exc:
+            raise ValueError(f"stage {index}: {exc}") from None
     products = tower.build_tower(stages, betas)
     report.checks += tower.claim_checks(tower.claim_residuals(stages, products))
-
-
-def _beta_for_stage(stage, index: int) -> measures.AtomicMeasure:
-    """A probability measure killing the stage's recurrence set with atom
-    above eps_prime, from the LP certifier (smallest workable order)."""
-    top = max(stage.r_set) if stage.r_set else 1
-    for order in range(top + 1, 4 * top + 5):
-        try:
-            witness = certify.max_atom_lp(stage.r_set, order)
-        except certify.LpInfeasibleError:
-            continue
-        if witness.atom > stage.eps_prime:
-            return witness.measure
-    raise ValueError(
-        f"stage {index}: no LP witness with atom above {stage.eps_prime} found for {stage.r_set}"
-    )
 
 
 COMMANDS = {

@@ -22,7 +22,7 @@ DEFAULT_ATOM_BUDGET = 1 << 26
 
 
 def atom_budget() -> int:
-    """Cap on the atoms (or array entries) one measure, lift, LP or product
+    """Cap on the atoms (or array entries) one measure, LP or product
     may allocate; override with the VDC_ATOM_BUDGET env var.
 
     A block costs about 40 bytes of peak RSS per atom: build_block of

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import LpInfeasibleError, max_atom_lp
 from .measures import AtomicMeasure, require_budget
 from .reports import Check
 from .trigpoly import EVAL_TOL, TrigPoly, add, constant, dilate, modulus, multiply
@@ -97,6 +98,20 @@ def check_beta(stage: TowerStage, beta: AtomicMeasure) -> None:
         raise ValueError(
             f"beta atom at 0 is {beta.weights[0]}, not above eps_prime {stage.eps_prime}"
         )
+
+
+def lp_beta(stage: TowerStage) -> AtomicMeasure:
+    """A probability measure killing the stage's recurrence set with atom
+    above eps_prime, from the LP certifier (smallest workable order)."""
+    top = max(stage.r_set) if stage.r_set else 1
+    for order in range(top + 1, 4 * top + 5):
+        try:
+            witness = max_atom_lp(stage.r_set, order)
+        except LpInfeasibleError:
+            continue
+        if witness.atom > stage.eps_prime:
+            return witness.measure
+    raise ValueError(f"no LP witness with atom above {stage.eps_prime} found for {stage.r_set}")
 
 
 def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:

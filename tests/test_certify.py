@@ -435,13 +435,13 @@ def test_lifted_witness_reverifies():
             witness = certify.certify_not_vdc(r_set, 0.01, order)
         except certify.LpInfeasibleError:
             continue
+        # atom(cR, cN) = atom(R, N): moving weight j/N to j/(cN) makes an (R, N) measure
+        # feasible for (cR, cN), and reducing j mod N maps any (cR, cN) measure back
+        # without lowering its atom
         factor = int(rng.integers(2, 5))
-        lifted = certify.lift_witness(witness, factor)
-        assert lifted.order == factor * order
-        assert lifted.atom == pytest.approx(witness.atom, abs=1e-15)
-        assert lifted.residual < 1e-9
-        checks = certify.reverify_witness(lifted)  # f(c*x) certifies the lifted LP
-        assert checks["dual_min_slack"] >= -1e-9 and abs(checks["duality_gap"]) <= 1e-9
+        lifted = certify.certify_not_vdc([factor * r for r in r_set], 0.01, factor * order)
+        assert lifted.atom == pytest.approx(witness.atom, abs=1e-12)
+        assert all(c.passed for c in lifted.checks)
         assert lifted.r_set == tuple(factor * r for r in witness.r_set)
 
 
@@ -461,17 +461,13 @@ def test_replaced_and_lifted_witnesses_recompute_their_table(monkeypatch):
     bad = replace(witness, dual=lowered)
     assert not all(c.passed for c in bad.checks)
     assert all(c.passed for c in witness.checks)
-    lifted = certify.lift_witness(witness, 3)
-    assert all(c.passed for c in lifted.checks)
-    assert calls == [32, 32, 96]
+    assert calls == [32, 32]
 
 
 def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
-    witness, base = certify.max_atom_lp(range(1, 9), 32), certify.max_atom_lp([1], 16)
+    witness = certify.max_atom_lp(range(1, 9), 32)
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17))  # 9 rows on 17 orbit columns
     assert certify.max_atom_lp(range(1, 9), 32).atom == witness.atom
-    monkeypatch.setenv("VDC_ATOM_BUDGET", str(2 * 17))  # its lift to order 32: 2 rows on 17
-    assert certify.lift_witness(base, 2).order == 32
 
     def refuse(*args, **kwargs):
         raise AssertionError("allocated before the size was refused")
@@ -481,15 +477,10 @@ def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17 - 1))
     with pytest.raises(blocks.AtomBudgetError, match=r"9 rows on 17 orbit columns \(153 entries\)"):
         certify.max_atom_lp(range(1, 9), 32)
-    monkeypatch.setenv("VDC_ATOM_BUDGET", str(2 * 17 - 1))
-    with pytest.raises(blocks.AtomBudgetError, match=r"2 rows on 17 orbit columns \(34 entries\)"):
-        certify.lift_witness(base, 2)
 
 
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: certify.max_atom_lp([1], 1), "order must be >= 2", id="lp-order"),
-    pytest.param(lambda: certify.lift_witness(certify.max_atom_lp([1], 4), 0), "factor must be >= 1",
-                 id="lift-factor"),
 ])
 def test_refusals_name_their_bound(call, message):
     with pytest.raises(ValueError, match=message):

@@ -207,6 +207,37 @@ def test_certify_vdc_reverifies_once(tmp_path, monkeypatch):
     assert calls == [32]
 
 
+@pytest.mark.parametrize("residuals, argv, order", [
+    pytest.param("block_residuals", ["build-block", "--ell", "2", "--q", "32", "--k", "1"], 32**2,
+                 id="build-block"),
+    pytest.param("witness_residuals", ["build-witness", "--j", "1", "--eps", "0.01", "--q", "64", "--p", "2"],
+                 64**2, id="build-witness"),
+])
+def test_builders_compute_their_table_once(monkeypatch, residuals, argv, order):
+    real, calls = getattr(blocks, residuals), []
+
+    def counted(measure, params):
+        calls.append(measure.order)
+        return real(measure, params)
+
+    monkeypatch.setattr(blocks, residuals, counted)
+    assert run(argv) == 0
+    assert calls == [order]
+
+
+def test_certify_vdc_reads_an_r_past_int64_by_its_residue(tmp_path):
+    big = 10**20 + 1  # 10^20 is a multiple of 16, so big reads the order-16 roots as 1 does
+    setf = tmp_path / "set.txt"
+    setf.write_text(f"3\n{big}\n", encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["certify-vdc", "--set-file", str(setf), "--eps", "0.1", "--order", "16",
+                "--json-out", str(out)]) == 0
+    report = load_report(out)
+    assert all(c["pass"] for c in report["checks"])
+    assert report["flags"]["certificate"]["R"] == [3, big]
+    assert report["flags"]["atom"] == pytest.approx(certify.max_atom_lp([1, 3], 16).atom, abs=1e-12)
+
+
 @pytest.mark.parametrize("failure", ["stall", "reverification"])
 def test_certify_vdc_solver_failure_is_reported(tmp_path, monkeypatch, capsys, failure):
     if failure == "stall":
@@ -660,7 +691,9 @@ def test_no_subcommand_accepts_a_tolerance(command, capsys):
 
 
 @pytest.mark.parametrize("function", [
-    blocks.build_block, blocks.build_witness, blocks.block_checks, blocks.witness_checks,
+    blocks.build_block, blocks.build_witness,
+    pytest.param(blocks.BlockMeasure.checks.func, id="BlockMeasure.checks"),
+    pytest.param(blocks.WitnessMeasure.checks.func, id="WitnessMeasure.checks"),
     certify.reverify_witness, certify.VdcFailureWitness.checks.func, tower.check_beta,
     tower.tower_block, tower.build_tower, simplex.solve_lp, blocks.zero_set,
 ], ids=lambda f: f.__name__)

@@ -157,7 +157,6 @@ def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
     a, b = ms.uniform(4), ms.uniform(6)  # common order 12
     monkeypatch.setenv("VDC_ATOM_BUDGET", "12")
     assert ms.convolve(a, b).order == 12
-    witness = certify.max_atom_lp([1], 8)  # 2 rows on 5 orbit columns
     monkeypatch.setenv("VDC_ATOM_BUDGET", "11")
     stage = tower.TowerStage((1,), 1, 0.3, 7, 7)  # 13 terms
     refusals = [
@@ -165,7 +164,6 @@ def test_common_order_is_gated_by_the_atom_budget(monkeypatch):
         ("block order 64^1", lambda: blocks.build_block(blocks.BlockParams(2, 64, 0))),
         ("tower product of 13 terms", lambda: tower.build_tower([stage], [ms.uniform(3)])),
         ("LP of 2 rows on 17 orbit columns (34 entries)", lambda: certify.max_atom_lp([1], 32)),
-        ("LP of 2 rows on 17 orbit columns (34 entries)", lambda: certify.lift_witness(witness, 4)),
         ("Fejer table of at least 2 kernels on grid 64",
          lambda: tp.kernel_residuals(64, 2, np.random.default_rng(0))),
     ]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vdcset import blocks, certify, cli, tower
+from vdcset import blocks, certify, tower
 from vdcset import measures as ms
 from vdcset import trigpoly as tp
 
@@ -262,7 +262,7 @@ def test_stage_polynomial_stays_above_its_floor():
     # grid oracle for the closed-form floor eps' - (mass - eps')*n*(n+1)/max_freq
     rng = np.random.default_rng(5)
     for stage in (toy_stages()[0], depth4_stages()[0]):  # the dilation plays no part
-        lp = cli._beta_for_stage(stage, 1)  # as cmd_tower picks it
+        lp = tower.lp_beta(stage)  # as cmd_tower picks it
         for beta in [ms.uniform(3), lp, *random_betas(stage, rng, 20)]:
             eps, n = stage.eps_prime, stage.n
             floor = eps - (beta.mass() - eps) * n * (n + 1) / stage.max_freq
