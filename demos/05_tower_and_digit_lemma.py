@@ -43,18 +43,20 @@ print(f"rotation by 1 on 8 points, E = {{0,4}}: returns n={n} with overlap {over
 print("\n=== Agreement pairs in dense subsets of Z_Q^P ===")
 rng = np.random.default_rng(7)
 space = 4**4
-members = rng.choice(space, size=space // 2 + 30, replace=False)
+members = np.zeros(space, dtype=bool)  # B as a bool mask of the Q^P cells
+members[rng.choice(space, size=space // 2 + 30, replace=False)] = True
 pair = cb.find_agreement_pair(members, ell=2, q=4, p=4)
-print(f"|B| = {len(members)} > Q^P/ell = {space // 2} with P > Q log ell: pair found")
+print(f"|B| = {members.sum()} > Q^P/ell = {space // 2} with P > Q log ell: pair found")
 print(f"  x  = {pair.x.coords}")
 print(f"  x' = {pair.x_prime.coords}")
 print(f"  agreeing below s={pair.s}, x_s=0 vs x'_s=Q/2, distance <= 2 above")
 
 print("\n=== Digit differences of dense sets ===")
 space = 64**2
-members = set(int(v) for v in rng.choice(space, size=int(0.97 * space), replace=False))
+members = np.zeros(space, dtype=bool)
+members[rng.choice(space, size=int(0.97 * space), replace=False)] = True
 y = cb.digit_difference(members, j=1, q=64, p=2)
 digits = cb.int_to_digits(y, 64, 2)
-print(f"dense E of size {len(members)} in [64^2]: difference y = {y}, digits {digits}")
+print(f"dense E of size {members.sum()} in [64^2]: difference y = {y}, digits {digits}")
 print("  one digit in [32, 40), the other in [1, 8) - a guaranteed witness zero")
-print(f"  y really is a difference: {any(e + y in members for e in members)}")
+print(f"  y really is a difference: {(members[: space - y] & members[y:]).any()}")  # e + y in E

@@ -282,8 +282,9 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
             f"probability measure has transform 1 there"
         )
     rows, columns = 1 + len(r_set), order // 2 + 1
-    entries = rows * columns  # >= N for rows >= 2, so the gate covers the measure too
-    require_budget(entries, f"LP of {rows} rows on {columns} orbit columns ({entries} entries)")
+    entries = rows * columns  # below N only for an empty R, whose gate is then the measure's N atoms
+    require_budget(max(entries, order), f"LP of {rows} rows on {columns} orbit columns ({entries} entries)"
+                   if entries >= order else f"LP measure of order {order}")
     j = np.arange(order)
     orbit = np.minimum(j, order - j)  # root j lies in the orbit {h, N - h}
     h = np.arange(columns)

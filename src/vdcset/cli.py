@@ -162,12 +162,9 @@ def cmd_tower(args, report: RunReport) -> None:
         config = json.load(handle)
     if not isinstance(config, dict) or not isinstance(config.get("stages", []), list):
         raise ValueError("the stages file must be an object whose 'stages' is a list")
-    try:
-        eps_prime = (float(config["eps_prime"]) if "eps_prime" in config
-                     else tower.eps_prime_for(float(config["eps"])))
-    except (KeyError, TypeError):
-        raise ValueError("the stages file needs eps or eps_prime as a number") from None
-    report.flags["eps_prime"] = eps_prime
+    if "eps_prime" not in config:
+        raise ValueError("the stages file needs eps_prime, with eps_prime/(1 + eps_prime) > eps")
+    eps_prime = report.flags["eps_prime"] = config["eps_prime"]  # TowerStage reads every value
     stages = []
     for index, entry in enumerate(config.get("stages", []), 1):
         unknown = sorted(entry.keys() - STAGE_KEYS) if isinstance(entry, dict) else []
@@ -175,9 +172,7 @@ def cmd_tower(args, report: RunReport) -> None:
             raise ValueError(f"stage {index} has unknown keys {unknown}; "
                              f"a stage holds only {', '.join(STAGE_KEYS)}")
         try:
-            stages.append(tower.TowerStage(
-                r_set=tuple(entry["r_set"]), n=int(entry["n"]), eps_prime=eps_prime,
-                max_freq=int(entry["max_freq"]), dilation=int(entry["dilation"])))
+            stages.append(tower.TowerStage(eps_prime=eps_prime, **{key: entry[key] for key in STAGE_KEYS}))
         except KeyError as exc:
             raise ValueError(f"stage {index} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:

@@ -218,32 +218,25 @@ def random_mask(rng, cells: int, size: int) -> np.ndarray:
     return mask
 
 
-def _index_grid(elements, q: int, p: int) -> np.ndarray:
-    """Grid of the members given as flat indices sum_i coord_i * Q^i, or as
-    a bool mask of the Q^P cells in that order (reshaped, not copied)."""
+def _mask_grid(mask, q: int, p: int) -> np.ndarray:
+    """The grid of a bool mask of the Q^P cells, reshaped without a copy; anything else is refused."""
     cells = grid_cells(q, p)
-    idx = np.asarray(elements if isinstance(elements, np.ndarray) else list(elements))
-    if idx.dtype == bool:
-        if idx.shape != (cells,):
-            raise ValueError(f"a membership mask must have shape ({cells},), got {idx.shape}")
-        return idx.reshape((q,) * p, order="F")
-    idx = idx.astype(np.int64, copy=False)
-    if idx.size and (idx.min() < 0 or idx.max() >= cells):
-        raise ValueError(f"elements must lie inside [0, {cells})")
-    flat = np.zeros(cells, dtype=bool)
-    flat[idx] = True
-    return flat.reshape((q,) * p, order="F")
+    if not isinstance(mask, np.ndarray) or mask.dtype != bool:
+        kind = getattr(mask, "dtype", type(mask).__name__)  # an array's dtype, else the type
+        raise ValueError(f"members must be a bool mask of the {cells} cells, got {kind}")
+    if mask.shape != (cells,):
+        raise ValueError(f"a membership mask must have shape ({cells},), got {mask.shape}")
+    return mask.reshape((q,) * p, order="F")
 
 
-def find_agreement_pair(elements, ell: int, *, q: int, p: int):
+def find_agreement_pair(mask, ell: int, *, q: int, p: int):
     """First (smallest s, lexicographically smallest) agreement pair in B,
-    given as flat indices sum_i coord_i * Q^i (the digit order of int_to_digits)
-    or as a bool mask of the Q^P cells in that order.
+    given as a bool mask of the Q^P cells in the digit order of int_to_digits.
 
     Returns an AgreementPair or None.  Under density_guarantee a pair must
     exist; exhausting the search there indicates a bug and raises.
     """
-    grid = _index_grid(elements, q, p)
+    grid = _mask_grid(mask, q, p)
     if q % 2:
         raise ValueError("modulus Q must be even")
     count = int(np.count_nonzero(grid))  # a Python int, so an ell past int64 cannot overflow the product
@@ -307,10 +300,10 @@ def pattern_position(y: int, j: int, q: int, p: int):
     return marked[0] if len(marked) == 1 and rest_low and y < q**p else None
 
 
-def digit_difference(elements, j: int, q: int, p: int):
-    """A positive difference of two members of E (flat indices or a bool
-    mask, as for find_agreement_pair) whose base-Q digits all lie in
-    [1, 8j) except one digit in [Q/2, Q/2 + 8j).
+def digit_difference(mask, j: int, q: int, p: int):
+    """A positive difference of two members of E (a bool mask, as for
+    find_agreement_pair) whose base-Q digits all lie in [1, 8j) except one
+    digit in [Q/2, Q/2 + 8j).
 
     Procedure: shift-by-4 recurrence picks an n below ceil(2/density) with
     a dense overlap B = E intersect (E - 4n digitwise); an agreement pair
@@ -323,7 +316,7 @@ def digit_difference(elements, j: int, q: int, p: int):
     rebuilt for a second pass, so one grid is held at a time, whatever the horizon.
     """
     digit_windows(j, q, p)  # refuses (j, Q, P) outside R's range before any grid is built
-    grid = _index_grid(elements, q, p)
+    grid = _mask_grid(mask, q, p)
     count_e = int(np.count_nonzero(grid))
     if count_e == 0:
         return None

@@ -17,6 +17,7 @@ fourth guarantee hold at j = 1 as well.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,15 @@ class TowerStage:
     dilation: int
 
     def __post_init__(self):
-        object.__setattr__(self, "r_set", tuple(sorted(set(int(r) for r in self.r_set))))
+        members = tuple(self.r_set) if hasattr(self.r_set, "__iter__") else (None,)  # a lone value: no set
+        fields = dict(r_set=members, n=[self.n], max_freq=[self.max_freq], dilation=[self.dilation])
+        for name, values in fields.items():  # a float, string or bool is refused, never truncated
+            if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in values):
+                kind = "a list of integers" if name == "r_set" else "an integer"
+                raise ValueError(f"{name} must be {kind}, got {getattr(self, name)!r}")
+        if isinstance(self.eps_prime, bool) or not isinstance(self.eps_prime, numbers.Real):
+            raise ValueError(f"eps_prime must be a number, got {self.eps_prime!r}")
+        object.__setattr__(self, "r_set", tuple(sorted(set(map(int, members)))))
         if not 0.0 < self.eps_prime < 0.5:
             raise ValueError(f"eps_prime must lie in (0, 1/2), got {self.eps_prime}")
         if self.r_set and (self.r_set[0] < 1 or self.r_set[-1] > self.n):
@@ -75,16 +84,6 @@ def validate_stages(stages) -> None:
                     f"stage {i + 1} dilation {stage.dilation} must exceed "
                     f"2*(max_freq+1)*dilation of the previous stage = {need}"
                 )
-
-
-def eps_prime_for(eps: float) -> float:
-    """Smallest workable eps_prime with eps_prime/(1 + eps_prime) > eps."""
-    if not 0.0 < eps < 1.0 / 3.0:
-        raise ValueError(f"eps must lie in (0, 1/3), got {eps}")
-    candidate = eps / (1.0 - eps) + 1e-9
-    if candidate >= 0.5 or candidate / (1.0 + candidate) <= eps:
-        raise ValueError(f"eps {eps} needs eps_prime {candidate}, not below the bound 1/2")
-    return candidate
 
 
 def check_beta(stage: TowerStage, beta: AtomicMeasure) -> None:

@@ -279,16 +279,17 @@ def test_criterion_09_digit_difference():
     start = time.perf_counter()
     rng = np.random.default_rng(909)
     space = 64**2
-    full = cb.digit_difference(set(range(space)), 1, 64, 2)
+    full = cb.digit_difference(np.ones(space, dtype=bool), 1, 64, 2)
     failures = 0 if full is not None else 1
     for _ in range(100):
         size = int(np.ceil(0.97 * space))
-        members = set(int(v) for v in rng.choice(space, size=size, replace=False))
+        members = np.zeros(space, dtype=bool)
+        members[rng.choice(space, size=size, replace=False)] = True
         y = cb.digit_difference(members, 1, 64, 2)
         if y is None:
             failures += 1
             continue
-        if not any(e + y in members for e in members):
+        if not (members[: space - y] & members[y:]).any():  # some e and e + y in E
             failures += 1
             continue
         digits = cb.int_to_digits(y, 64, 2)

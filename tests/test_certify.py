@@ -426,7 +426,7 @@ def test_witness_reverification_fields():
     assert set(obj) == {"R", "epsilon", "order", "atom", "residual", "weights", "not_vdc"}
 
 
-def test_lifted_witness_reverifies():
+def test_scaling_r_set_and_order_keeps_the_atom():
     rng = np.random.default_rng(3)
     for _ in range(10):
         order = int(rng.integers(4, 16))
@@ -445,7 +445,7 @@ def test_lifted_witness_reverifies():
         assert lifted.r_set == tuple(factor * r for r in witness.r_set)
 
 
-def test_replaced_and_lifted_witnesses_recompute_their_table(monkeypatch):
+def test_replaced_witness_recomputes_its_table(monkeypatch):
     real, calls = certify.reverify_witness, []
 
     def counted(witness):
@@ -464,7 +464,7 @@ def test_replaced_and_lifted_witnesses_recompute_their_table(monkeypatch):
     assert calls == [32, 32]
 
 
-def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
+def test_lp_is_gated_by_its_matrix_entries(monkeypatch):
     witness = certify.max_atom_lp(range(1, 9), 32)
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17))  # 9 rows on 17 orbit columns
     assert certify.max_atom_lp(range(1, 9), 32).atom == witness.atom
@@ -477,6 +477,46 @@ def test_lp_and_lift_are_gated_by_their_matrix_entries(monkeypatch):
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(9 * 17 - 1))
     with pytest.raises(blocks.AtomBudgetError, match=r"9 rows on 17 orbit columns \(153 entries\)"):
         certify.max_atom_lp(range(1, 9), 32)
+
+
+def test_lp_of_an_empty_r_set_is_gated_by_its_order(monkeypatch):
+    # one mass row on N//2 + 1 columns is fewer entries than the measure's N atoms
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "18")
+    assert certify.max_atom_lp([], 18).atom == pytest.approx(1.0, abs=1e-12)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size was refused")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "10")
+    with pytest.raises(blocks.AtomBudgetError, match=r"^LP measure of order 18 exceeds the atom budget 10$"):
+        certify.max_atom_lp([], 18)
+
+
+def normal_form_outcomes(r_set, order):
+    """certify_not_vdc's witness as (r_set, atom, weight bytes), or its error, and certify_recurrence's
+    certificate at n = 40."""
+    try:
+        witness = certify.certify_not_vdc(r_set, 0.1, order)
+        vdc = (witness.r_set, witness.atom, witness.measure.weights.tobytes())
+    except (certify.LpInfeasibleError, certify.LpDegenerateError, certify.WitnessVerificationError) as exc:
+        vdc = (type(exc), str(exc))
+    return vdc, certify.certify_recurrence(r_set, 0.2, 40)
+
+
+def test_sign_and_repetition_of_r_give_identical_certificates():
+    # R, -R, R listed twice and -R with R share one normal form, {|r|}, in both certifiers
+    rng = np.random.default_rng(19)
+    solved = 0
+    for _ in range(40):
+        r_set = rng.choice(np.arange(1, 25), size=int(rng.integers(1, 6)), replace=False).tolist()
+        order = int(rng.choice([16, 32, 64, 128]))
+        base = normal_form_outcomes(r_set, order)
+        for variant in ([-r for r in r_set], r_set + r_set, [-r for r in r_set] + r_set):
+            assert normal_form_outcomes(variant, order) == base, (r_set, order, variant)
+        solved += len(base[0]) == 3
+    assert solved >= 30
 
 
 @pytest.mark.parametrize("call, message", [

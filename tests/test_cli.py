@@ -355,6 +355,14 @@ def test_tower_stage_errors_are_reported(tmp_path, capsys, entry, message):
     assert f"FAIL completed [{message}" in capsys.readouterr().out
 
 
+def stage_file(first, second=None):
+    """A stages file of one valid stage, or two when second is given, with these values put in."""
+    stages = [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7} | first]
+    if second is not None:
+        stages.append({"r_set": [1], "n": 1, "max_freq": 7, "dilation": 113} | second)
+    return {"eps_prime": 0.3, "stages": stages}
+
+
 UNKNOWN_KEY = "stage 1 has unknown keys ['{}']; a stage holds only r_set, n, max_freq, dilation"
 
 
@@ -362,8 +370,29 @@ UNKNOWN_KEY = "stage 1 has unknown keys ['{}']; a stage holds only r_set, n, max
     "config, message",
     [
         pytest.param({"stages": [{"r_set": [1], "n": 1, "max_freq": 7, "dilation": 7}]},
-                     "needs eps or eps_prime", id="no-eps"),
-        pytest.param({"eps": None, "stages": []}, "needs eps or eps_prime", id="eps-null"),
+                     "the stages file needs eps_prime", id="no-eps"),
+        pytest.param({"eps": None, "stages": []}, "the stages file needs eps_prime", id="eps-null"),
+        pytest.param({"eps": 0.2, "stages": [{"r_set": [1], "n": 1, "max_freq": 9, "dilation": 9}]},
+                     "the stages file needs eps_prime, with eps_prime/(1 + eps_prime) > eps", id="eps-only"),
+        pytest.param(stage_file({"n": 2.7, "max_freq": 21, "dilation": 21}),
+                     "stage 1 is malformed: n must be an integer, got 2.7",
+                     id="n-float"),
+        pytest.param(stage_file({"max_freq": 30.9, "dilation": 30}),
+                     "stage 1 is malformed: max_freq must be an integer, got 30.9", id="max-freq-float"),
+        pytest.param(stage_file({}, {"dilation": 113.9}),
+                     "stage 2 is malformed: dilation must be an integer, got 113.9", id="dilation-float"),
+        pytest.param(stage_file({"r_set": "12", "n": 2, "max_freq": 21, "dilation": 21}),
+                     "stage 1 is malformed: r_set must be a list of integers, got '12'", id="r-set-string"),
+        pytest.param(stage_file({"r_set": [1.9, 2], "n": 2, "max_freq": 21, "dilation": 21}),
+                     "stage 1 is malformed: r_set must be a list of integers, got [1.9, 2]",
+                     id="r-set-float-member"),
+        pytest.param(stage_file({"r_set": {"1": 0, "2": 0}, "n": 2, "max_freq": 21, "dilation": 21}),
+                     "stage 1 is malformed: r_set must be a list of integers, got {'1': 0, '2': 0}",
+                     id="r-set-object"),
+        pytest.param(stage_file({"n": True}), "stage 1 is malformed: n must be an integer, got True",
+                     id="n-bool"),
+        pytest.param(stage_file({}) | {"eps_prime": "0.3"},
+                     "stage 1 is malformed: eps_prime must be a number, got '0.3'", id="eps-prime-string"),
         pytest.param({"eps_prime": 0.3, "stages": [{"r_set": 3, "n": 1, "max_freq": 7,
                                                     "dilation": 7}]},
                      "stage 1 is malformed", id="r-set-not-a-list"),

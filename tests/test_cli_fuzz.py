@@ -44,10 +44,20 @@ def draw(rng, lo, hi, step=1):
     return inside if rng.random() < 0.5 else off[int(rng.integers(len(off)))]
 
 
+# a stages-file value of the wrong type: never truncated or parsed, always refused
+RETYPES = (float, lambda value: value + 0.5, str, lambda value: True)
+
+
+def retype(rng, value):
+    return RETYPES[int(rng.integers(len(RETYPES)))](value)
+
+
 def stage_entries(rng, eps_prime):
-    """Zero to two stages; each field is valid three times in four, else one step outside its ledger."""
+    """Zero to two stages; each field is valid three times in four, else one step outside its ledger,
+    and in one stage of four, one field (or the last r_set member) is retyped as a float, a string or
+    a bool.  Returns the stages and whether a field was retyped."""
     valid = lambda good, bad: good if rng.random() < 0.75 else bad
-    entries, prev = [], None
+    entries, prev, retyped = [], None, False
     for _ in range(int(rng.integers(0, 3))):
         n = int(rng.integers(1, 4))
         r_set = sorted({int(r) for r in rng.integers(1, n + 1, size=int(rng.integers(1, 3)))})
@@ -56,17 +66,24 @@ def stage_entries(rng, eps_prime):
         grown = max_freq if prev is None else 2 * (prev["max_freq"] + 1) * prev["dilation"] + 1
         prev = {"r_set": valid(r_set, r_set + [n + 1]), "n": n, "max_freq": max_freq,
                 "dilation": valid(grown, grown - 1)}
-        entries.append(prev)
-    return entries
+        entries.append(dict(prev))
+        if rng.random() < 0.25:
+            key, retyped = list(prev)[int(rng.integers(len(prev)))], True
+            value = prev[key]
+            entries[-1][key] = [*value[:-1], retype(rng, value[-1])] if key == "r_set" else retype(rng, value)
+    return entries, retyped
 
 
 def fuzz_argv(rng, command, tmp_path):
+    """The argv of one run, and whether it must end in a refusal."""
     if command == "tower":
         eps_prime = float(draw(rng, 0.0, 0.5))
         path = tmp_path / "stages.json"
-        stages = stage_entries(rng, eps_prime if 0 < eps_prime < 0.5 else 0.3)
+        stages, retyped = stage_entries(rng, eps_prime if 0 < eps_prime < 0.5 else 0.3)
+        if rng.random() < 0.125:
+            eps_prime, retyped = (str(eps_prime), True)[int(rng.integers(2))], True
         path.write_text(json.dumps({"eps_prime": eps_prime, "stages": stages}), encoding="utf-8")
-        return ["tower", "--stages-file", str(path)]
+        return ["tower", "--stages-file", str(path)], retyped
     argv = [command, "--seed", str(int(rng.integers(0, 1 << 16)))]
     for flag, bounds in RANGES[command].items():
         argv += [flag, str(draw(rng, *bounds))]
@@ -75,7 +92,7 @@ def fuzz_argv(rng, command, tmp_path):
         path.write_text("\n".join(map(str, sorted({int(r) for r in rng.integers(1, 9, size=3)}))),
                         encoding="utf-8")
         argv += ["--set-file", str(path)]
-    return argv
+    return argv, False
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
@@ -85,11 +102,11 @@ def test_fuzzed_argv_ends_in_a_report(tmp_path, monkeypatch, command):
     rng = np.random.default_rng(sorted(cli.COMMANDS).index(command))
     out = tmp_path / "r.json"
     for _ in range(RUNS_PER_COMMAND):
-        argv = fuzz_argv(rng, command, tmp_path)
+        argv, retyped = fuzz_argv(rng, command, tmp_path)
         out.unlink(missing_ok=True)
         code = cli.main(argv + ["--json-out", str(out)])
         report = json.loads(out.read_text(encoding="utf-8"))
-        assert code in (0, 1), argv
+        assert code in ((1,) if retyped else (0, 1)), argv
         assert report["pass"] is (code == 0), argv
         if code == 0:
             assert report["checks"] and all(c["pass"] for c in report["checks"]), argv

@@ -8,6 +8,16 @@ import pytest
 from vdcset import combinatorics as cb
 
 
+ONE = np.ones(1, dtype=bool)  # a one-cell mask, for refusals that come before the grid is read
+
+
+def mask_of(members, cells):
+    """The bool mask of the given flat indices among cells."""
+    mask = np.zeros(cells, dtype=bool)
+    mask[list(members)] = True
+    return mask
+
+
 def brute_force_poincare_bounds(system):
     """Exhaustive oracle: the returned pair must satisfy both inequalities."""
     n, overlap = cb.strong_poincare(system)
@@ -152,32 +162,30 @@ def test_digit_vector_validation():
 
 
 def test_agreement_pair_full_cube():
-    pair = cb.find_agreement_pair(range(16), 2, q=4, p=2)
+    pair = cb.find_agreement_pair(np.ones(16, dtype=bool), 2, q=4, p=2)
     assert pair is not None
     assert pair.x.coords[pair.s] == 0
     assert pair.x_prime.coords[pair.s] == 2
 
 
 def test_agreement_pair_single_vector_not_found():
-    assert cb.find_agreement_pair([cb.digits_to_int((1, 2), 4)], 2, q=4, p=2) is None
+    assert cb.find_agreement_pair(mask_of([cb.digits_to_int((1, 2), 4)], 16), 2, q=4, p=2) is None
 
 
 def test_index_grid_matches_digit_vectors():
     rng = np.random.default_rng(4)
     members = rng.choice(6**3, size=50, replace=False)
     vectors = [cb.DigitVector(6, cb.int_to_digits(int(v), 6, 3)) for v in members]
-    grid = cb._index_grid(members, 6, 3)
+    grid = cb._mask_grid(mask_of(members, 6**3), 6, 3)
     assert grid.shape == (6, 6, 6)
     assert all(grid[v.coords] for v in vectors) and grid.sum() == 50
-    with pytest.raises(ValueError, match="inside"):
-        cb._index_grid(np.array([6**3]), 6, 3)
 
 
 def test_index_grid_reads_a_bool_mask_as_membership():
     mask = np.zeros(16, dtype=bool)
     mask[[5, 9, 14]] = True
-    grid = cb._index_grid(mask, 4, 2)
-    assert np.array_equal(grid, cb._index_grid([5, 9, 14], 4, 2))  # not the indices 0 and 1
+    grid = cb._mask_grid(mask, 4, 2)
+    assert {tuple(cell) for cell in np.argwhere(grid).tolist()} == {(1, 1), (1, 2), (2, 3)}  # not 0, 1
     assert np.shares_memory(grid, mask)  # the mask is the grid, reshaped without a copy
 
 
@@ -191,23 +199,10 @@ def test_a_mask_of_another_shape_is_refused_by_name(search, q):
             search(np.ones(shape, dtype=bool))
 
 
-@pytest.mark.parametrize("q, p", [(4, 4), (20, 2), (64, 2)])
-@pytest.mark.parametrize("density", [0.05, 0.97])
-def test_mask_and_its_indices_give_the_same_results(q, p, density):
-    rng = np.random.default_rng(11)
-    for _ in range(4):
-        mask = rng.random(q**p) < density
-        members = np.flatnonzero(mask)
-        assert np.array_equal(cb._index_grid(mask, q, p), cb._index_grid(members, q, p))
-        assert cb.find_agreement_pair(mask, 2, q=q, p=p) == cb.find_agreement_pair(members, 2, q=q, p=p)
-        if q > 16:  # the digit windows of j = 1 need Q > 16
-            assert cb.digit_difference(mask, 1, q, p) == cb.digit_difference(members, 1, q, p)
-
-
 def test_agreement_pair_of_a_mask_takes_an_ell_past_int64():
     # the member count stays a Python int, so count * ell cannot overflow
     pair = cb.find_agreement_pair(np.ones(16, dtype=bool), 10**30, q=4, p=2)
-    assert pair is not None and pair == cb.find_agreement_pair(range(16), 10**30, q=4, p=2)
+    assert pair is not None and pair == cb.find_agreement_pair(np.ones(16, dtype=bool), 2, q=4, p=2)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 1000, 4096])
@@ -250,8 +245,8 @@ def test_random_mask_dense_draws_are_uniform():
 
 
 def test_agreement_pair_rejects_members_outside_the_cube():
-    with pytest.raises(ValueError, match="inside"):
-        cb.find_agreement_pair([3, 4**2], 2, q=4, p=2)
+    with pytest.raises(ValueError, match=re.escape("membership mask must have shape (16,), got (17,)")):
+        cb.find_agreement_pair(mask_of([3, 4**2], 4**2 + 1), 2, q=4, p=2)
 
 
 def test_agreement_pair_dense_random_guarantee_regime():
@@ -261,7 +256,7 @@ def test_agreement_pair_dense_random_guarantee_regime():
     for _ in range(25):
         size = space // 2 + 1 + int(rng.integers(0, space // 4))
         members = rng.choice(space, size=size, replace=False)
-        pair = cb.find_agreement_pair(members, 2, q=4, p=4)
+        pair = cb.find_agreement_pair(mask_of(members, space), 2, q=4, p=4)
         assert pair is not None
         # both points are members, read back through the digit order
         found = {cb.digits_to_int(pair.x.coords, 4), cb.digits_to_int(pair.x_prime.coords, 4)}
@@ -285,7 +280,7 @@ def test_bullets_hold_one_violation_per_bullet():
 def test_agreement_pair_raises_on_broken_bullets(monkeypatch):
     monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter([((0, 1), (0, 1), 0)]))
     with pytest.raises(cb.AgreementSearchError, match="breaks a bullet"):
-        cb.find_agreement_pair([cb.digits_to_int((0, 1), 4)], 2, q=4, p=2)
+        cb.find_agreement_pair(mask_of([cb.digits_to_int((0, 1), 4)], 16), 2, q=4, p=2)
 
 
 def test_neighbourhood_chain_is_nested():
@@ -297,11 +292,11 @@ def test_neighbourhood_chain_is_nested():
         assert np.all(chain[s + 1] <= chain[s])  # B_{s+1} subset of B_s
 
 
-def reference_digit_difference(elements, j, q, p):
+def reference_digit_difference(mask, j, q, p):
     """The eager scan the lazy one replaced: every overlap grid for
     n = 1..horizon is built and kept, then the qualifying rows and then the
     other non-empty rows are scanned."""
-    grid = cb._index_grid(elements, q, p)
+    grid = cb._mask_grid(mask, q, p)
     count_e = int(grid.sum())
     if count_e == 0:
         return None
@@ -354,16 +349,17 @@ def test_digit_difference_matches_eager_reference():
     for q, p, density in [(64, 2, 0.97), (20, 3, 0.7), (20, 3, 0.2), (32, 2, 0.1), (18, 3, 0.05)]:
         for _ in range(4):
             members = rng.choice(q**p, size=int(density * q**p), replace=False)
-            cases.append((members, 1, q, p))
-    cases += [(fallback_only_set(), 1, 20, 2), (order_sensitive_set(), 1, 20, 2),
-              ({0, 5}, 1, 64, 2), (set(), 1, 64, 2),
-              ([a + 20 * t for a in (0, 1, 2, 3) for t in range(20)], 1, 20, 2)]
+            cases.append((mask_of(members, q**p), 1, q, p))
+    cases += [(mask_of(fallback_only_set(), 400), 1, 20, 2),
+              (mask_of(order_sensitive_set(), 400), 1, 20, 2),
+              (mask_of({0, 5}, 64**2), 1, 64, 2), (mask_of(set(), 64**2), 1, 64, 2),
+              (mask_of([a + 20 * t for a in (0, 1, 2, 3) for t in range(20)], 400), 1, 20, 2)]
     found = [cb.digit_difference(*case) for case in cases]
     assert found == [reference_digit_difference(*case) for case in cases]
     assert found[0] is not None and found[-1] is None and None in found[8:20]
     assert found[-5:-3] == [4 + 14 * 20, 50]
     for members in (fallback_only_set(), order_sensitive_set()):
-        grid = cb._index_grid(members, 20, 2)
+        grid = cb._mask_grid(mask_of(members, 400), 20, 2)
         overlap = int((grid & np.roll(grid, (-4, -4), axis=(0, 1))).sum())
         assert 0 < 2 * overlap * 20**2 < int(grid.sum()) ** 2  # n = 1 is a fallback row
 
@@ -372,9 +368,10 @@ def test_digit_difference_holds_one_overlap_grid():
     q, p = 32, 3
     members = np.random.default_rng(8).choice(q**p, size=q**p // 20, replace=False)
     assert -(-2 * q**p // len(members)) >= 20  # the horizon
+    mask = mask_of(members, q**p)
     tracemalloc.start()
     try:
-        cb.digit_difference(members, 1, q, p)
+        cb.digit_difference(mask, 1, q, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -382,7 +379,7 @@ def test_digit_difference_holds_one_overlap_grid():
 
 
 def test_digit_difference_full_range():
-    y = cb.digit_difference(set(range(64**2)), 1, 64, 2)
+    y = cb.digit_difference(np.ones(64**2, dtype=bool), 1, 64, 2)
     assert y is not None
     digits = cb.int_to_digits(y, 64, 2)
     marked = [i for i, d in enumerate(digits) if 32 <= d < 40]
@@ -391,8 +388,8 @@ def test_digit_difference_full_range():
 
 
 def test_digit_difference_tiny_set_not_found():
-    assert cb.digit_difference({0, 5}, 1, 64, 2) is None
-    assert cb.digit_difference(set(), 1, 64, 2) is None
+    assert cb.digit_difference(mask_of({0, 5}, 64**2), 1, 64, 2) is None
+    assert cb.digit_difference(np.zeros(64**2, dtype=bool), 1, 64, 2) is None
 
 
 def test_digit_difference_dense_random_verified():
@@ -401,7 +398,7 @@ def test_digit_difference_dense_random_verified():
     for _ in range(30):
         size = int(np.ceil(0.97 * space))
         members = set(int(v) for v in rng.choice(space, size=size, replace=False))
-        y = cb.digit_difference(members, 1, 64, 2)
+        y = cb.digit_difference(mask_of(members, space), 1, 64, 2)
         assert y is not None
         # membership oracle: y really is a difference of two members
         assert any(e + y in members for e in members)
@@ -418,31 +415,37 @@ def test_digit_difference_found_y_is_pattern_member():
     rng = np.random.default_rng(4)
     space = 64**2
     picked = set(int(v) for v in rng.choice(space, size=int(0.97 * space), replace=False))
-    y = cb.digit_difference(picked, 1, 64, 2)
+    y = cb.digit_difference(mask_of(picked, space), 1, 64, 2)
     assert y in members
 
 
-def test_digit_difference_accepts_array_list_and_set():
+def test_searches_read_only_a_bool_mask():
     rng = np.random.default_rng(5)
     members = rng.choice(64**2, size=int(0.97 * 64**2), replace=False)
-    forms = (members, list(members), set(members.tolist()))
-    found = [cb.digit_difference(form, 1, 64, 2) for form in forms]
-    assert found[0] is not None
-    assert found == [found[0]] * 3
+    mask = mask_of(members, 64**2)
+    forms = [(members, "int64"), (list(members), "list"), (set(members.tolist()), "set"),
+             (range(64**2), "range"), (mask.astype(np.int64), "int64"), (mask.tolist(), "list")]
+    searches = (lambda form: cb.find_agreement_pair(form, 2, q=64, p=2),
+                lambda form: cb.digit_difference(form, 1, 64, 2))
+    for (form, kind), search in itertools.product(forms, searches):
+        refusal = f"members must be a bool mask of the 4096 cells, got {kind}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            search(form)
+    assert cb.digit_difference(mask, 1, 64, 2) is not None
 
 
 def test_digit_difference_validation():
     with pytest.raises(ValueError, match="Q even"):
-        cb.digit_difference({0}, 1, 63, 2)
+        cb.digit_difference(np.zeros(63**2, dtype=bool), 1, 63, 2)
     with pytest.raises(ValueError, match="Q even"):
-        cb.digit_difference({0}, 4, 32, 2)  # window exceeds Q
-    with pytest.raises(ValueError, match="inside"):
-        cb.digit_difference({64**2}, 1, 64, 2)
+        cb.digit_difference(np.zeros(32**2, dtype=bool), 4, 32, 2)  # window exceeds Q
+    with pytest.raises(ValueError, match=re.escape("mask must have shape (4096,), got (4097,)")):
+        cb.digit_difference(mask_of({64**2}, 64**2 + 1), 1, 64, 2)
 
 
 def test_digit_difference_needs_a_depth():
     with pytest.raises(ValueError, match="P >= 1"):
-        cb.digit_difference([0], 1, 64, 0)
+        cb.digit_difference(ONE, 1, 64, 0)
 
 
 def reference_digit_pattern_members(j, q, p):
@@ -492,7 +495,7 @@ def test_pattern_position_matches_pattern_members():
 ])
 def test_pattern_set_parameters_are_checked_once(j, q, p, message):
     calls = [lambda: cb.digit_windows(j, q, p), lambda: cb.digit_pattern_members(j, q, p),
-             lambda: cb.pattern_position(1, j, q, p), lambda: cb.digit_difference([0], j, q, p)]
+             lambda: cb.pattern_position(1, j, q, p), lambda: cb.digit_difference(ONE, j, q, p)]
     raised = []
     for call in calls:
         with pytest.raises(ValueError) as exc:
@@ -503,7 +506,7 @@ def test_pattern_set_parameters_are_checked_once(j, q, p, message):
 
 def test_grid_size_guard():
     with pytest.raises(cb.GridSizeError):
-        cb.digit_difference({0}, 1, 64, 5)
+        cb.digit_difference(ONE, 1, 64, 5)
 
 
 def test_digits_round_trip():
@@ -517,15 +520,17 @@ def test_digits_round_trip():
                  "members must hold one row of 2 cells per subset", id="members-width"),
     pytest.param(lambda: cb.poincare_returns([1, 0], np.ones(2, dtype=bool)),
                  "members must hold one row of 2 cells per subset", id="members-one-dimensional"),
-    pytest.param(lambda: cb.find_agreement_pair(range(25), 2, q=5, p=2), "modulus Q must be even",
+    pytest.param(lambda: cb.find_agreement_pair(np.ones(25, dtype=bool), 2, q=5, p=2),
+                 "modulus Q must be even",
                  id="agreement-odd-q"),
     pytest.param(lambda: cb.grid_cells(4, 0), r"^grids need Q >= 2 and P >= 1, got Q=4, P=0$",
                  id="grid-no-digit"),
-    pytest.param(lambda: cb.find_agreement_pair([0], 2, q=1, p=3), r"^grids need Q >= 2 and P >= 1",
+    pytest.param(lambda: cb.find_agreement_pair(ONE, 2, q=1, p=3), r"^grids need Q >= 2 and P >= 1",
                  id="grid-modulus"),
     pytest.param(lambda: cb.density_guarantee(1, 0, 2, 1), r"^ell must be >= 1, got 0$",
                  id="guarantee-ell"),
-    pytest.param(lambda: cb.find_agreement_pair(range(16), -1, q=4, p=2), r"^ell must be >= 1, got -1$",
+    pytest.param(lambda: cb.find_agreement_pair(np.ones(16, dtype=bool), -1, q=4, p=2),
+                 r"^ell must be >= 1, got -1$",
                  id="agreement-ell"),  # refused although the full cube holds a pair
 ])
 def test_refusals_name_their_bound(call, message):
@@ -535,6 +540,6 @@ def test_refusals_name_their_bound(call, message):
 
 def test_agreement_search_exhausted_under_the_guarantee_is_named(monkeypatch):
     monkeypatch.setattr(cb, "_agreement_candidates", lambda grid, q: iter(()))
-    assert cb.find_agreement_pair(range(4**2), 2, q=4, p=2) is None  # P > Q*log(ell) fails
+    assert cb.find_agreement_pair(np.ones(4**2, dtype=bool), 2, q=4, p=2) is None  # P > Q*log(ell) fails
     with pytest.raises(cb.AgreementSearchError, match="density guarantee"):
-        cb.find_agreement_pair(range(4**4), 2, q=4, p=4)
+        cb.find_agreement_pair(np.ones(4**4, dtype=bool), 2, q=4, p=4)

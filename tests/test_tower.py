@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -166,15 +168,34 @@ def test_lp_betas_plug_in():
     assert block.coeff(1).real == pytest.approx(-EPS, abs=1e-9)
 
 
-def test_eps_prime_for():
-    val = tower.eps_prime_for(0.25)
-    assert val / (1 + val) > 0.25
-    assert val < 0.5
-    with pytest.raises(ValueError):
-        tower.eps_prime_for(0.4)
-    # eps just below 1/3 needs an eps_prime a hair above 1/2
-    with pytest.raises(ValueError, match="bound 1/2"):
-        tower.eps_prime_for(0.3333333333)
+@pytest.mark.parametrize("fields, message", [
+    pytest.param({"n": 2.7}, "n must be an integer, got 2.7", id="n-float"),
+    pytest.param({"n": True}, "n must be an integer, got True", id="n-bool"),
+    pytest.param({"n": "1"}, "n must be an integer, got '1'", id="n-string"),
+    pytest.param({"max_freq": 30.9, "dilation": 30}, "max_freq must be an integer, got 30.9",
+                 id="max-freq-float"),
+    pytest.param({"dilation": 7.0}, "dilation must be an integer, got 7.0", id="dilation-float"),
+    pytest.param({"dilation": np.bool_(True)}, "dilation must be an integer, got", id="dilation-numpy-bool"),
+    pytest.param({"r_set": "1"}, "r_set must be a list of integers, got '1'", id="r-set-string"),
+    pytest.param({"r_set": [1.0]}, "r_set must be a list of integers, got [1.0]", id="r-set-float-member"),
+    pytest.param({"r_set": [True]}, "r_set must be a list of integers, got [True]", id="r-set-bool-member"),
+    pytest.param({"r_set": {"1": 0}}, "r_set must be a list of integers, got {'1': 0}",
+                 id="r-set-string-keys"),
+    pytest.param({"r_set": 1}, "r_set must be a list of integers, got 1", id="r-set-not-a-collection"),
+    pytest.param({"eps_prime": "0.3"}, "eps_prime must be a number, got '0.3'", id="eps-prime-string"),
+    pytest.param({"eps_prime": None}, "eps_prime must be a number, got None", id="eps-prime-null"),
+    pytest.param({"eps_prime": False}, "eps_prime must be a number, got False", id="eps-prime-bool"),
+])
+def test_stage_values_are_refused_not_converted(fields, message):
+    values = {"r_set": (1,), "n": 1, "eps_prime": EPS, "max_freq": 7, "dilation": 7} | fields
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        tower.TowerStage(**values)
+
+
+def test_stage_reads_numpy_integers():
+    stage = tower.TowerStage(np.array([2, 1, 2]), np.int64(2), np.float64(EPS), np.int32(21), np.uint8(21))
+    assert stage.r_set == (1, 2) and all(type(r) is int for r in stage.r_set)
+    assert stage == tower.TowerStage((1, 2), 2, EPS, 21, 21)
 
 
 def depth4_stages(max_freq=21):
