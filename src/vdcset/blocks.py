@@ -18,7 +18,7 @@ import numpy as np
 from .combinatorics import digit_pattern_members, digit_windows  # R is defined in combinatorics
 from .measures import (DEFAULT_ATOM_BUDGET, AtomBudgetError, AtomicMeasure,  # budget re-exported
                        atom_budget, convolve, from_samples, require_budget)
-from .reports import Check, require
+from .reports import require, row
 from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
 MASS_CONSTANT = 320.0
@@ -156,9 +156,8 @@ class BlockMeasure(AtomicMeasure):
         """The acceptance table of a block, from block_residuals (min_weight has
         no row: AtomicMeasure already rejects or clips negative weights)."""
         res = block_residuals(self, self.params)
-        return [Check("mass_excess", res["mass_excess"] <= EVAL_TOL, res["mass_excess"], EVAL_TOL)] + [
-            Check(name, res[name] < EVAL_TOL, res[name], EVAL_TOL)
-            for name in ("plus_band_residual", "minus_band_residual")]
+        return [row(name, res[name], "at_most", tolerance=EVAL_TOL)
+                for name in ("mass_excess", "plus_band_residual", "minus_band_residual")]
 
 
 def build_block(params: BlockParams) -> BlockMeasure:
@@ -263,7 +262,7 @@ def build_witness(params: WitnessParams):
     k = np.arange(sigma.order // 2 + 1)  # real weights: k > N/2 repeats conjugates
     predicted = functools.reduce(np.multiply, (f.fourier(k) for f in factors))
     product = float(np.abs(sigma.fourier(k) - predicted).max())
-    require([Check("block product identity", product <= EVAL_TOL, product, EVAL_TOL)],
+    require([row("block product identity", product, "at_most", tolerance=EVAL_TOL)],
             BlockBulletError, "witness spectrum")
     norm = 1.0 / (sigma.mass() + 1.0)
     weights = norm * sigma.weights  # a scaled copy; dirac_0 adds one atom
@@ -302,13 +301,10 @@ class WitnessMeasure(AtomicMeasure):
         res = witness_residuals(self, self.params)
         bound = res["atom_lower_bound"]
         return [
-            Check("digit_pattern_count", res["pattern_count"] == res["expected_pattern_count"],
-                  res["pattern_count"]),
-            Check("pattern_zeros_residual", res["pattern_zeros_residual"] < EVAL_TOL,
-                  res["pattern_zeros_residual"], EVAL_TOL),
-            Check("mass", abs(res["mass"] - 1.0) < EVAL_TOL, res["mass"], EVAL_TOL),
-            Check("atom_lower_bound", res["atom"] >= bound - EVAL_TOL, res["atom"], EVAL_TOL,
-                  f"guaranteed {bound:.6g}"),
+            row("digit_pattern_count", res["pattern_count"], "within", res["expected_pattern_count"]),
+            row("pattern_zeros_residual", res["pattern_zeros_residual"], "at_most", tolerance=EVAL_TOL),
+            row("mass", res["mass"], "within", 1.0, EVAL_TOL),
+            row("atom_lower_bound", res["atom"], "at_least", bound, EVAL_TOL, f"guaranteed {bound:.6g}"),
         ]
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .measures import AtomicMeasure, require_budget
-from .reports import Check, require
+from .reports import require, row
 from .simplex import LpDegenerateError, LpInfeasibleError, solve_lp
 from .trigpoly import COEFF_TOL, EVAL_TOL, TrigPoly, modulus, sample_values
 
@@ -93,11 +93,11 @@ class VdcFailureWitness:
         computes its own."""
         res, tol = reverify_witness(self), EVAL_TOL  # residuals and dual slacks are evaluations
         return [
-            Check("witness_mass", res["mass_error"] <= COEFF_TOL, res["mass_error"], COEFF_TOL),
-            Check("witness_residual", res["residual"] < tol, res["residual"], tol),
-            Check("dual_bound", res["dual_bound"] >= self.atom - tol, res["dual_bound"], tol),
-            Check("dual_min_slack", res["dual_min_slack"] >= -tol, res["dual_min_slack"], tol),
-            Check("duality_gap", abs(res["duality_gap"]) <= tol, res["duality_gap"], tol),
+            row("witness_mass", res["mass_error"], "at_most", tolerance=COEFF_TOL),
+            row("witness_residual", res["residual"], "at_most", tolerance=tol),
+            row("dual_bound", res["dual_bound"], "at_least", self.atom, tol),
+            row("dual_min_slack", res["dual_min_slack"], "at_least", tolerance=tol),
+            row("duality_gap", res["duality_gap"], "within", tolerance=tol),
         ]
 
     def to_json(self) -> str:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import blocks, certify, combinatorics, measures, simplex, tower, trigpoly
-from .reports import RunReport
+from .reports import Check, RunReport
 
 
 def read_set_file(path: str) -> list:
@@ -82,8 +82,8 @@ def cmd_build_witness(args, report: RunReport) -> None:
 def cmd_certify_recurrence(args, report: RunReport) -> None:
     r_set = read_set_file(args.set_file)
     cert = certify.certify_recurrence(r_set, args.eps, args.n)
-    report.add("alpha_within_budget", cert.certified, cert.alpha,
-               detail=f"alpha {cert.alpha} vs eps*n = {args.eps * args.n}")
+    report.checks.append(Check("alpha_within_budget", cert.certified, cert.alpha,
+                               detail=f"alpha {cert.alpha} vs eps*n = {args.eps * args.n}"))
     report.flags["certificate"] = json.loads(cert.to_json())
 
 
@@ -117,7 +117,7 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
         subset = rng.choice(m, size=count, replace=False).tolist()
         combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
         tested += 1
-    report.add("poincare_systems", tested > 0, tested)
+    report.checks.append(Check("poincare_systems", tested > 0, tested))
 
 
 def cmd_lemma_digits(args, report: RunReport) -> None:
@@ -135,8 +135,8 @@ def cmd_lemma_digits(args, report: RunReport) -> None:
             continue
         found += 1
         verified += bool((members[: space - y] & members[y:]).any())  # is y = e' - e in E - E?
-    report.add("all_found", 0 < found == args.trials, found, detail=f"{args.trials} trials")
-    report.add("all_verified", verified == found, verified)
+    report.checks += [Check("all_found", 0 < found == args.trials, found, detail=f"{args.trials} trials"),
+                      Check("all_verified", verified == found, verified)]
     report.flags["density"] = args.density
 
 
@@ -151,7 +151,7 @@ def cmd_lemma_pair(args, report: RunReport) -> None:
     for _ in range(args.trials):
         members = combinatorics.random_mask(rng, space, args.size)
         found += combinatorics.find_agreement_pair(members, args.ell, q=args.q, p=args.p) is not None
-    report.add("pairs_found", args.trials > 0, found, detail=f"{args.trials} trials")
+    report.checks.append(Check("pairs_found", args.trials > 0, found, detail=f"{args.trials} trials"))
 
 
 STAGE_KEYS = ("r_set", "n", "max_freq", "dilation")
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
             combinatorics.RecurrenceBoundError, combinatorics.AgreementSearchError,
             ValueError) as exc:
         report.flags["error"] = str(exc)
-        report.add("completed", False, detail=str(exc))
+        report.checks.append(Check("completed", False, detail=str(exc)))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

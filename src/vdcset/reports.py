@@ -23,6 +23,16 @@ class Check:
         }
 
 
+def row(name, value, relation, bound=0.0, tolerance=None, detail="") -> Check:
+    """The one verdict rule: 'at_most' passes value <= bound + tol, 'at_least'
+    value >= bound - tol, 'within' |value - bound| <= tol; tol is the tolerance,
+    0 (exact) when None.  Each is one comparison, so a NaN value fails."""
+    tol = tolerance or 0.0
+    passed = {"at_most": value <= bound + tol, "at_least": value >= bound - tol,
+              "within": abs(value - bound) <= tol}[relation]
+    return Check(name, bool(passed), value, tolerance, detail)
+
+
 def require(checks: list, error: type, what: str) -> None:
     """Raise ``error`` naming every failed check with its value and tolerance."""
     failed = [f"{c.name} = {c.value} (tol {c.tolerance})" for c in checks if not c.passed]
@@ -42,11 +52,6 @@ class RunReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def add(self, name, passed, value=None, tolerance=None, detail="") -> Check:
-        check = Check(name, bool(passed), value, tolerance, detail)
-        self.checks.append(check)
-        return check
 
     def attach_file(self, label: str, path: str) -> None:
         with open(path, "rb") as handle:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .certify import LpInfeasibleError, max_atom_lp
 from .measures import AtomicMeasure, require_budget
-from .reports import Check
+from .reports import row
 from .trigpoly import EVAL_TOL, TrigPoly, add, constant, dilate, modulus, multiply
 
 
@@ -222,5 +222,5 @@ def claim_checks(residuals) -> list:
     guarantee's worst deviation at most EVAL_TOL."""
     named = {"vanishing_tail": "vanishing_tail", "frozen_window": "frozen_window",
              "mean": "mean_deviation", "marked_frequency": "marked_frequency"}
-    return [Check(f"stage{res['stage']}_{name}", res[key] <= EVAL_TOL, res[key], EVAL_TOL)
+    return [row(f"stage{res['stage']}_{name}", res[key], "at_most", tolerance=EVAL_TOL)
             for res in residuals for name, key in named.items()]

@@ -18,13 +18,12 @@ values come from one real inverse FFT (``irfft``) of the half spectrum
 folded mod the grid.
 """
 
-import operator
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import Check
+from .reports import row
 
 COEFF_TOL = 1e-12
 EVAL_TOL = 1e-9
@@ -416,18 +415,17 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
 
 
 def kernel_checks(res: dict) -> list:
-    """The acceptance table of kernel_residuals: identities below their tolerance,
-    the Fejer upper bound at most it, lower bounds and minima at least minus it."""
-    floor = lambda value, tol: value >= -tol
+    """The acceptance table of kernel_residuals: identities and the Fejer upper
+    bound at most their tolerance, lower bounds and minima at least minus it."""
     rows = [
-        ("fejer_product_identity", EVAL_TOL, operator.lt),
-        ("fejer_lower_bound", COEFF_TOL, floor),
-        ("fejer_upper_bound", COEFF_TOL, operator.le),
-        ("multiply_pointwise", EVAL_TOL, operator.lt),
-        ("domination_kernel_coeffs", COEFF_TOL, operator.lt),
-        ("domination_fixpoint", COEFF_TOL, operator.lt),
-        ("domination_lower_bound", EVAL_TOL, floor),
-        ("convex_profile_positivity", EVAL_TOL, floor),
-        ("sampling_identity", EVAL_TOL, operator.lt),
+        ("fejer_product_identity", "at_most", EVAL_TOL),
+        ("fejer_lower_bound", "at_least", COEFF_TOL),
+        ("fejer_upper_bound", "at_most", COEFF_TOL),
+        ("multiply_pointwise", "at_most", EVAL_TOL),
+        ("domination_kernel_coeffs", "at_most", COEFF_TOL),
+        ("domination_fixpoint", "at_most", COEFF_TOL),
+        ("domination_lower_bound", "at_least", EVAL_TOL),
+        ("convex_profile_positivity", "at_least", EVAL_TOL),
+        ("sampling_identity", "at_most", EVAL_TOL),
     ]
-    return [Check(name, compare(res[name], tol), res[name], tol) for name, tol, compare in rows]
+    return [row(name, res[name], relation, tolerance=tol) for name, relation, tol in rows]

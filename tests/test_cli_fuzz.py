@@ -4,7 +4,9 @@ Each parameter is drawn from its range (the bounds the library or the CLI
 refuses outside of), its edges and the values just outside it.  A run that
 exits 0 must have tested something: at least one check row, all passing.
 The atom budget and the grid-cell limit are small, so every refusal of an
-oversized input shows without a large allocation.
+oversized input shows without a large allocation.  A second, drawn-valid half
+builds towers that are valid by construction: each must exit 0 with every row
+passing.
 """
 
 import json
@@ -112,3 +114,39 @@ def test_fuzzed_argv_ends_in_a_report(tmp_path, monkeypatch, command):
             assert report["checks"] and all(c["pass"] for c in report["checks"]), argv
         else:
             assert not all(c["pass"] for c in report["checks"]), argv
+
+
+def valid_tower(rng):
+    """A stages file valid by construction: one to three stages sharing eps' in [0.05, 0.3],
+    n in {1, 2}, a non-empty r_set inside [1, n], max_freq = floor(n*(n+1)/eps') + 1 and the
+    ledger's dilations.  None when its product's prod(2*max_freq - 1) terms exceed the budget."""
+    eps_prime = float(rng.uniform(0.05, 0.3))
+    stages, prev = [], None
+    for _ in range(int(rng.integers(1, 4))):
+        n = int(rng.integers(1, 3))
+        max_freq = math.floor(n * (n + 1) / eps_prime) + 1
+        dilation = max_freq if prev is None else 2 * (prev["max_freq"] + 1) * prev["dilation"] + 1
+        r_set = sorted({int(r) for r in rng.integers(1, n + 1, size=int(rng.integers(1, 3)))})
+        prev = {"r_set": r_set, "n": n, "max_freq": max_freq, "dilation": dilation}
+        stages.append(prev)
+    if math.prod(2 * stage["max_freq"] - 1 for stage in stages) > ATOM_BUDGET:
+        return None
+    return {"eps_prime": eps_prime, "stages": stages}
+
+
+def test_drawn_valid_towers_pass(tmp_path, monkeypatch):
+    monkeypatch.setenv("VDC_ATOM_BUDGET", str(ATOM_BUDGET))
+    rng = np.random.default_rng(len(cli.COMMANDS))  # a seed no fuzzed command uses
+    path, out = tmp_path / "stages.json", tmp_path / "r.json"
+    built = 0
+    while built < RUNS_PER_COMMAND:
+        config = valid_tower(rng)
+        if config is None:
+            continue
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code = cli.main(["tower", "--stages-file", str(path), "--json-out", str(out)])
+        checks = json.loads(out.read_text(encoding="utf-8"))["checks"]
+        assert code == 0 and len(checks) == 4 * len(config["stages"]), config
+        assert all(c["pass"] for c in checks), config
+        built += 1

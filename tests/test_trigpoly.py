@@ -466,8 +466,8 @@ def test_fejer_product_identity_equals_the_pairwise_loop():
 
 
 def test_kernel_checks_at_the_tolerance():
-    # each residual exactly at its tolerance (minus it for the floors): strict
-    # identities fail, the Fejer upper bound and the floors pass
+    # each residual exactly at its tolerance (minus it for the floors) passes, and one ulp
+    # past it (away from zero) fails
     res = {
         "fejer_product_identity": 1e-9, "fejer_lower_bound": -1e-12, "fejer_upper_bound": 1e-12,
         "multiply_pointwise": 1e-9, "domination_kernel_coeffs": 1e-12,
@@ -477,10 +477,10 @@ def test_kernel_checks_at_the_tolerance():
     checks = tp.kernel_checks(res)
     assert [c.name for c in checks] == list(res)
     assert [abs(c.value) == c.tolerance for c in checks] == [True] * len(res)
-    assert {c.name for c in checks if c.passed} == {
-        "fejer_lower_bound", "fejer_upper_bound", "domination_lower_bound",
-        "convex_profile_positivity",
-    }
+    assert all(c.passed for c in checks)
+    for name, value in res.items():
+        past = tp.kernel_checks({**res, name: np.nextafter(value, 2 * value)})
+        assert [c.name for c in past if not c.passed] == [name]
 
 
 def test_kernel_residuals_need_an_order():
