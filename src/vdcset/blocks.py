@@ -135,7 +135,7 @@ def block_residuals(sigma: AtomicMeasure, params: BlockParams) -> dict:
     """Worst-case deviations of a block from its four guarantees."""
     e = params.ell * params.q**params.k
     half = params.order // 2
-    plus_band = np.abs(sigma.fourier(np.arange(params.q**params.k, e + 1)) - 1.0)
+    plus_band = np.abs(sigma.fourier(range(params.q**params.k, e + 1)) - 1.0)
     minus_band = np.abs(sigma.fourier(np.arange(half, half + e + 1)) + 1.0)
     return {
         "mass_excess": sigma.mass() - params.mass_bound,
@@ -259,9 +259,11 @@ def build_witness(params: WitnessParams):
         )
     factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
-    k = np.arange(sigma.order // 2 + 1)  # real weights: k > N/2 repeats conjugates
-    predicted = functools.reduce(np.multiply, (f.fourier(k) for f in factors))
-    product = float(np.abs(sigma.fourier(k) - predicted).max())
+    k = range(sigma.order // 2 + 1)  # real weights: k > N/2 repeats conjugates
+    predicted = np.require(factors[0].fourier(k), requirements="W")  # the tile, or the view copied at P = 1
+    for f in factors[1:]:
+        predicted *= f.fourier(k)  # in place, in the order of the product
+    product = float(np.abs(np.subtract(sigma.fourier(k), predicted, out=predicted)).max())
     require([row("block product identity", product, "at_most", tolerance=EVAL_TOL)],
             BlockBulletError, "witness spectrum")
     norm = 1.0 / (sigma.mass() + 1.0)
@@ -312,5 +314,5 @@ def zero_set(mu: AtomicMeasure, bound: int) -> set:
     """Frequencies 1 <= r <= bound where |mu_hat(r)| < EVAL_TOL."""
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
-    freqs = np.arange(1, bound + 1)
-    return set(freqs[np.abs(mu.fourier(freqs)) < EVAL_TOL].tolist())
+    small = np.abs(mu.fourier(range(bound + 1))[1:]) < EVAL_TOL  # small[r - 1] at r = 1..bound
+    return set((np.flatnonzero(small) + 1).tolist())

@@ -179,6 +179,11 @@ def _extend_pair(k: int, need: int, alpha: list, adjacency: list):
     return None
 
 
+def _normal_form(r_set) -> tuple:
+    """R as every certifier reads it, {|r|} ascending: r and -r are one constraint."""
+    return tuple(sorted({abs(int(r)) for r in r_set}))
+
+
 def max_avoiding_set(r_set, n: int):
     """Exact maximum subset of {0..n-1} whose pairwise differences avoid
     r_set (r and -r alike), by a Russian-doll search over prefixes of the
@@ -202,7 +207,7 @@ def max_avoiding_set(r_set, n: int):
         raise ValueError(
             f"horizon {n} exceeds the exact branch-and-bound cap {MAX_EXACT_HORIZON}"
         )
-    diffs = sorted({abs(int(r)) for r in r_set} & set(range(1, n)))
+    diffs = [r for r in _normal_form(r_set) if 0 < r < n]
     adjacency = [0] * n
     for r in diffs:
         for v in range(n - r):
@@ -234,7 +239,7 @@ def certify_recurrence(r_set, epsilon: float, n: int) -> RecurrenceCertificate:
     _check_epsilon(epsilon)
     alpha, witness = max_avoiding_set(r_set, n)
     return RecurrenceCertificate(
-        r_set=tuple(sorted({abs(int(r)) for r in r_set})),
+        r_set=_normal_form(r_set),
         epsilon=float(epsilon),
         n=int(n),
         alpha=alpha,
@@ -274,7 +279,7 @@ def max_atom_lp(r_set, order: int) -> VdcFailureWitness:
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    r_set = tuple(sorted({abs(int(r)) for r in r_set}))
+    r_set = _normal_form(r_set)
     multiples = [r for r in r_set if r % order == 0]
     if multiples:
         raise LpInfeasibleError(

@@ -4,8 +4,9 @@ Weight j sits at the point j/N of the circle; the Fourier transform
 ``fourier(k) = sum_j w_j exp(-2*pi*i*k*j/N)`` is N-periodic, and the weights
 are real, so fourier(-k) = conj(fourier(k)): one real FFT (``rfft``) of the
 weights, the half spectrum 0 <= k <= N/2, holds all of it.  ``fourier`` is
-the one reader of that layout.  Measures are immutable; operations return
-new measures.
+the one reader of that layout, and reads a range of frequencies with no
+index gather: as a view of the half, or from 0 past it as one mirrored
+period tiled.  Measures are immutable; operations return new measures.
 """
 
 import math
@@ -25,12 +26,13 @@ def atom_budget() -> int:
     """Cap on the atoms (or array entries) one measure, LP or product
     may allocate; override with the VDC_ATOM_BUDGET env var.
 
-    A block costs about 40 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 2.7-3.0 s CPU and 646 MiB
-    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4); sample_values'
+    A block costs about 39 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 1.7-2.8 s CPU and 619 MiB
+    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4), against 646 MiB
+    while the block path made more order-N temporaries; sample_values'
     order-N irfft of s, beside s's half spectrum, sets the peak.  Both
     figures depend on the host.  At that rate the default cap 2^26 admits
-    blocks of about 2.5 GiB.
+    blocks of about 2.4 GiB.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -58,9 +60,9 @@ class AtomicMeasure:
             raise ValueError("order must be >= 1")
         if w.shape != (self.order,):
             raise ValueError(f"expected {self.order} weights, got shape {w.shape}")
-        bad = np.flatnonzero(~np.isfinite(w))
-        if bad.size:
-            raise ValueError(f"weight {bad[0]} is not finite: {w[bad[0]]}")
+        if not np.isfinite(w).all():
+            bad = np.flatnonzero(~np.isfinite(w))[0]
+            raise ValueError(f"weight {bad} is not finite: {w[bad]}")
         low = w.min()
         if low < -COEFF_TOL:
             raise ValueError(f"negative weight {low} below clamp scale {-COEFF_TOL}")
@@ -79,9 +81,16 @@ class AtomicMeasure:
         return half
 
     def fourier(self, k):
-        """Transform at an integer k of any sign (a complex), or elementwise at
-        an integer array: the half spectrum at k mod N, or its conjugate at
-        N - (k mod N)."""
+        """Transform at an integer k of any sign (a complex), or elementwise at an integer array or
+        range: spectrum at k mod N, or its conjugate at N - (k mod N).  A step-1 range ending within
+        the half (stop <= N//2 + 1) is a read-only view of it, one from 0 past it a mirrored period tiled."""
+        if isinstance(k, range):
+            if k.step == 1 and 0 <= k.start <= k.stop <= self.spectrum.size:
+                return self.spectrum[k.start:k.stop]
+            if k.step == 1 and k.start == 0 < k.stop:  # whole periods, then the rest of one
+                period = np.concatenate((self.spectrum, self.spectrum[self.order % 2 - 2:0:-1].conj()))
+                return np.concatenate((period,) * (k.stop // self.order) + (period[:k.stop % self.order],))
+            k = np.arange(k.start, k.stop, k.step)
         k = np.asarray(k)
         r = np.atleast_1d(k) % self.order  # a new array, so the caller's k is never written
         upper = 2 * r > self.order
@@ -108,7 +117,7 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """
     common = math.lcm(m1.order, m2.order)
     require_budget(common, f"common order {common}")
-    k = np.arange(common // 2 + 1)
+    k = range(common // 2 + 1)
     return AtomicMeasure(common, np.fft.irfft(m1.fourier(k) * m2.fourier(k), common))
 
 
@@ -126,5 +135,5 @@ def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
             f"sample minimum {low} < -{SAMPLE_REJECT_TOL}: polynomial is not non-negative"
         )
     np.clip(samples, 0.0, None, out=samples)
-    w = np.concatenate((samples[:1], samples[:0:-1])) / order  # w[j] = samples[-j mod order]
-    return AtomicMeasure(order, w)
+    samples[1:], samples[0] = samples[:0:-1] / order, samples[0] / order  # w[j] = samples[-j mod order]
+    return AtomicMeasure(order, samples)

@@ -68,8 +68,8 @@ class TrigPoly:
                 summed = np.zeros(np.count_nonzero(first), dtype=complex)
                 np.add.at(summed, np.cumsum(first) - 1, c)
                 m, c = m[first], summed
-        keep = c != 0
-        if not keep.all():
+        if not c.all():
+            keep = c != 0
             m, c = m[keep], c[keep]
         if m.size and (m[0] < 0 or m[0] == 0 and c[0].imag != 0):  # 0 is not mirrored
             raise ValueError(f"from_half needs frequencies >= 0 and a real value at 0, got "
@@ -182,12 +182,15 @@ def fejer(n: int) -> TrigPoly:
     return TrigPoly.from_half(np.arange(n), 1.0 - np.arange(n) / n)
 
 
-def evaluate(f: TrigPoly, t: float) -> complex:
-    """Direct summation of sum_m c_m exp(2*pi*i*m*t); m*t mod 1 is exact."""
-    p, q = float(t).as_integer_ratio()
+def evaluate(f: TrigPoly, t):
+    """Direct summation of sum_m c_m exp(2*pi*i*m*t) at a point t (a complex),
+    or at each of an array of points (a complex array); m*t mod 1 is exact."""
+    ratios = np.array([float(x).as_integer_ratio() for x in np.ravel(t)], dtype=object).reshape(-1, 2)
+    p, q = ratios[:, :1], ratios[:, 1:]  # Python ints, one row per point
     phase = (f.freqs.astype(object) * p % q / q).astype(float)
     terms = f.values * np.exp(2j * np.pi * phase)  # c_0 + 2*Re(terms at m > 0)
-    return complex((terms.real * np.where(f.freqs > 0, 2, 1)).sum())
+    values = (terms.real * np.where(f.freqs > 0, 2, 1)).sum(axis=-1).astype(complex)
+    return complex(values[0]) if np.ndim(t) == 0 else values.reshape(np.shape(t))
 
 
 def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
@@ -201,13 +204,14 @@ def sample_values(f: TrigPoly, grid: int) -> np.ndarray:
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    at = f.freqs % grid
+    at = f.freqs % grid  # a new array, folded in place
     upper = at > grid // 2
-    at = np.minimum(at, grid - at)
+    np.subtract(grid, at, out=at, where=upper)
+    imag = np.negative(f.values.imag, out=f.values.imag.copy(), where=upper)
     fold = np.empty(grid // 2 + 1, dtype=complex)
     fold.real = np.bincount(at, f.values.real, fold.size)
-    fold.imag = np.bincount(at, np.where(upper, -f.values.imag, f.values.imag), fold.size)
-    del at, upper  # nothing term-sized beside the irfft, which sets the peak
+    fold.imag = np.bincount(at, imag, fold.size)
+    del at, upper, imag  # nothing term-sized beside the irfft, which sets the peak
     own = [0, grid // 2] if grid % 2 == 0 else [0]  # k == -k: fold + conj(fold)
     fold[own] = 2 * fold[own].real
     fold[0] -= f.values[0].real if f.freqs.size and f.freqs[0] == 0 else 0.0  # c_0 once
@@ -370,8 +374,8 @@ def kernel_residuals(grid: int, nmax: int, rng) -> dict:
     def pointwise():
         f = _random_real_poly(rng, int(rng.integers(0, 6)))
         g = _random_real_poly(rng, int(rng.integers(0, 6)))
-        prod = multiply(f, g)
-        return max(abs(evaluate(prod, t) - evaluate(f, t) * evaluate(g, t)) for t in rng.random(5))
+        prod, t = multiply(f, g), rng.random(5)
+        return float(modulus(evaluate(prod, t) - evaluate(f, t) * evaluate(g, t)).max())
 
     def domination():
         big_r, big_l = int(rng.integers(1, 5)), int(rng.integers(1, 5))

@@ -288,6 +288,14 @@ def test_zero_set_contains_all_patterns():
     assert set(blocks.digit_pattern_members(1, 64, 2)) <= zeros
 
 
+def test_zero_set_matches_the_gather_on_both_sides_of_the_half():
+    mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
+    n = mu.order
+    for bound in (n // 2 - 1, n // 2, n // 2 + 1, n):
+        freqs = np.arange(1, bound + 1)
+        assert blocks.zero_set(mu, bound) == set(freqs[np.abs(mu.fourier(freqs)) < tp.EVAL_TOL].tolist())
+
+
 def test_block_transform_identity_every_frequency():
     # independent cross-check at all frequencies, not just the bands:
     # sigma_hat(m) = cos(2 pi m / N) + s_hat(m) + s_hat(m - N)

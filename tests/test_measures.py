@@ -202,6 +202,15 @@ def test_from_samples_negative_rejection():
         ms.from_samples(bad, 8)
 
 
+@pytest.mark.parametrize("order", [1, 2, 7, 12, 64])
+def test_from_samples_reverses_the_samples_in_place(order):
+    # positive: 3 > 2 * (|0.4 + 0.2j| + 0.1 + 0.3)
+    poly = tp.TrigPoly.from_half(range(4), [3.0, 0.4 + 0.2j, -0.1j, 0.3])
+    s = tp.sample_values(poly, order)
+    reference = np.concatenate((s[:1], s[:0:-1])) / order
+    assert ms.from_samples(poly, order).weights.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_weights_rejected(bad):
     # nan passes every weight comparison, so only an explicit test rejects it
@@ -246,3 +255,21 @@ def test_fourier_fold_matches_the_minimum_reference(n):
             assert type(got) is complex
             assert got == minimum_fold_fourier(m, scalar)
             assert np.array(got).tobytes() == np.array(minimum_fold_fourier(m, scalar)).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 64])
+def test_fourier_over_a_range_matches_the_gather(n):
+    """A range inside the half is a read-only view of it, and one from 0 past
+    the half is tiled from one period; both equal the gather bit for bit."""
+    m = ms.AtomicMeasure(n, np.random.default_rng(n).random(n))
+    half = n // 2 + 1
+    views = [(0, 0), (0, 1), (min(1, half - 1), half - 1), (n // 3, half), (0, half)]  # inside, to the edge
+    tiled = [(0, half + 1), (0, n), (0, n + 1), (0, 3 * n + 2)]
+    gathered = [(2, 1), (1, 2 * n)]
+    for a, b in views + tiled + gathered:
+        got = m.fourier(range(a, b))
+        assert got.tobytes() == m.fourier(np.arange(a, b)).tobytes()
+        assert got.flags.writeable is ((a, b) not in views)
+        assert np.shares_memory(got, m.spectrum) is ((a, b) in views and a < b)
+    with pytest.raises(ValueError, match="read-only"):
+        m.fourier(range(half))[0] = 0.0

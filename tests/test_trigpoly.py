@@ -67,7 +67,11 @@ def test_multiply_matches_pointwise_product():
         f = random_real_poly(rng, int(rng.integers(0, 7)))
         g = random_real_poly(rng, int(rng.integers(0, 7)))
         prod = tp.multiply(f, g)
-        for t in rng.random(4):
+        points = rng.random(4)
+        for poly in (f, g, prod):  # at an array of points: the scalar calls, bit for bit
+            scalars = np.array([tp.evaluate(poly, t) for t in points])
+            assert tp.evaluate(poly, points).tobytes() == scalars.tobytes()
+        for t in points:
             lhs = tp.evaluate(prod, t)
             rhs = tp.evaluate(f, t) * tp.evaluate(g, t)
             assert abs(lhs - rhs) < 1e-9
