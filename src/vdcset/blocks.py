@@ -17,7 +17,8 @@ import numpy as np
 
 from .combinatorics import digit_pattern_members, digit_windows  # R is defined in combinatorics
 from .measures import (DEFAULT_ATOM_BUDGET, AtomBudgetError, AtomicMeasure,  # budget re-exported
-                       atom_budget, convolve, from_samples, require_budget)
+                       atom_budget, cache_point_mass_spectrum, convolve, from_samples, lifted_product,
+                       require_budget)
 from .reports import require, row
 from .trigpoly import EVAL_TOL, ConvexProfile, TrigPoly, convex_poly, modulus
 
@@ -165,10 +166,11 @@ def build_block(params: BlockParams) -> BlockMeasure:
     sampled polynomial s, every row of its checks (the guarantees) passed."""
     n_total = params.order
     require_budget(n_total, f"block order {params.q}^{params.k + 1}")  # Q^(k+1) may pass 4300 digits
-    weights = from_samples(block_polynomials(params)[2], n_total).weights.copy()
+    weights = from_samples(block_polynomials(params)[2], n_total).weights  # taken over from a dropped measure
+    weights.setflags(write=True)
     weights[[1, -1]] += 0.5
+    weights.setflags(write=False)  # handed over: one order-N array through the residuals
     sigma = BlockMeasure(n_total, weights, params)
-    del weights  # sigma holds its own copy: one order-N array through the residuals
     require(sigma.checks, BlockBulletError,
             f"block (ell={params.ell}, Q={params.q}, k={params.k}; a "
             f"'sufficiently large Q' condition is marginal)")
@@ -259,17 +261,16 @@ def build_witness(params: WitnessParams):
         )
     factors = [build_block(BlockParams(params.ell, params.q, k)) for k in range(params.p)]
     sigma = functools.reduce(convolve, factors)
-    k = range(sigma.order // 2 + 1)  # real weights: k > N/2 repeats conjugates
-    predicted = np.require(factors[0].fourier(k), requirements="W")  # the tile, or the view copied at P = 1
-    for f in factors[1:]:
-        predicted *= f.fourier(k)  # in place, in the order of the product
-    product = float(np.abs(np.subtract(sigma.fourier(k), predicted, out=predicted)).max())
+    predicted = lifted_product(factors, sigma.order)  # k <= N/2: real weights, k > N/2 repeats conjugates
+    product = float(np.abs(np.subtract(sigma.fourier(range(predicted.size)), predicted, out=predicted)).max())
     require([row("block product identity", product, "at_most", tolerance=EVAL_TOL)],
             BlockBulletError, "witness spectrum")
     norm = 1.0 / (sigma.mass() + 1.0)
     weights = norm * sigma.weights  # a scaled copy; dirac_0 adds one atom
     weights[0] += norm
+    weights.setflags(write=False)  # handed over
     mu = WitnessMeasure(params.order, weights, params)
+    cache_point_mass_spectrum(mu, sigma, norm)
     require(mu.checks, BlockBulletError,
             f"witness (j={params.j}, Q={params.q}, P={params.p})")
     return mu, sigma
@@ -314,5 +315,6 @@ def zero_set(mu: AtomicMeasure, bound: int) -> set:
     """Frequencies 1 <= r <= bound where |mu_hat(r)| < EVAL_TOL."""
     if bound > mu.order:
         raise ValueError(f"bound {bound} exceeds the measure order {mu.order}")
-    small = np.abs(mu.fourier(range(bound + 1))[1:]) < EVAL_TOL  # small[r - 1] at r = 1..bound
-    return set((np.flatnonzero(small) + 1).tolist())
+    s = np.flatnonzero(np.abs(mu.fourier(range(mu.order // 2 + 1))) < EVAL_TOL)  # zeros on the half
+    r = np.concatenate((s, mu.order - s))  # and their mirrors: |mu_hat(N - s)| is |mu_hat(s)| bit for bit
+    return set(r[(r >= 1) & (r <= bound)].tolist())

@@ -4,9 +4,10 @@ Weight j sits at the point j/N of the circle; the Fourier transform
 ``fourier(k) = sum_j w_j exp(-2*pi*i*k*j/N)`` is N-periodic, and the weights
 are real, so fourier(-k) = conj(fourier(k)): one real FFT (``rfft``) of the
 weights, the half spectrum 0 <= k <= N/2, holds all of it.  ``fourier`` is
-the one reader of that layout, and reads a range of frequencies with no
-index gather: as a view of the half, or from 0 past it as one mirrored
-period tiled.  Measures are immutable; operations return new measures.
+the one reader of that layout.  Measures are immutable; one takes over a
+read-only float64 array that owns its data (its maker froze it to hand it
+over) and copies other weights.  ``lifted_product`` multiplies transforms
+over the half of a common order, each broadcast from its own period.
 """
 
 import math
@@ -26,13 +27,13 @@ def atom_budget() -> int:
     """Cap on the atoms (or array entries) one measure, LP or product
     may allocate; override with the VDC_ATOM_BUDGET env var.
 
-    A block costs about 39 bytes of peak RSS per atom: build_block of
-    (ell, Q, k) = (2, 64, 3), order 2^24, took 1.7-2.8 s CPU and 619 MiB
-    max RSS on a shared 2-vCPU x86-64 VM (numpy 2.4), against 646 MiB
-    while the block path made more order-N temporaries; sample_values'
-    order-N irfft of s, beside s's half spectrum, sets the peak.  Both
-    figures depend on the host.  At that rate the default cap 2^26 admits
-    blocks of about 2.4 GiB.
+    A block costs about 38 bytes of peak RSS per atom: build_block of
+    (ell, Q, k) = (2, 64, 3), order 2^24, took 1.5-1.6 s CPU and 615 MiB
+    max RSS, and build_witness of Q = 64, P = 4 (order 2^24) 3.2-3.5 s and
+    952 MiB, on a shared 2-vCPU x86-64 VM (numpy 2.4); sample_values'
+    order-N irfft of s, beside s's half spectrum, sets a block's peak.  The
+    figures depend on the host.  At that rate the cap 2^26 admits blocks of
+    about 2.4 GiB.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -55,7 +56,9 @@ class AtomicMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).copy()
+        w = self.weights  # taken over when frozen and owning its data, else copied: its caller may write it
+        handed = isinstance(w, np.ndarray) and w.flags.owndata and not w.flags.writeable
+        w = np.array(w, dtype=float, copy=None if handed else True)
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if w.shape != (self.order,):
@@ -66,6 +69,7 @@ class AtomicMeasure:
         low = w.min()
         if low < -COEFF_TOL:
             raise ValueError(f"negative weight {low} below clamp scale {-COEFF_TOL}")
+        w.setflags(write=True)  # a handed-over array too: the clip also maps -0.0 to +0.0
         np.clip(w, 0.0, None, out=w)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -83,13 +87,10 @@ class AtomicMeasure:
     def fourier(self, k):
         """Transform at an integer k of any sign (a complex), or elementwise at an integer array or
         range: spectrum at k mod N, or its conjugate at N - (k mod N).  A step-1 range ending within
-        the half (stop <= N//2 + 1) is a read-only view of it, one from 0 past it a mirrored period tiled."""
+        the half (stop <= N//2 + 1) is a read-only view of it."""
         if isinstance(k, range):
             if k.step == 1 and 0 <= k.start <= k.stop <= self.spectrum.size:
                 return self.spectrum[k.start:k.stop]
-            if k.step == 1 and k.start == 0 < k.stop:  # whole periods, then the rest of one
-                period = np.concatenate((self.spectrum, self.spectrum[self.order % 2 - 2:0:-1].conj()))
-                return np.concatenate((period,) * (k.stop // self.order) + (period[:k.stop % self.order],))
             k = np.arange(k.start, k.stop, k.step)
         k = np.asarray(k)
         r = np.atleast_1d(k) % self.order  # a new array, so the caller's k is never written
@@ -107,18 +108,34 @@ def uniform(order: int) -> AtomicMeasure:
     return AtomicMeasure(order, np.full(order, 1.0 / order))
 
 
-def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
-    """Circular convolution after lifting both measures to lcm order.
+def lifted_product(measures, order: int) -> np.ndarray:
+    """prod_i measures[i].fourier(k) at k = 0..order//2 for orders dividing order, a new array: the
+    first factor written once, each later one multiplied in place, in order, broadcast from its period."""
+    out = np.empty(order // 2 + 1, complex)
+    for i, m in enumerate(measures):
+        period = m.fourier(range(min(m.order, out.size)))  # one gathered period, or the half as a view
+        rows, rest = divmod(out.size, period.size)  # rows >= 1: a proper divisor is at most order/2
+        body = out[:out.size - rest].reshape(rows, -1)
+        for part, factor in ((body, period), (out[out.size - rest:], period[:rest])):
+            np.multiply(part, factor, out=part) if i else np.copyto(part, factor)
+    return out
 
-    Fourier transforms multiply: fourier(out, k) = fourier(m1, k) * fourier(m2, k)
-    on k <= common/2, inverted by one ``irfft``.  The inverse leaves float
-    noise around zero weights, which the COEFF_TOL clamp of AtomicMeasure
-    absorbs.
-    """
+
+def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
+    """Circular convolution after lifting both measures to lcm order: the lifted_product of
+    their transforms on k <= common/2, inverted by one ``irfft``, whose float noise around
+    zero weights the COEFF_TOL clamp of AtomicMeasure absorbs."""
     common = math.lcm(m1.order, m2.order)
     require_budget(common, f"common order {common}")
-    k = range(common // 2 + 1)
-    return AtomicMeasure(common, np.fft.irfft(m1.fourier(k) * m2.fourier(k), common))
+    return AtomicMeasure(common, np.fft.irfft(lifted_product((m1, m2), common), common))
+
+
+def cache_point_mass_spectrum(mu: AtomicMeasure, sigma: AtomicMeasure, norm: float) -> None:
+    """Cache mu's spectrum as norm*(sigma's + 1), for mu = norm*(sigma + dirac_0), in place of its rfft;
+    the two differ by FFT roundoff, within 1e-15 (measured: at most 7.5e-16, at j, Q, P = 3, 146, 1)."""
+    mu.__dict__["spectrum"] = half = sigma.spectrum + 1.0
+    half *= norm
+    half.setflags(write=False)
 
 
 def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
@@ -136,4 +153,5 @@ def from_samples(poly: TrigPoly, order: int) -> AtomicMeasure:
         )
     np.clip(samples, 0.0, None, out=samples)
     samples[1:], samples[0] = samples[:0:-1] / order, samples[0] / order  # w[j] = samples[-j mod order]
+    samples.setflags(write=False)  # handed over
     return AtomicMeasure(order, samples)

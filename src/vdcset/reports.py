@@ -1,6 +1,5 @@
 """Self-contained run reports: named checks, each with its tolerance."""
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -25,11 +24,11 @@ class Check:
 
 def row(name, value, relation, bound=0.0, tolerance=None, detail="") -> Check:
     """The one verdict rule: 'at_most' passes value <= bound + tol, 'at_least'
-    value >= bound - tol, 'within' |value - bound| <= tol; tol is the tolerance,
-    0 (exact) when None.  Each is one comparison, so a NaN value fails."""
+    value >= bound - tol, 'within' both, each a comparison with an edge (so a NaN
+    fails); tol is the tolerance, 0 (exact) when None."""
     tol = tolerance or 0.0
     passed = {"at_most": value <= bound + tol, "at_least": value >= bound - tol,
-              "within": abs(value - bound) <= tol}[relation]
+              "within": bound - tol <= value <= bound + tol}[relation]
     return Check(name, bool(passed), value, tolerance, detail)
 
 
@@ -54,6 +53,7 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def attach_file(self, label: str, path: str) -> None:
+        import hashlib  # its only user: every other process skips the import
         with open(path, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
         self.artifacts[label] = {"path": path, "sha256": digest}

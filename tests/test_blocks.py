@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,29 @@ def test_zero_set_basics():
         blocks.zero_set(ms.uniform(8), 9)
 
 
+@pytest.mark.parametrize("q", [50, 52, 64])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_witness_spectrum_from_sigma_is_within_its_roundoff(q, p):
+    # mu_hat = norm*(sigma_hat + 1) in place of an rfft of mu's weights, within its stated 1e-15
+    mu, sigma = blocks.build_witness(blocks.WitnessParams(1, 0.01, q, p))
+    k = range(mu.order // 2 + 1)
+    assert np.abs(mu.fourier(k) - np.fft.rfft(mu.weights)).max() <= 1e-15
+    assert np.abs(sigma.fourier(k) - np.fft.rfft(sigma.weights)).max() == 0.0  # sigma's own rfft
+
+
+def test_witness_allocation_peak():
+    # build_witness of Q = 64, P = 3 (order 2^18) peaked at 14.12 MiB under tracemalloc (numpy 2.4,
+    # Python 3.11), and at 16.11 MiB while it tiled spectra, copied weights and ran mu's rfft;
+    # the pin is 14.12 MiB + 5 %, so an order-N array that creeps back fails it
+    tracemalloc.start()
+    try:
+        blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.83 * 2**20
+
+
 def test_zero_set_contains_all_patterns():
     mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
     zeros = blocks.zero_set(mu, 4095)
@@ -289,11 +313,13 @@ def test_zero_set_contains_all_patterns():
 
 
 def test_zero_set_matches_the_gather_on_both_sides_of_the_half():
-    mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, 2))
-    n = mu.order
-    for bound in (n // 2 - 1, n // 2, n // 2 + 1, n):
-        freqs = np.arange(1, bound + 1)
-        assert blocks.zero_set(mu, bound) == set(freqs[np.abs(mu.fourier(freqs)) < tp.EVAL_TOL].tolist())
+    # zero_set reads the half spectrum and mirrors it; the gather reads every r itself
+    for p, every_bound in ((1, True), (2, False)):
+        mu, _ = blocks.build_witness(blocks.WitnessParams(1, 0.01, 64, p))
+        n = mu.order
+        for bound in range(n + 1) if every_bound else (n // 2 - 1, n // 2, n // 2 + 1, n):
+            freqs = np.arange(1, bound + 1)
+            assert blocks.zero_set(mu, bound) == set(freqs[np.abs(mu.fourier(freqs)) < tp.EVAL_TOL].tolist())
 
 
 def test_block_transform_identity_every_frequency():

@@ -259,8 +259,8 @@ def test_fourier_fold_matches_the_minimum_reference(n):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 64])
 def test_fourier_over_a_range_matches_the_gather(n):
-    """A range inside the half is a read-only view of it, and one from 0 past
-    the half is tiled from one period; both equal the gather bit for bit."""
+    """A range inside the half is a read-only view of it, and one past the half
+    is gathered; both equal the gather bit for bit."""
     m = ms.AtomicMeasure(n, np.random.default_rng(n).random(n))
     half = n // 2 + 1
     views = [(0, 0), (0, 1), (min(1, half - 1), half - 1), (n // 3, half), (0, half)]  # inside, to the edge
@@ -273,3 +273,42 @@ def test_fourier_over_a_range_matches_the_gather(n):
         assert np.shares_memory(got, m.spectrum) is ((a, b) in views and a < b)
     with pytest.raises(ValueError, match="read-only"):
         m.fourier(range(half))[0] = 0.0
+
+
+def gathered_product(measures, order):
+    """prod_i fourier(k) at k = 0..order//2, each factor gathered at the integer array k."""
+    k = np.arange(order // 2 + 1)
+    out = measures[0].fourier(k)
+    for m in measures[1:]:
+        out = out * m.fourier(k)
+    return out
+
+
+def test_lifted_product_matches_the_gathered_product():
+    rng = np.random.default_rng(55)
+    measures = {n: ms.AtomicMeasure(n, rng.random(n)) for n in range(1, 34)}
+    for a in range(1, 34):
+        for b in range(1, 34):
+            pair, common = (measures[a], measures[b]), math.lcm(a, b)
+            assert ms.lifted_product(pair, common).tobytes() == gathered_product(pair, common).tobytes()
+    for q in (3, 4, 7):  # block orders Q^(k+1) lifted to Q^P, multiplied in the order of the product
+        chain = [ms.AtomicMeasure(q**e, rng.random(q**e)) for e in (1, 2, 3)]
+        assert ms.lifted_product(chain, q**3).tobytes() == gathered_product(chain, q**3).tobytes()
+
+
+def test_weights_are_handed_over_only_when_frozen_and_owned():
+    given = np.array([0.5, -0.0, 0.25])
+    kept = ms.AtomicMeasure(3, given)
+    assert kept.weights is not given and given.flags.writeable
+    assert np.signbit(given[1]) and not np.signbit(kept.weights[1])  # the caller's array is not written
+    given.setflags(write=False)
+    taken = ms.AtomicMeasure(3, given)
+    assert taken.weights is given and not given.flags.writeable
+    assert not np.signbit(given[1])  # -0.0 became +0.0 in place
+    view = np.array([0.0, 0.5, 0.5, 0.5])[1:]  # frozen, but its data belongs to another array
+    view.setflags(write=False)
+    assert ms.AtomicMeasure(3, view).weights is not view
+    ints = np.array([1, 0, 2])  # frozen and owned, but converted
+    ints.setflags(write=False)
+    for other in ([0.5, 0.25, 0.25], ints):
+        assert ms.AtomicMeasure(3, other).weights.dtype == np.float64

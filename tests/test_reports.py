@@ -25,6 +25,15 @@ def test_row_passes_at_its_edge_and_fails_one_ulp_past(relation):
         assert not row("r", np.nextafter(edge, side * np.inf), relation, BOUND, TOL).passed
 
 
+def test_within_compares_the_value_with_its_edges():
+    # |value - bound| rounds onto tol here: one ulp below bound - tol = 0.25 lies 0.25 + 2^-55
+    # below 0.5, a tie that rounds to 0.25, so only a comparison with the edge refuses it
+    below = np.nextafter(0.25, -np.inf)
+    assert abs(below - 0.5) == 0.25
+    assert not row("r", below, "within", 0.5, 0.25).passed
+    assert row("r", 0.25, "within", 0.5, 0.25).passed
+
+
 @pytest.mark.parametrize("relation", sorted(SIDES))
 def test_row_without_a_tolerance_is_exact(relation):
     assert row("r", BOUND, relation, BOUND) == Check("r", True, BOUND, None)
