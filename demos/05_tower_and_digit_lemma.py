@@ -35,8 +35,9 @@ tail = max((abs(m) for m in c1.coeffs), default=0)
 print(f"stage-1 spectrum dies before the next dilation: max |m| = {tail} < 113")
 
 print("\n=== Quantitative Poincare recurrence ===")
-system = cb.FiniteSystem(8, tuple((x + 1) % 8 for x in range(8)), frozenset({0, 4}))
-n, overlap = cb.strong_poincare(system)
+mask = np.zeros(8, dtype=bool)
+mask[[0, 4]] = True  # E = {0, 4} as a bool mask of the 8 points
+n, overlap = cb.strong_poincare([(x + 1) % 8 for x in range(8)], mask)
 print(f"rotation by 1 on 8 points, E = {{0,4}}: returns n={n} with overlap {overlap} "
       f">= density^2/2 = {(2 / 8) ** 2 / 2}")
 
@@ -47,8 +48,8 @@ members = np.zeros(space, dtype=bool)  # B as a bool mask of the Q^P cells
 members[rng.choice(space, size=space // 2 + 30, replace=False)] = True
 pair = cb.find_agreement_pair(members, ell=2, q=4, p=4)
 print(f"|B| = {members.sum()} > Q^P/ell = {space // 2} with P > Q log ell: pair found")
-print(f"  x  = {pair.x.coords}")
-print(f"  x' = {pair.x_prime.coords}")
+print(f"  x  = {pair.x}")
+print(f"  x' = {pair.x_prime}")
 print(f"  agreeing below s={pair.s}, x_s=0 vs x'_s=Q/2, distance <= 2 above")
 
 print("\n=== Digit differences of dense sets ===")

@@ -44,19 +44,16 @@ class _Ledger:
 
 
 def _block_rows(ell: int, q: int, k: int) -> list:
-    """The 'Q sufficiently large' rows of the block (ell, Q, k); a negative k
-    fails 'k >= 0' and is read as 0 by the others, so every row is an integer test."""
-    low = q ** max(k, 0)
-    e, half = ell * low, low * q // 2
+    """The 'Q sufficiently large' rows of the block (ell, Q, k).  The paper's
+    rows in Q^k reduce for even Q to these: ell*Q^k < Q^(k+1)/2 - ell*Q^k
+    is Q > 4*ell, 2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k is Q > 6*ell, and
+    -Q^(k+1)/2 + ell*Q^k < -Q^k (Q > 2*ell + 2) follows from Q > 6*ell."""
     return [
         ("ell >= 1", ell >= 1),
         ("k >= 0", k >= 0),
         ("Q even", q >= 2 and q % 2 == 0),
         ("Q > 4*ell", q > 4 * ell),
         ("Q/2 - 2*ell > ell", q > 6 * ell),
-        ("ell*Q^k < Q^(k+1)/2 - ell*Q^k", 2 * e < half),
-        ("-Q^(k+1)/2 + ell*Q^k < -Q^k", e + low < half),
-        ("2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k", 3 * e < half),
     ]
 
 
@@ -97,8 +94,8 @@ def block_polynomials(params: BlockParams):
     s = 16*ell*(p conv F_{Q^k}) + r*p = 4*(4*ell*(p conv F_{Q^k}) - p) + (4 + r)*p
     is non-negative by construction, so no grid is evaluated:
     - p >= 0 by Polya's criterion (convex_poly): ConvexProfile checks its
-      profile, convex because the ledger row 'ell*Q^k < Q^(k+1)/2 -
-      ell*Q^k' (4*ell*Q^k < N) keeps the angle of 1 - cos below pi/2;
+      profile, convex because the ledger row 'Q > 4*ell' (4*ell*Q^k < N)
+      keeps the angle of 1 - cos below pi/2;
     - 4*R*(f conv F_L) >= f for f >= 0 of degree <= R*L (the domination
       rows of verify-kernels), here with R = ell and L = Q^k;
     - |r| <= 4, the sum of its |coefficients|.
@@ -211,9 +208,7 @@ class WitnessParams(_Ledger):
     def ledger(self) -> list:
         """R's range, as the row digit_windows decides (named by its message
         when it refuses), the witness inequalities, then the block ledger of
-        k = 0, which stands for every k < P: for even Q each block
-        inequality is homogeneous in Q^k (2*ell*Q^k < Q^(k+1)/2 exactly when
-        4*ell < Q), and an odd Q fails 'Q even' at every k."""
+        k = 0, which stands for every k < P: no block row but 'k >= 0' reads k."""
         try:
             digit_windows(self.j, self.q, self.p)
             pattern = ("digit_windows(j, Q, P)", True)

@@ -112,10 +112,10 @@ def cmd_lemma_prt(args, report: RunReport) -> None:
             tested += len(members)
     for _ in range(args.random_trials):
         m = int(rng.integers(2, args.random_size + 1))
-        mapping = rng.permutation(m).tolist()
-        count = int(rng.integers(1, m + 1))
-        subset = rng.choice(m, size=count, replace=False).tolist()
-        combinatorics.strong_poincare(combinatorics.FiniteSystem(m, mapping, subset))
+        mapping = rng.permutation(m)
+        mask = np.zeros(m, dtype=bool)
+        mask[rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)] = True
+        combinatorics.strong_poincare(mapping, mask)
         tested += 1
     report.checks.append(Check("poincare_systems", tested > 0, tested))
 

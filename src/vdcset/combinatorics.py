@@ -32,21 +32,6 @@ class AgreementSearchError(RuntimeError):
     """The agreement search broke a bullet, or found nothing where the density guarantee applies."""
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    q: int
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if self.q < 2:
-            raise ValueError("modulus must be >= 2")
-        for c in coords:
-            if not 0 <= c < self.q:
-                raise ValueError(f"coordinate {c} outside [0, {self.q})")
-
-
 def circular_distance(a: int, b: int, q: int) -> int:
     d = abs(a - b) % q
     return min(d, q - d)
@@ -54,29 +39,18 @@ def circular_distance(a: int, b: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class AgreementPair:
-    x: DigitVector
-    x_prime: DigitVector
+    """x and x_prime as tuples of ints, digit i at index i, each in [0, Q)."""
+
+    x: tuple
+    x_prime: tuple
     s: int
 
 
-@dataclass(frozen=True)
-class FiniteSystem:
-    """A permutation of {0..size-1} with a marked subset, carrying the
-    uniform probability measure."""
-
-    size: int
-    mapping: tuple
-    subset: frozenset
-
-    def __post_init__(self):
-        mapping = tuple(map(int, self.mapping))
-        subset = frozenset(map(int, self.subset))
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "subset", subset)
-        if len(mapping) != self.size or sorted(mapping) != list(range(self.size)):
-            raise ValueError("mapping must be a permutation of {0..size-1}")
-        if not all(0 <= v < self.size for v in subset):
-            raise ValueError("subset must lie inside {0..size-1}")
+def _require_bool(members, what: str) -> None:
+    """Refuse anything but a bool array, naming its dtype or type."""
+    if not isinstance(members, np.ndarray) or members.dtype != bool:
+        kind = getattr(members, "dtype", type(members).__name__)  # an array's dtype, else the type
+        raise ValueError(f"members must be {what}, got {kind}")
 
 
 def poincare_returns(mapping, members):
@@ -86,8 +60,8 @@ def poincare_returns(mapping, members):
     at each row's first qualifying n, which Cauchy-Schwarz on the sum of
     1_E(T^i x) over i < ceil(2/density) puts below that horizon.
     """
+    _require_bool(members, "a bool matrix of one row per subset")  # an index list is not read as a mask
     perm = np.asarray(mapping, dtype=np.int64)
-    members = np.asarray(members, dtype=bool)
     m = perm.size
     if not np.array_equal(np.sort(perm), np.arange(m)):  # also false for a non-1-D mapping
         raise ValueError("mapping must be a permutation of {0..size-1}")
@@ -112,15 +86,14 @@ def poincare_returns(mapping, members):
     return found, count
 
 
-def strong_poincare(system: FiniteSystem):
-    """First return step n <= ceil(2/density) whose overlap
-    |E intersect T^-n E| / size reaches density^2 / 2: the one-row call of
-    poincare_returns.
+def strong_poincare(mapping, mask):
+    """First return step n <= ceil(2/density) of the permutation mapping of
+    {0..m-1} whose overlap |E intersect T^-n E| / m reaches density^2 / 2,
+    for E given as a bool mask of the m cells: the one-row call of
+    poincare_returns, which checks both.
     """
-    members = np.zeros((1, system.size), dtype=bool)
-    members[0, list(system.subset)] = True
-    n, count = poincare_returns(system.mapping, members)
-    return int(n[0]), int(count[0]) / system.size
+    n, count = poincare_returns(mapping, mask[None] if isinstance(mask, np.ndarray) else mask)
+    return int(n[0]), int(count[0]) / mask.size
 
 
 def _expand(grid: np.ndarray, axis: int) -> np.ndarray:
@@ -221,9 +194,7 @@ def random_mask(rng, cells: int, size: int) -> np.ndarray:
 def _mask_grid(mask, q: int, p: int) -> np.ndarray:
     """The grid of a bool mask of the Q^P cells, reshaped without a copy; anything else is refused."""
     cells = grid_cells(q, p)
-    if not isinstance(mask, np.ndarray) or mask.dtype != bool:
-        kind = getattr(mask, "dtype", type(mask).__name__)  # an array's dtype, else the type
-        raise ValueError(f"members must be a bool mask of the {cells} cells, got {kind}")
+    _require_bool(mask, f"a bool mask of the {cells} cells")
     if mask.shape != (cells,):
         raise ValueError(f"a membership mask must have shape ({cells},), got {mask.shape}")
     return mask.reshape((q,) * p, order="F")
@@ -244,7 +215,7 @@ def find_agreement_pair(mask, ell: int, *, q: int, p: int):
     for x, x_prime, s in _agreement_candidates(grid, q):
         if not bullets_hold(x, x_prime, s, q):
             raise AgreementSearchError(f"agreement candidate {x}, {x_prime} at s={s} breaks a bullet")
-        return AgreementPair(DigitVector(q, x), DigitVector(q, x_prime), s)
+        return AgreementPair(x, x_prime, s)
     if guaranteed:
         raise AgreementSearchError(
             "agreement search exhausted although the density guarantee applies"

@@ -20,20 +20,24 @@ import numpy as np
 from .trigpoly import COEFF_TOL, TrigPoly, sample_values
 
 SAMPLE_REJECT_TOL = 1e-6    # more negative than this signals a bad polynomial
-DEFAULT_ATOM_BUDGET = 1 << 26
+DEFAULT_ATOM_BUDGET = 1 << 25
 
 
 def atom_budget() -> int:
     """Cap on the atoms (or array entries) one measure, LP or product
     may allocate; override with the VDC_ATOM_BUDGET env var.
 
-    A block costs about 38 bytes of peak RSS per atom: build_block of
+    A block costs about 40 bytes of peak RSS per atom: build_block of
     (ell, Q, k) = (2, 64, 3), order 2^24, took 1.5-1.6 s CPU and 615 MiB
-    max RSS, and build_witness of Q = 64, P = 4 (order 2^24) 3.2-3.5 s and
-    952 MiB, on a shared 2-vCPU x86-64 VM (numpy 2.4); sample_values'
-    order-N irfft of s, beside s's half spectrum, sets a block's peak.  The
-    figures depend on the host.  At that rate the cap 2^26 admits blocks of
-    about 2.4 GiB.
+    max RSS, and (2, 32, 4), order 2^25, 3.3 s and 1355 MiB; build_witness
+    of Q = 64, P = 4 (order 2^24) took 3.2-3.5 s and 952 MiB, and the
+    largest witness the cap admits, Q = 5792, P = 2 (order 33,547,264),
+    16.1 s and 1855 MiB; on a shared 2-vCPU x86-64 VM (numpy 2.4).
+    sample_values' order-N irfft of s, beside s's half spectrum, sets a
+    block's peak.  The figures depend on the host.  The cap 2^25 is the
+    largest power of two whose blocks and witnesses build within 2 GiB of
+    address space: numpy's irfft at order 2^26 alone peaks at 2075 MiB, so
+    under that limit an order-2^26 block (8192^2) is refused by name.
     """
     raw = os.environ.get("VDC_ATOM_BUDGET")
     return int(raw) if raw else DEFAULT_ATOM_BUDGET
@@ -127,7 +131,9 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     zero weights the COEFF_TOL clamp of AtomicMeasure absorbs."""
     common = math.lcm(m1.order, m2.order)
     require_budget(common, f"common order {common}")
-    return AtomicMeasure(common, np.fft.irfft(lifted_product((m1, m2), common), common))
+    weights = np.fft.irfft(lifted_product((m1, m2), common), common)
+    weights.setflags(write=False)  # handed over
+    return AtomicMeasure(common, weights)
 
 
 def cache_point_mass_spectrum(mu: AtomicMeasure, sigma: AtomicMeasure, norm: float) -> None:

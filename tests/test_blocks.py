@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -38,22 +39,15 @@ WITNESS_HEAD = "witness parameters (j={}, Q={}, P={}) violate: "
     pytest.param(blocks.BlockParams, (0, 64, 0), ["ell >= 1"], id="ell"),
     pytest.param(blocks.BlockParams, (2, 64, -1), ["k >= 0"], id="k"),
     pytest.param(blocks.BlockParams, (2, 63, 0), ["Q even"], id="q-even"),
-    # Q > 6*ell (row 5) is row 8 at every k, and implies rows 4, 6 and 7 for ell >= 1
-    pytest.param(blocks.BlockParams, (2, 12, 1), ["Q/2 - 2*ell > ell", "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"],
-                 id="q-above-6-ell"),
-    pytest.param(blocks.BlockParams, (2, 8, 0), ["Q > 4*ell", "Q/2 - 2*ell > ell",
-                                                 "ell*Q^k < Q^(k+1)/2 - ell*Q^k",
-                                                 "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"], id="q-above-4-ell"),
-    pytest.param(blocks.BlockParams, (2, 0, -1), ["k >= 0", "Q even", "Q > 4*ell", "Q/2 - 2*ell > ell",
-                                                  "ell*Q^k < Q^(k+1)/2 - ell*Q^k",
-                                                  "-Q^(k+1)/2 + ell*Q^k < -Q^k",
-                                                  "2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"], id="q-zero-k-negative"),
+    # Q > 6*ell (row 5) implies Q > 4*ell (row 4) for ell >= 1
+    pytest.param(blocks.BlockParams, (2, 12, 1), ["Q/2 - 2*ell > ell"], id="q-above-6-ell"),
+    pytest.param(blocks.BlockParams, (2, 8, 0), ["Q > 4*ell", "Q/2 - 2*ell > ell"], id="q-above-4-ell"),
+    pytest.param(blocks.BlockParams, (2, 0, -1), ["k >= 0", "Q even", "Q > 4*ell", "Q/2 - 2*ell > ell"],
+                 id="q-zero-k-negative"),
     pytest.param(blocks.WitnessParams, (1, 0.01, 64, 0),
                  ["digit patterns need j >= 1 and P >= 1, got j=1, P=0"], id="witness-pattern"),
     pytest.param(blocks.WitnessParams, (1, 0.7, 64, 1), ["0 < epsilon < 1/2"], id="witness-epsilon"),
-    pytest.param(blocks.WitnessParams, (1, 0.01, 34, 2), ["block k=0: Q/2 - 2*ell > ell",
-                                                          "block k=0: 2*ell*Q^k - Q^(k+1)/2 < -ell*Q^k"],
-                 id="witness-block"),
+    pytest.param(blocks.WitnessParams, (1, 0.01, 34, 2), ["block k=0: Q/2 - 2*ell > ell"], id="witness-block"),
 ])
 def test_construction_names_each_failed_row(make, args, rows):
     # the refusal names exactly the failed rows, in ledger order; (2, 0, -1) once divided by zero
@@ -62,6 +56,22 @@ def test_construction_names_each_failed_row(make, args, rows):
     with pytest.raises(blocks.BlockParamsError) as exc:
         make(*args)
     assert str(exc.value) == head + "; ".join(rows)
+
+
+def eight_row_ledger(ell, q, k):
+    """The block ledger as the paper states it: the five kept rows and the three in Q^k
+    that restate them for even Q; a negative k is read as 0 by the rows in Q^k."""
+    low = q ** max(k, 0)
+    e, half = ell * low, low * q // 2
+    return [ell >= 1, k >= 0, q >= 2 and q % 2 == 0, q > 4 * ell, q > 6 * ell,
+            2 * e < half, e + low < half, 3 * e < half]
+
+
+def test_kept_block_rows_decide_the_eight_row_verdict():
+    inputs = list(itertools.product(range(-2, 15), range(-2, 260), range(-2, 4)))
+    assert len(inputs) == 26_724
+    for ell, q, k in inputs:
+        assert all(ok for _, ok in blocks._block_rows(ell, q, k)) == all(eight_row_ledger(ell, q, k)), (ell, q, k)
 
 
 def test_block_polynomial_coefficients():

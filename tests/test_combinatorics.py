@@ -18,24 +18,22 @@ def mask_of(members, cells):
     return mask
 
 
-def brute_force_poincare_bounds(system):
+def brute_force_poincare_bounds(mapping, mask):
     """Exhaustive oracle: the returned pair must satisfy both inequalities."""
-    n, overlap = cb.strong_poincare(system)
-    m, count = system.size, len(system.subset)
+    n, overlap = cb.strong_poincare(mapping, mask)
+    m, count = mask.size, int(mask.sum())
     assert 1 <= n <= -(-2 * m // count)
     assert 2 * overlap >= (count / m) ** 2 - 1e-15
     return n, overlap
 
 
 def test_poincare_whole_space():
-    system = cb.FiniteSystem(5, tuple((x + 2) % 5 for x in range(5)), frozenset(range(5)))
-    n, overlap = cb.strong_poincare(system)
+    n, overlap = cb.strong_poincare([(x + 2) % 5 for x in range(5)], np.ones(5, dtype=bool))
     assert n == 1 and overlap == 1.0
 
 
 def test_poincare_rotation_example():
-    system = cb.FiniteSystem(8, tuple((x + 1) % 8 for x in range(8)), frozenset({0, 4}))
-    n, overlap = cb.strong_poincare(system)
+    n, overlap = cb.strong_poincare([(x + 1) % 8 for x in range(8)], mask_of({0, 4}, 8))
     assert n == 4
     assert overlap == pytest.approx(0.25)
 
@@ -44,17 +42,15 @@ def test_poincare_exhaustive_rotations():
     for m in range(1, 9):
         for shift in range(m):
             mapping = tuple((x + shift) % m for x in range(m))
-            for mask in range(1, 1 << m):
-                subset = frozenset(i for i in range(m) if mask >> i & 1)
-                brute_force_poincare_bounds(cb.FiniteSystem(m, mapping, subset))
+            for mask in all_masks(m):
+                brute_force_poincare_bounds(mapping, mask)
 
 
 def test_poincare_all_permutations_small():
     for m in range(1, 6):
         for perm in itertools.permutations(range(m)):
-            for mask in range(1, 1 << m):
-                subset = frozenset(i for i in range(m) if mask >> i & 1)
-                brute_force_poincare_bounds(cb.FiniteSystem(m, perm, subset))
+            for mask in all_masks(m):
+                brute_force_poincare_bounds(perm, mask)
 
 
 def test_poincare_random_permutations():
@@ -63,17 +59,14 @@ def test_poincare_random_permutations():
         m = int(rng.integers(2, 65))
         mapping = tuple(int(v) for v in rng.permutation(m))
         count = int(rng.integers(1, m + 1))
-        subset = frozenset(int(v) for v in rng.choice(m, size=count, replace=False))
-        brute_force_poincare_bounds(cb.FiniteSystem(m, mapping, subset))
+        brute_force_poincare_bounds(mapping, mask_of(rng.choice(m, size=count, replace=False), m))
 
 
-def reference_strong_poincare(system):
+def reference_strong_poincare(mapping, in_e):
     """The one-system loop poincare_returns replaced: (n, count) with the
     first qualifying n <= ceil(2m/|E|), else the first maximising n."""
-    m, count_e = system.size, len(system.subset)
-    perm = np.array(system.mapping, dtype=np.int64)
-    in_e = np.zeros(m, dtype=bool)
-    in_e[list(system.subset)] = True
+    m, count_e = in_e.size, int(in_e.sum())
+    perm = np.array(mapping, dtype=np.int64)
     current = perm.copy()
     best_n, best_count = 1, -1
     for n in range(1, -(-2 * m // count_e) + 1):
@@ -87,14 +80,13 @@ def reference_strong_poincare(system):
 
 
 def single_rows(mapping, members):
-    """strong_poincare on each row of members as its own FiniteSystem, each
+    """strong_poincare on each row of members as its own system, each
     checked against the one-system loop."""
     out = []
     for row in members:
-        system = cb.FiniteSystem(len(mapping), tuple(mapping), frozenset(np.flatnonzero(row).tolist()))
-        n, overlap = cb.strong_poincare(system)
-        out.append((n, round(overlap * system.size)))
-        assert out[-1] == reference_strong_poincare(system)
+        n, overlap = cb.strong_poincare(mapping, row)
+        out.append((n, round(overlap * row.size)))
+        assert out[-1] == reference_strong_poincare(mapping, row)
     return out
 
 
@@ -143,29 +135,39 @@ def test_poincare_returns_rejects_bad_input():
 
 
 def test_poincare_rejects_empty_subset():
-    system = cb.FiniteSystem(4, (1, 2, 3, 0), frozenset())
-    with pytest.raises(ValueError):
-        cb.strong_poincare(system)
+    with pytest.raises(ValueError, match="^subset must be non-empty$"):
+        cb.strong_poincare((1, 2, 3, 0), np.zeros(4, dtype=bool))
 
 
-def test_finite_system_validation():
+def test_strong_poincare_validation():
     with pytest.raises(ValueError, match="permutation"):
-        cb.FiniteSystem(3, (0, 0, 2), frozenset({1}))
-    with pytest.raises(ValueError, match="subset"):
-        cb.FiniteSystem(3, (1, 2, 0), frozenset({5}))
+        cb.strong_poincare((0, 0, 2), mask_of({1}, 3))
+    with pytest.raises(ValueError, match=re.escape("members must hold one row of 3 cells per subset")):
+        cb.strong_poincare((1, 2, 0), mask_of({5}, 6))  # a cell outside the 3 points
+    with pytest.raises(ValueError, match=re.escape("members must hold one row of 3 cells per subset")):
+        cb.strong_poincare((1, 2, 0), np.ones((1, 3), dtype=bool))  # a matrix is not a mask
 
 
-def test_digit_vector_validation():
-    assert cb.DigitVector(6, (1, 5, 0)).coords == (1, 5, 0)
-    with pytest.raises(ValueError):
-        cb.DigitVector(4, (4, 0))
+@pytest.mark.parametrize("members, kind", [
+    pytest.param([0, 1], "list", id="index-list"),  # once read as the mask [False, True]
+    pytest.param([True, False], "list", id="bool-list"),
+    pytest.param(1, "int", id="int"),
+    pytest.param(np.array([0, 1]), "int64", id="int-array"),
+])
+def test_poincare_refuses_members_that_are_not_bool(members, kind):
+    message = f"^members must be a bool matrix of one row per subset, got {kind}$"
+    with pytest.raises(ValueError, match=message):
+        cb.strong_poincare([1, 0], members)
+    with pytest.raises(ValueError, match=message):
+        cb.poincare_returns([1, 0], [members] if isinstance(members, list) else members)
 
 
 def test_agreement_pair_full_cube():
     pair = cb.find_agreement_pair(np.ones(16, dtype=bool), 2, q=4, p=2)
     assert pair is not None
-    assert pair.x.coords[pair.s] == 0
-    assert pair.x_prime.coords[pair.s] == 2
+    assert pair.x[pair.s] == 0
+    assert pair.x_prime[pair.s] == 2
+    assert all(type(c) is int for c in pair.x + pair.x_prime)  # tuples of Python ints, digit i at index i
 
 
 def test_agreement_pair_single_vector_not_found():
@@ -175,10 +177,10 @@ def test_agreement_pair_single_vector_not_found():
 def test_index_grid_matches_digit_vectors():
     rng = np.random.default_rng(4)
     members = rng.choice(6**3, size=50, replace=False)
-    vectors = [cb.DigitVector(6, cb.int_to_digits(int(v), 6, 3)) for v in members]
+    vectors = [cb.int_to_digits(int(v), 6, 3) for v in members]
     grid = cb._mask_grid(mask_of(members, 6**3), 6, 3)
     assert grid.shape == (6, 6, 6)
-    assert all(grid[v.coords] for v in vectors) and grid.sum() == 50
+    assert all(grid[v] for v in vectors) and grid.sum() == 50
 
 
 def test_index_grid_reads_a_bool_mask_as_membership():
@@ -259,9 +261,9 @@ def test_agreement_pair_dense_random_guarantee_regime():
         pair = cb.find_agreement_pair(mask_of(members, space), 2, q=4, p=4)
         assert pair is not None
         # both points are members, read back through the digit order
-        found = {cb.digits_to_int(pair.x.coords, 4), cb.digits_to_int(pair.x_prime.coords, 4)}
+        found = {cb.digits_to_int(pair.x, 4), cb.digits_to_int(pair.x_prime, 4)}
         assert found <= set(members.tolist())
-        x, xp, s = pair.x.coords, pair.x_prime.coords, pair.s
+        x, xp, s = pair.x, pair.x_prime, pair.s
         assert x[:s] == xp[:s]
         assert x[s] == 0 and xp[s] == 2
         assert all(cb.circular_distance(a, b, 4) <= 2 for a, b in zip(x[s + 1 :], xp[s + 1 :]))
@@ -515,7 +517,6 @@ def test_digits_round_trip():
 
 
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: cb.DigitVector(1, (0,)), "modulus must be >= 2", id="digit-vector-modulus"),
     pytest.param(lambda: cb.poincare_returns([1, 0], np.ones((1, 3), dtype=bool)),
                  "members must hold one row of 2 cells per subset", id="members-width"),
     pytest.param(lambda: cb.poincare_returns([1, 0], np.ones(2, dtype=bool)),

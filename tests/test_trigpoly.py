@@ -505,7 +505,7 @@ def test_kernel_residuals_refuse_before_they_allocate(monkeypatch):
     monkeypatch.delenv("VDC_ATOM_BUDGET", raising=False)
     monkeypatch.setattr(tp, "sample_values", refuse)
     with pytest.raises(AtomBudgetError, match="^Fejer table of at least 2 kernels on grid 400000000 "
-                                              "exceeds the atom budget 67108864$"):
+                                              "exceeds the atom budget 33554432$"):
         tp.kernel_residuals(400_000_000, 2, np.random.default_rng(0))
 
 
