@@ -25,7 +25,7 @@ import numpy as np
 from .certify import LpInfeasibleError, max_atom_lp
 from .measures import AtomicMeasure, require_budget
 from .reports import row
-from .trigpoly import EVAL_TOL, TrigPoly, add, constant, dilate, modulus, multiply
+from .trigpoly import EVAL_TOL, TrigPoly, constant, dilate, modulus, multiply
 
 
 @dataclass(frozen=True)
@@ -113,38 +113,34 @@ def lp_beta(stage: TowerStage) -> AtomicMeasure:
     raise ValueError(f"no LP witness with atom above {stage.eps_prime} found for {stage.r_set}")
 
 
-def tower_correction(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
-    """The ripple with coefficients (beta_hat(m) - eps')*|m|/max_freq on
-    |m| <= n, eps' = eps_prime: |beta_hat(m) - eps'| <= mass - eps', so its
-    sup norm is at most (mass - eps')*n*(n+1)/max_freq < eps'."""
-    m = np.arange(stage.n + 1)
-    return TrigPoly.from_half(m, (beta.fourier(m) - stage.eps_prime) * m / stage.max_freq)
-
-
 def tower_block(stage: TowerStage, beta: AtomicMeasure) -> TrigPoly:
-    """The stage polynomial b: correction + eps' + Fejer-smoothed
-    (beta - eps'*dirac_0), with eps' = eps_prime and M = max_freq.
-    coeff(0) is beta's mass, 1 within EVAL_TOL; coeff(m) = beta_hat(m) - eps'
-    for 0 < |m| <= n; coeff(m) = 0 for |m| >= M.
+    """The stage polynomial b as one half spectrum, from beta_hat on 0 <= m < M
+    (eps' = eps_prime, M = max_freq): coeff(m) = beta_hat(m) - eps' on the window
+    0 < |m| <= n, (1 - |m|/M)*(beta_hat(m) - eps') on n < |m| < M, 0 for |m| >= M,
+    and coeff(0) = (beta_hat(0) - eps') + eps', beta's mass, 1 within EVAL_TOL.
 
-    b >= floor = eps' - (mass - eps')*n*(n+1)/M, with no grid: for
-    beta_hat(m) = sum_j w_j e(-m*j/N), the smoothed part is
-    sum_j w_j F_M(t - j/N) - eps'*F_M(t) + eps' >= eps', as F_M >= 0 and
-    w_0 > eps' (check_beta), and tower_correction bounds the rest.
-    TowerStage (M*eps' > n*(n+1)) and mass <= 1 + EVAL_TOL give
-    floor > eps'*(eps' - EVAL_TOL); a floor <= 0 raises.  The float
-    coefficients are off by at most 1.7e-15 in l1 norm, against
-    np.longdouble at the stages and betas of tests/test_tower.py (floor 0.1).
+    b >= floor = eps' - (mass - eps')*n*(n+1)/M, with no grid: b is eps' plus the
+    Fejer-smoothed (beta - eps'*dirac_0), sum_j w_j F_M(t - j/N) - eps'*F_M(t) >= 0
+    as F_M >= 0 and w_0 > eps' (check_beta), plus the ripple (beta_hat(m) - eps')*|m|/M
+    on |m| <= n, whose sup norm is at most (mass - eps')*n*(n+1)/M.  TowerStage
+    (M*eps' > n*(n+1)) and mass <= 1 + EVAL_TOL give floor > eps'*(eps' - EVAL_TOL);
+    a floor <= 0 raises before M is checked against the atom budget.  The floats are
+    off by at most 1.6e-15 in l1 norm over both signs, against np.longdouble on 48
+    blocks from the stages and betas of tests/test_tower.py (floor 0.1).
     """
     check_beta(stage, beta)
     eps, big_m = stage.eps_prime, stage.max_freq
     floor = eps - (beta.mass() - eps) * stage.n * (stage.n + 1) / big_m
     if floor <= 0.0:
         raise ValueError(f"stage polynomial has no positive floor: {floor}")
+    require_budget(big_m, f"stage polynomial of {big_m} terms")
     m = np.arange(big_m)  # m >= 0: from_half mirrors beta_hat(-m) = conj(beta_hat(m))
-    smoothed = (1.0 - m / big_m) * (beta.fourier(m) - eps)
-    smoothed[0] += eps
-    return add(TrigPoly.from_half(m, smoothed), tower_correction(stage, beta))
+    half = beta.fourier(m) - eps
+    tail = slice(stage.n + 1, None)
+    half[tail] = (1.0 - m[tail] / big_m) * half[tail]
+    half[0] += eps
+    half += 0.0  # a zero part reads +0, as in the Hermitian half (c_m + conj(c_-m))/2
+    return TrigPoly.from_half(m, half)
 
 
 def tower_extend(c_prev: TrigPoly, block: TrigPoly, dilation: int) -> TrigPoly:

@@ -109,18 +109,17 @@ def test_random_real_poly_matches_the_mirrored_reference(seed):
         assert_exactly_hermitian(poly)
 
 
-def mirrored_stage_polynomials(stage, beta):
-    """(tower_correction, tower_block) as both-sign (freqs, values), with
-    beta_hat gathered on the whole window -max_freq < m < max_freq; the
-    correction, on |m| <= n, is summed into the block's window."""
-    m = np.arange(-stage.n, stage.n + 1)
-    ripple = (beta.fourier(m) - stage.eps_prime) * np.abs(m) / stage.max_freq
+def mirrored_stage_polynomial(stage, beta):
+    """tower_block as both-sign (freqs, values), with beta_hat gathered on the
+    whole window -max_freq < m < max_freq: beta_hat(m) - eps' on |m| <= n,
+    Fejer-weighted beyond it, and eps' added back at 0."""
     eps, big_m = stage.eps_prime, stage.max_freq
     window = np.arange(-big_m + 1, big_m)
-    smoothed = (1.0 - np.abs(window) / big_m) * (beta.fourier(window) - eps)
-    smoothed[big_m - 1] += eps
-    smoothed[big_m - 1 - stage.n : big_m + stage.n] += ripple
-    return (m, ripple), (window, smoothed)
+    values = beta.fourier(window) - eps
+    tail = np.abs(window) > stage.n
+    values[tail] = (1.0 - np.abs(window[tail]) / big_m) * values[tail]
+    values[big_m - 1] += eps
+    return window, values
 
 
 @pytest.mark.parametrize("beta", [ms.uniform(3), certify.max_atom_lp((1, 2), 7).measure,
@@ -129,14 +128,11 @@ def mirrored_stage_polynomials(stage, beta):
 def test_stage_polynomials_match_the_mirrored_reference(beta, n, max_freq):
     r_set = tuple(r for r in (1, 2, 3) if r <= n and abs(beta.fourier(r)) < tp.EVAL_TOL)
     stage = tower.TowerStage(r_set, n, 0.3, max_freq, max_freq)
-    correction, block = mirrored_stage_polynomials(stage, beta)
     # the reference read beta_hat(-m) directly, which leaves +0 where the exact
     # conjugate has -0 in the imaginary part; every other bit agrees
-    assert_same_coefficients(tower.tower_block(stage, beta), *block)
-    new = tower.tower_correction(stage, beta)
-    assert_same_coefficients(new, *correction)
-    for poly in (new, tower.tower_block(stage, beta)):
-        assert_exactly_hermitian(poly)
+    block = tower.tower_block(stage, beta)
+    assert_same_coefficients(block, *mirrored_stage_polynomial(stage, beta))
+    assert_exactly_hermitian(block)
 
 
 def test_from_half_without_frequency_zero():

@@ -88,11 +88,26 @@ def test_stage_polynomial_transform_values():
     assert tp.grid_min(block, 4096) > 0.0
 
 
+@pytest.mark.parametrize("beta", [ms.uniform(3), half_beta(), certify.max_atom_lp((1, 2), 7).measure,
+                                  certify.max_atom_lp((1, 3), 16).measure], ids=["uniform3", "half", "lp7", "lp16"])
+@pytest.mark.parametrize("n, max_freq", [(1, 7), (2, 21), (3, 41)])
+def test_stage_polynomial_window_is_exact(beta, n, max_freq):
+    # on 0 < m <= n the coefficient is beta_hat(m) - eps' with no rounding of its own,
+    # bit for bit once + 0.0 reads a zero part as +0, as the stored half does
+    r_set = tuple(r for r in (1, 2, 3) if r <= n and abs(beta.fourier(r)) < tp.EVAL_TOL)
+    block = tower.tower_block(tower.TowerStage(r_set, n, EPS, max_freq, max_freq), beta)
+    m = np.arange(1, n + 1)
+    assert block.coeff(m).tobytes() == (beta.fourier(m) - EPS + 0.0).tobytes()
+    assert not block.coeff(np.arange(max_freq, 3 * max_freq)).any()
+
+
 def test_correction_ripple_is_small():
-    stage = toy_stages()[0]
-    ripple = tower.tower_correction(stage, half_beta())
-    vals = np.abs(tp.sample_values(ripple, 4096))
-    assert vals.max() < EPS
+    # the positivity proof's ripple: b - eps' - Fejer-smoothed (beta - eps'*dirac_0)
+    stage, beta = toy_stages()[0], half_beta()
+    m = np.arange(stage.max_freq)
+    smoothed = tp.TrigPoly.from_half(m, (1.0 - m / stage.max_freq) * (beta.fourier(m) - EPS))
+    ripple = tp.sample_values(tower.tower_block(stage, beta), 4096) - EPS - tp.sample_values(smoothed, 4096)
+    assert np.abs(ripple).max() < EPS
 
 
 def test_two_stage_claim_bullets():
@@ -304,6 +319,21 @@ def test_non_positive_floor_is_named(monkeypatch):
     monkeypatch.setattr(np, "arange", refuse)
     with pytest.raises(ValueError, match="no positive floor: -7.5"):
         tower.tower_block(stage, beta)
+
+
+def test_stage_polynomial_is_gated_by_the_atom_budget(monkeypatch):
+    # a direct call, as build_tower's gate is not in its path: 2^40 frequencies would take 8 TiB
+    stage = tower.TowerStage((1,), 1, EPS, 2**40, 2**40)
+    monkeypatch.setattr(np, "arange", None)  # the gate raises before the frequencies exist
+    with pytest.raises(blocks.AtomBudgetError,
+                       match=f"^stage polynomial of {2**40} terms exceeds the atom budget {ms.atom_budget()}$"):
+        tower.tower_block(stage, ms.uniform(3))
+    monkeypatch.undo()
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "7")
+    assert tower.tower_block(toy_stages()[0], ms.uniform(3)).degree == 6
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "6")
+    with pytest.raises(blocks.AtomBudgetError, match="^stage polynomial of 7 terms exceeds the atom budget 6$"):
+        tower.tower_block(toy_stages()[0], ms.uniform(3))
 
 
 def test_tower_products_are_gated_by_the_atom_budget(monkeypatch):
