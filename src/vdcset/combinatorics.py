@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GRID_CELL_LIMIT = 1 << 24
-
-
-class GridSizeError(ValueError):
-    """Q^P exceeds the explicit-bitset limit."""
+from .measures import require_budget
 
 
 class RecurrenceBoundError(RuntimeError):
@@ -142,8 +138,8 @@ def _agreement_candidates(grid: np.ndarray, q: int):
         full = level.all(axis=s)
         if not full.any():
             continue
-        for rest in np.argwhere(full):
-            rest = [int(v) for v in rest]
+        for flat in np.flatnonzero(full):  # C order, one index at a time: no P - 1 columns per fiber
+            rest = [int(v) for v in np.unravel_index(flat, full.shape)]
             base = rest[:s] + [0] + rest[s:]
             zero_point = tuple(base)
             half_point = tuple(base[:s] + [half] + base[s + 1 :])
@@ -172,11 +168,10 @@ def density_guarantee(count: int, ell: int, q: int, p: int) -> bool:
 
 
 def grid_cells(q: int, p: int) -> int:
-    """Q^P, the cells of an explicit grid; GridSizeError above GRID_CELL_LIMIT."""
+    """Q^P, the cells of an explicit grid, refused over the atom budget."""
     if q < 2 or p < 1:
         raise ValueError(f"grids need Q >= 2 and P >= 1, got Q={q}, P={p}")
-    if q**p > GRID_CELL_LIMIT:
-        raise GridSizeError(f"Q^P = {q**p} exceeds the {GRID_CELL_LIMIT} cell limit")
+    require_budget(q**p, f"grid of {q}^{p} cells")  # worded as a power, however many digits Q^P has
     return q**p
 
 

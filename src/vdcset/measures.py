@@ -24,15 +24,17 @@ DEFAULT_ATOM_BUDGET = 1 << 25
 
 
 def atom_budget() -> int:
-    """Cap on the atoms (or array entries) one measure, LP or product
-    may allocate; override with the VDC_ATOM_BUDGET env var.
+    """Cap on the atoms (or array entries) one measure, LP, product or
+    digit grid may allocate; override with the VDC_ATOM_BUDGET env var.
 
     A block costs about 40 bytes of peak RSS per atom: build_block of
     (ell, Q, k) = (2, 64, 3), order 2^24, took 1.5-1.6 s CPU and 615 MiB
     max RSS, and (2, 32, 4), order 2^25, 3.3 s and 1355 MiB; build_witness
     of Q = 64, P = 4 (order 2^24) took 3.2-3.5 s and 952 MiB, and the
     largest witness the cap admits, Q = 5792, P = 2 (order 33,547,264),
-    16.1 s and 1855 MiB; on a shared 2-vCPU x86-64 VM (numpy 2.4).
+    27.9 s and 1855 MiB; the largest grid, lemma-pair of Q = 2, P = 25,
+    3.2-4.4 s and 1028 MiB, its neighbourhood chain's P + 1 grids setting
+    the peak; on a shared 2-vCPU x86-64 VM (numpy 2.4).
     sample_values' order-N irfft of s, beside s's half spectrum, sets a
     block's peak.  The figures depend on the host.  The cap 2^25 is the
     largest power of two whose blocks and witnesses build within 2 GiB of

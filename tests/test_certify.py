@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vdcset import blocks, certify
+from vdcset.trigpoly import COEFF_TOL
 
 
 def brute_force_alpha(r_set, n):
@@ -443,6 +444,17 @@ def test_scaling_r_set_and_order_keeps_the_atom():
         assert lifted.atom == pytest.approx(witness.atom, abs=1e-12)
         assert all(c.passed for c in lifted.checks)
         assert lifted.r_set == tuple(factor * r for r in witness.r_set)
+
+
+def test_atom_does_not_fall_from_order_n_to_2n():
+    # weight j/N moved to 2j/(2N) keeps the transform at every r, so an order-N measure is feasible
+    # at order 2N and the optimum there is at least as large
+    rng = np.random.default_rng(40)
+    for _ in range(60):
+        size = int(rng.integers(2, 7))  # |R| = 2..6 distinct r in [1, 24]
+        r_set = sorted(int(r) for r in rng.choice(np.arange(1, 25), size=size, replace=False))
+        atoms = [certify.max_atom_lp(r_set, order).atom for order in (64, 128, 256, 512, 1024)]
+        assert all(doubled >= atom - COEFF_TOL for atom, doubled in zip(atoms, atoms[1:])), (r_set, atoms)
 
 
 def test_replaced_witness_recomputes_its_table(monkeypatch):

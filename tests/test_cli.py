@@ -450,10 +450,12 @@ R1TO8 = str(Path(__file__).resolve().parent.parent / "perfbench" / "data" / "r1t
                  "Fejer table of at least 2 kernels on grid 400000000 exceeds the atom budget",
                  id="verify-kernels"),
     pytest.param(["lemma-digits", "--q", "64", "--p", "5"], cli.np.random, "default_rng",
-                 "Q^P = 1073741824 exceeds the 16777216 cell limit", id="lemma-digits"),
+                 "grid of 64^5 cells exceeds the atom budget", id="lemma-digits"),
     pytest.param(["lemma-pair", "--q", "64", "--p", "5", "--ell", "2", "--size", "200000000"],
-                 cli.np.random, "default_rng", "Q^P = 1073741824 exceeds the 16777216 cell limit",
-                 id="lemma-pair"),
+                 cli.np.random, "default_rng", "grid of 64^5 cells exceeds the atom budget", id="lemma-pair"),
+    # Q^P has 5419 digits, past Python's int-to-str limit: the refusal words it as a power
+    pytest.param(["lemma-digits", "--q", "64", "--p", "3000"], cli.np.random, "default_rng",
+                 "grid of 64^3000 cells exceeds the atom budget", id="lemma-digits-power"),
     # Q^(k+1) has 5420 digits, past Python's int-to-str limit: the refusal words it as a power
     pytest.param(["build-block", "--ell", "2", "--q", "64", "--k", "3000"], blocks, "block_polynomials",
                  "block order 64^3001 exceeds the atom budget", id="build-block-power"),
@@ -489,14 +491,13 @@ def test_kernel_table_budget_counts_distinct_orders(tmp_path, monkeypatch):
 
 
 def test_lemma_grids_are_refused_at_the_cell_limit(tmp_path, monkeypatch):
-    from vdcset import combinatorics
-
+    # the grid's Q^P cells pass the atom budget, the one allocation gate
     argv = ["lemma-digits", "--q", "32", "--p", "2", "--trials", "1", "--json-out", str(tmp_path / "r.json")]
-    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", 1024)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "1024")
     assert run(argv) == 0
-    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", 1023)
+    monkeypatch.setenv("VDC_ATOM_BUDGET", "1023")
     assert run(argv) == 1
-    assert "Q^P = 1024 exceeds the 1023 cell limit" in load_report(tmp_path / "r.json")["flags"]["error"]
+    assert "grid of 32^2 cells exceeds the atom budget 1023" in load_report(tmp_path / "r.json")["flags"]["error"]
 
 
 def test_tower_empty_stages(tmp_path):

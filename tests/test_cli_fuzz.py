@@ -3,10 +3,9 @@
 Each parameter is drawn from its range (the bounds the library or the CLI
 refuses outside of), its edges and the values just outside it.  A run that
 exits 0 must have tested something: at least one check row, all passing.
-The atom budget and the grid-cell limit are small, so every refusal of an
-oversized input shows without a large allocation.  A second, drawn-valid half
-builds towers that are valid by construction: each must exit 0 with every row
-passing.
+The atom budget is small, so every refusal of an oversized input shows
+without a large allocation.  A second, drawn-valid half builds towers that
+are valid by construction: each must exit 0 with every row passing.
 """
 
 import json
@@ -15,11 +14,10 @@ import math
 import numpy as np
 import pytest
 
-from vdcset import cli, combinatorics
+from vdcset import cli
 
 RUNS_PER_COMMAND = 12
 ATOM_BUDGET = 1 << 14
-GRID_CELL_LIMIT = 1 << 12
 
 # inclusive ranges, an int range with an optional step (Q is even); a float range's edges are
 # drawn as well, whether or not it is open there
@@ -100,7 +98,6 @@ def fuzz_argv(rng, command, tmp_path):
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_fuzzed_argv_ends_in_a_report(tmp_path, monkeypatch, command):
     monkeypatch.setenv("VDC_ATOM_BUDGET", str(ATOM_BUDGET))
-    monkeypatch.setattr(combinatorics, "GRID_CELL_LIMIT", GRID_CELL_LIMIT)
     rng = np.random.default_rng(sorted(cli.COMMANDS).index(command))
     out = tmp_path / "r.json"
     for _ in range(RUNS_PER_COMMAND):
